@@ -2,16 +2,16 @@
 
 Homodyne outcomes are dichotomized by sign.  For a state sum_n c_n |n,n> with
 real c_n, the probability that both parties see a nonnegative quadrature
-depends only on the angle sum chi = theta + phi and reduces to
+depends only on the angle sum chi = theta + phi and is the quadratic form
 
-    P++(chi) = sum_{n,m} c_n c_m cos((n - m) chi) G_nm^2,
+    P++(chi) = c^T K(chi) c,    K(chi)_nm = cos((n - m) chi) G_nm^2,
 
 where G_nm = integral_0^inf psi_n(x) psi_m(x) dx over orthonormal oscillator
-wavefunctions.  The dimensionless quadrature convention is immaterial because
-sign binning is scale invariant.  From the marginals P+ = 1/2 and the parity
-relations, E(chi) = 4 P++(chi) - 1, the CHSH combination becomes
-B = 3 E(chi) - E(3 chi) and the CH combination S = 3 P++(chi) - P++(3 chi),
-tied by S = B/4 + 1/2.
+wavefunctions.  Flipping one party's sign shifts chi by pi, so everything else
+follows from the one kernel: P+-(chi) = P++(chi + pi), the marginal
+P+ = P++ + P+-, E = 2 (P++ - P+-), the CHSH combination B = 3 E(chi) - E(3 chi)
+and the CH combination S = 3 P++(chi) - P++(3 chi), tied by S = B/4 + 1/2.
+Sign binning is scale invariant, so the quadrature convention is immaterial.
 """
 
 from __future__ import annotations
@@ -55,11 +55,14 @@ def hermite_basis(n_max: int, xs: np.ndarray) -> np.ndarray:
     return out
 
 
+_legendre_rule = lru_cache(maxsize=8)(leggauss)   # shared arrays: never written
+
+
 def quadrature_grid(n_max: int, x_max: float | None = None, points: int = _QUAD_POINTS):
     """Gauss-Legendre nodes/weights on [0, x_max] covering psi_{n_max} mass to < 1e-14."""
     if x_max is None:
         x_max = max(12.0, np.sqrt(2.0 * n_max + 1.0) + 6.0)
-    x, w = leggauss(points)
+    x, w = _legendre_rule(points)
     return 0.5 * x_max * (x + 1.0), 0.5 * x_max * w
 
 
@@ -115,36 +118,38 @@ def _checked_coeffs(v: CoefficientVector) -> np.ndarray:
     return c / np.sqrt(n2)
 
 
-def _quadrant_sum(c: np.ndarray, chi: float, lower: bool = False) -> float:
-    k = c.size
-    G = _overlap_matrix(k - 1)[:k, :k]
+def kernel(k: int, chi: float) -> np.ndarray:
+    """Bell kernel K(chi) = cos((n - m) chi) o G o G on levels 0..k-1: P++ = c^T K c."""
+    if k < 1:
+        raise ValueError("kernel needs at least one level")
+    G = _overlap_matrix(k - 1)
     d = np.subtract.outer(np.arange(k), np.arange(k))
-    M = np.cos(d * chi) * G * G
-    if lower:
-        M = M * np.where(d % 2 == 0, 1.0, -1.0)
-    return float(c @ M @ c)
+    return np.cos(d * chi) * G * G
+
+
+def _p_plus_plus(c: np.ndarray, chi: float) -> float:
+    return float(c @ kernel(c.size, chi) @ c)
 
 
 def p_plus_plus(v: CoefficientVector, chi: float) -> float:
     """Joint probability that both homodyne outcomes are nonnegative, at angle sum chi."""
-    return _quadrant_sum(_checked_coeffs(v), chi, lower=False)
+    return _p_plus_plus(_checked_coeffs(v), chi)
 
 
 def marginal_plus(v: CoefficientVector, theta: float) -> float:
-    """Single-party sign probability P+(theta): upper plus lower quadrant sum.
+    """Single-party sign probability P+(theta) = P++(theta) + P+-(theta).
 
     Equals 1/2 for every photon-number-correlated state, independent of angle.
     """
     c = _checked_coeffs(v)
-    return _quadrant_sum(c, theta, lower=False) + _quadrant_sum(c, theta, lower=True)
+    return _p_plus_plus(c, theta) + _p_plus_plus(c, theta + np.pi)
 
 
 def correlation_E(v: CoefficientVector, chi: float) -> float:
     """Correlation E = P++ + P-- - P+- - P-+ at angle sum chi."""
     c = _checked_coeffs(v)
-    upper = _quadrant_sum(c, chi, lower=False)   # P++ = P--
-    mixed = _quadrant_sum(c, chi, lower=True)    # P+- = P-+
-    return 2.0 * (upper - mixed)
+    # P-- = P++(chi) and P-+ = P+- = P++(chi + pi)
+    return 2.0 * (_p_plus_plus(c, chi) - _p_plus_plus(c, chi + np.pi))
 
 
 def chsh_B(v: CoefficientVector, chi: float) -> float:

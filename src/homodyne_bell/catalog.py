@@ -19,7 +19,7 @@ from math import lgamma, log
 
 import numpy as np
 
-from .fock_core import TAIL_TOL, CoefficientVector, normalize
+from .fock_core import TAIL_TOL, CoefficientVector, normalize, read_state_file
 
 HARD_CUTOFF_CAP = 64
 
@@ -130,7 +130,10 @@ def seed_transmissivity(xi: float, lam: float) -> float:
     return abs(xi - np.sqrt(xi * xi + 8.0 * lam * lam)) / (4.0 * lam)
 
 
-_FAMILIES = ("tmss", "circle", "ps_tmss", "seed", "custom")
+# Each family with the name of its parameter; "custom" reads a state file.
+FAMILY_PARAMETERS = {"tmss": "lambda", "ps_tmss": "lambda", "circle": "r", "seed": "xi",
+                     "pipeline": "xi"}
+_FAMILIES = (*FAMILY_PARAMETERS, "custom")
 
 
 @dataclass(frozen=True)
@@ -154,13 +157,12 @@ class CatalogSpec:
             raise ValueError(f"family {fam!r} requires a parameter")
 
     def build(self) -> CoefficientVector:
-        if self.family == "tmss":
-            return tmss(self.parameter, self.cutoff)
-        if self.family == "circle":
-            return circle(self.parameter, self.cutoff)
-        if self.family == "ps_tmss":
-            return ps_tmss(self.parameter, self.cutoff)
-        if self.family == "seed":
-            return seed(self.parameter, self.cutoff)
-        from .fock_core import read_state_file
-        return read_state_file(self.path)
+        """The family's state; `pipeline` runs the preparation at xi = parameter."""
+        if self.family == "custom":
+            return read_state_file(self.path)
+        if self.family == "pipeline":
+            from .pipeline import PipelineConfig, run_pipeline
+            cutoff = 32 if self.cutoff is None else self.cutoff
+            return run_pipeline(PipelineConfig(xi=self.parameter, cutoff=cutoff)).final_state
+        generator = {"tmss": tmss, "circle": circle, "ps_tmss": ps_tmss, "seed": seed}
+        return generator[self.family](self.parameter, self.cutoff)

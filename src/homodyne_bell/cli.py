@@ -45,7 +45,8 @@ def _state_csv(v: CoefficientVector) -> str:
 
 def _spec_from_args(args) -> catalog.CatalogSpec:
     family = args.family.replace("-", "_")
-    param = {"tmss": args.lam, "ps_tmss": args.lam, "circle": args.r, "seed": args.xi}.get(family)
+    name = catalog.FAMILY_PARAMETERS.get(family)
+    param = None if name is None else getattr(args, "lam" if name == "lambda" else name)
     if family != "custom" and param is None:
         raise SystemExit(f"error: family {args.family!r} needs its parameter flag")
     return catalog.CatalogSpec(family, param, path=getattr(args, "file", None),
@@ -120,34 +121,27 @@ def cmd_bell(args) -> None:
     _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
 
 
-_SCAN_GRID_FAMILIES = {"tmss": "lambda", "ps_tmss": "lambda", "circle": "r", "seed": "xi",
-                       "pipeline": "xi"}
-
-
 def cmd_scan(args) -> None:
     metric_fn = bell.chsh_B if args.metric == "chsh" else bell.ch_S
-    name = args.metric.upper()
     family = args.family.replace("-", "_")
+    own = catalog.FAMILY_PARAMETERS.get(family)
+    if args.param not in (own, "chi", "iterations"):
+        raise ValueError(f"family {args.family!r} scans over {own}, chi or iterations, "
+                         f"not {args.param}")
+    cutoff = args.cutoff or 32
     if args.param == "iterations":
-        rows = overgaussification_scan(args.xi, int(args.to), chi=args.chi,
-                                       cutoff=args.cutoff or 32)
+        rows = overgaussification_scan(args.xi, int(args.to), chi=args.chi, cutoff=cutoff)
         _emit(_csv(["iterations", "B"], rows), args.out)
         return
     values = np.linspace(args.frm, args.to, args.steps)
-    cutoff = args.cutoff or 32
-
-    def family_state(param: float) -> CoefficientVector:
-        if family == "pipeline":
-            return run_pipeline(PipelineConfig(xi=param, cutoff=cutoff)).final_state
-        return catalog.CatalogSpec(family, param, cutoff=cutoff).build()
-
-    rows = []
     if args.param == "chi":
-        v = family_state(args.value if args.value is not None else args.xi)
+        param = args.value if args.value is not None else args.xi
+        v = catalog.CatalogSpec(family, param, cutoff=cutoff).build()
         rows = [(float(ch), metric_fn(v, float(ch))) for ch in values]
     else:
-        rows = [(float(p), metric_fn(family_state(float(p)), args.chi)) for p in values]
-    _emit(_csv([args.param, name], rows), args.out)
+        specs = (catalog.CatalogSpec(family, float(p), cutoff=cutoff) for p in values)
+        rows = [(spec.parameter, metric_fn(spec.build(), args.chi)) for spec in specs]
+    _emit(_csv([args.param, args.metric.upper()], rows), args.out)
 
 
 def cmd_sample(args) -> None:
@@ -167,7 +161,8 @@ def cmd_sample(args) -> None:
     }
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     if args.dump_xy:
-        batch = sampler.sample_joint(v, args.chi, args.n, args.seed, keep_samples=True)
+        # the batch counted in counts_chi, drawn again from its own (child) seed
+        batch = sampler.sample_joint(v, args.chi, args.n, est.batch_chi.seed, keep_samples=True)
         rows = [(float(xa), float(xb), 1 if xa >= 0 else -1, 1 if xb >= 0 else -1)
                 for xa, xb in batch.samples]
         _emit(_csv(["x_A", "x_B", "sign_A", "sign_B"], rows), args.dump_xy)
@@ -183,9 +178,8 @@ def cmd_optimize(args) -> None:
                                                           objective=args.objective)
         _emit(_csv(["parameter", args.objective.upper()], [(p_star, val)]), args.out)
     else:
-        vec, val, _ = optimizer.optimize_coefficients(
-            args.n, args.chi, objective=args.objective,
-            starts=args.starts, seed=args.seed)
+        vec, val, _ = optimizer.optimize_coefficients(args.n, args.chi,
+                                                      objective=args.objective)
         sys.stderr.write(f"best {args.objective.upper()} = {val:.9f}\n")
         _emit(state_file_text(vec), args.out)
 
@@ -198,13 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--cutoff", type=int, default=None)
         p.add_argument("--out", default=None, help="output file (default: stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("state", help="emit a catalog state file")
     common(p)
+    p.add_argument("--cutoff", type=int, default=None)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--family", default="tmss",
                    choices=("tmss", "circle", "ps-tmss", "ps_tmss", "seed", "custom"))
     p.add_argument("--lambda", dest="lam", type=float, default=None)
@@ -217,6 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run the conditional preparation")
     common(p)
+    p.add_argument("--cutoff", type=int, default=None)
     p.add_argument("--xi", type=float, required=True)
     p.add_argument("--iters", type=int, default=3)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
@@ -228,12 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bell", help="evaluate the Bell functionals on a state file")
     common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--state", required=True)
     p.add_argument("--chi", type=float, default=np.pi / 4)
     p.set_defaults(fn=cmd_bell)
 
     p = sub.add_parser("scan", help="sweep a family parameter or iteration count")
     common(p)
+    p.add_argument("--cutoff", type=int, default=None)
     p.add_argument("--family", default="circle")
     p.add_argument("--param", default="r",
                    choices=("lambda", "r", "xi", "chi", "iterations"))
@@ -249,6 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="Monte Carlo homodyne estimate of B")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--state", required=True)
     p.add_argument("--chi", type=float, default=np.pi / 4)
     p.add_argument("--n", type=int, default=10 ** 5)
@@ -261,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=("chsh", "ch"), default="chsh")
     p.add_argument("--n", type=int, default=10, help="coefficient cutoff N")
     p.add_argument("--chi", type=float, default=np.pi / 4)
-    p.add_argument("--starts", type=int, default=32)
+    p.add_argument("--seed", type=int, default=0, help="ignored: the optimum is exact")
     p.add_argument("--family", default=None,
                    help="optimize a family parameter instead of raw coefficients")
     p.add_argument("--angle", action="store_true", help="optimize chi for --state")
@@ -272,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "seed", None) is None:
-        args.seed = 0
     try:
         args.fn(args)
     except (ValueError, OSError) as exc:

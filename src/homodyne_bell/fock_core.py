@@ -229,8 +229,13 @@ def write_state_file(v: CoefficientVector, path) -> None:
 
 
 def read_state_file(path) -> CoefficientVector:
+    """Read a state file, or the state nested under `state` in a pipeline report."""
     with open(path) as fh:
         doc = json.load(fh)
+    if isinstance(doc, dict) and isinstance(doc.get("state"), dict):
+        doc = doc["state"]
+    if not isinstance(doc, dict) or not {"coefficients", "cutoff", "normalized"} <= doc.keys():
+        raise ValueError(f"state file {path}: needs coefficients, cutoff and normalized fields")
     coeffs = np.asarray(doc["coefficients"], dtype=float)
     if int(doc["cutoff"]) != coeffs.size - 1:
         raise ValueError(f"state file {path}: cutoff field does not match coefficients")

@@ -1,130 +1,61 @@
-"""Numerical maximization of the Bell functionals.
+"""Maximization of the Bell functionals.
 
-Both functionals are quadratic forms in the coefficients once the angle sum is
-fixed, so coefficient optimization is multi-start gradient ascent of a
-Rayleigh quotient on the unit sphere (raw coordinates, project-and-evaluate).
-Family-parameter and angle searches are bounded 1-D maximizations.
+At fixed chi, S = 3 P++(chi) - P++(3 chi) is the Rayleigh quotient of
+M = 3 K(chi) - K(3 chi) and B = 4 S - 2, so the free coefficient optimum is
+the top eigenpair of M: S* = lambda_max, B* = 4 lambda_max - 2.  Family-parameter
+and angle searches are bounded 1-D maximizations.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from . import bell, catalog
 from .fock_core import CoefficientVector
-from .pipeline import PipelineConfig, run_pipeline
 
 _OBJECTIVES = ("chsh", "ch")
-_DEFAULT_SEED = 1729
-_MAX_EVALS_PER_START = 10_000
-_STEP_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class OptimizationProblem:
-    """Configuration record for a Bell-functional maximization."""
-
-    objective: str = "chsh"
-    chi: float = np.pi / 4
-    n_coefficients: int = 10
-    nonnegative: bool = False
-    starts: int = 32
-    tolerance: float = _STEP_TOL
-    seed: int = _DEFAULT_SEED
-
-    def __post_init__(self):
-        if self.objective not in _OBJECTIVES:
-            raise ValueError(f"objective must be one of {_OBJECTIVES}")
-        if self.n_coefficients > 16:
-            raise ValueError("coefficient optimization is capped at N = 16")
-
-
-def _objective_matrix(n_max: int, chi: float, objective: str) -> np.ndarray:
-    """Matrix M with value(c) = c^T M c / (c^T c) + offset for the functional."""
-    k = n_max + 1
-    G = bell._overlap_matrix(n_max)[:k, :k]
-    d = np.subtract.outer(np.arange(k), np.arange(k))
-    base = (3.0 * np.cos(d * chi) - np.cos(3.0 * d * chi)) * G * G
-    if objective == "chsh":
-        # B = 12 P(chi) - 4 P(3chi) - 2
-        return 4.0 * base
-    # S = 3 P(chi) - P(3chi)
-    return base
-
-
-def _objective_offset(objective: str) -> float:
-    return -2.0 if objective == "chsh" else 0.0
-
-
-def _canonical(c: np.ndarray) -> np.ndarray:
-    c = c / np.linalg.norm(c)
-    nz = np.flatnonzero(np.abs(c) > 1e-12)
-    if nz.size and c[nz[0]] < 0:
-        c = -c
-    return c
 
 
 def optimize_coefficients(n_max: int, chi: float, objective: str = "chsh",
-                          starts: int = 32, seed: int = _DEFAULT_SEED,
                           nonnegative: bool = False):
-    """Multi-start ascent of the Bell functional over unit coefficient vectors.
+    """Maximize the Bell functional over unit coefficient vectors c_0..c_n_max.
 
-    Returns (CoefficientVector, best value, improvement history).  Starts are
-    drawn from a seeded generator plus two warm starts (the pipeline state and
-    the xi = 1/sqrt2 seed); the sign-flip symmetry is resolved by making the
-    first nonzero coefficient nonnegative.  Best-found, no global claim.
+    Returns (CoefficientVector, value, (value,)); the first nonzero coefficient
+    is made positive.  The free optimum is exact.  The nonnegative one, where
+    the constraint binds, comes from one L-BFGS-B ascent started at the
+    absolute free optimum, then solved exactly on the face it ends on.
     """
+    if objective not in _OBJECTIVES:
+        raise ValueError(f"objective must be one of {_OBJECTIVES}")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    prob = OptimizationProblem(objective=objective, chi=chi, n_coefficients=max(n_max, 1),
-                               nonnegative=nonnegative, starts=starts, seed=seed)
     k = n_max + 1
+    M = 3.0 * bell.kernel(k, chi) - bell.kernel(k, 3.0 * chi)
+    c = np.linalg.eigh(M)[1][:, -1]
+    if nonnegative:
+        def negated(x):
+            mx, n2 = M @ x, float(x @ x)
+            q = float(x @ mx) / n2
+            return -q, (2.0 * q * x - 2.0 * mx) / n2
+
+        c = minimize(negated, np.abs(c), jac=True, method="L-BFGS-B",
+                     bounds=[(0.0, None)] * k,
+                     options={"maxiter": 10_000, "ftol": 1e-12}).x
+        # The ascent stops short by ~1e-10; on the face it found, the exact
+        # optimum is the top eigenvector of M restricted to the support.
+        face = c > 0.0
+        top = np.linalg.eigh(M[np.ix_(face, face)])[1][:, -1]
+        top *= np.sign(top.sum())
+        if np.all(top > 0.0):
+            c = np.zeros(k)
+            c[face] = top
+    c = c / np.linalg.norm(c)
+    c = c * np.sign(c[np.flatnonzero(np.abs(c) > 1e-12)[0]])
+    s_value = float(c @ M @ c)
+    value = 4.0 * s_value - 2.0 if objective == "chsh" else s_value
     label = f"optimized({objective.upper()}, N={n_max}, chi={chi!r})"
-    if n_max == 0:
-        vec = CoefficientVector([1.0], normalized=True, provenance=label)
-        value = float(_objective_matrix(0, chi, objective)[0, 0] + _objective_offset(objective))
-        return vec, value, (value,)
-
-    M = _objective_matrix(n_max, chi, objective)
-    off = _objective_offset(objective)
-
-    def negated(c):
-        n2 = float(c @ c)
-        if n2 == 0.0:
-            return 0.0, np.zeros_like(c)
-        mc = M @ c
-        q = float(c @ mc) / n2
-        grad = (2.0 * mc - 2.0 * q * c) / n2
-        return -(q + off), -grad
-
-    rng = np.random.default_rng(seed)
-    start_points = [rng.standard_normal(k) for _ in range(starts)]
-    warm = run_pipeline(PipelineConfig(xi=1.0 / np.sqrt(2.0), cutoff=max(k, 8))).final_state
-    start_points.append(np.array(warm.coeffs[:k]))
-    start_points.append(np.array(catalog.seed(1.0 / np.sqrt(2.0), cutoff=n_max).coeffs))
-
-    bounds = [(0.0, None)] * k if nonnegative else None
-    best_val, best_vec = -np.inf, None
-    history = []
-    for x0 in start_points:
-        if nonnegative:
-            x0 = np.abs(x0)
-        if not np.any(x0):
-            x0 = np.ones(k)
-        res = minimize(negated, x0, jac=True, method="L-BFGS-B", bounds=bounds,
-                       options={"maxiter": _MAX_EVALS_PER_START, "ftol": prob.tolerance * 1e-3})
-        val = -float(res.fun)
-        cand = _canonical(res.x)
-        if val > best_val + 1e-12:
-            best_val, best_vec = val, cand
-        elif abs(val - best_val) <= 1e-12 and tuple(cand) < tuple(best_vec):
-            best_vec = cand   # deterministic tie break
-        history.append(best_val)
-    vec = CoefficientVector(best_vec, normalized=True, provenance=label)
-    return vec, best_val, tuple(history)
+    return CoefficientVector(c, normalized=True, provenance=label), value, (value,)
 
 
 _FAMILY_BOUNDS = {
@@ -138,10 +69,7 @@ _FAMILY_BOUNDS = {
 
 def _family_value(family: str, param: float, chi: float, objective: str,
                   cutoff: int = 32) -> float:
-    if family == "pipeline":
-        state = run_pipeline(PipelineConfig(xi=param, cutoff=cutoff)).final_state
-    else:
-        state = catalog.CatalogSpec(family, param, cutoff=cutoff).build()
+    state = catalog.CatalogSpec(family, param, cutoff=cutoff).build()
     return bell.chsh_B(state, chi) if objective == "chsh" else bell.ch_S(state, chi)
 
 

@@ -57,13 +57,16 @@ def test_criterion_02_ch_reproduction(pipeline_state):
 
 
 def test_criterion_03_optimal_state_recovery():
+    # N = 10 ceiling from an independent eigen solve (bench/reference.py)
+    b_ceiling, s_ceiling = 2.0919544289398, 1.0229886072350
     t0 = time.perf_counter()
-    _, b_star, _ = optimize_coefficients(10, CHI, starts=32, seed=1)
-    _, s_star, _ = optimize_coefficients(10, CHI, objective="ch", starts=32, seed=1)
+    _, b_star, _ = optimize_coefficients(10, CHI)
+    _, s_star, _ = optimize_coefficients(10, CHI, objective="ch")
     elapsed = time.perf_counter() - t0
-    ok = b_star >= 2.07 and s_star >= 1.016 and elapsed < 300.0
-    report(3, ok, f"B* = {b_star:.6f} (>= 2.07 vs ceiling 2.076), "
-                  f"S* = {s_star:.6f} (>= 1.016 vs 1.019) in {elapsed:.1f} s")
+    ok = (abs(b_star - b_ceiling) <= 1e-9 and abs(s_star - s_ceiling) <= 1e-9
+          and elapsed < 300.0)
+    report(3, ok, f"B* = {b_star:.10f} (ceiling {b_ceiling} +- 1e-9), "
+                  f"S* = {s_star:.10f} (ceiling {s_ceiling} +- 1e-9) in {elapsed:.3f} s")
 
 
 def test_criterion_04_circle_state_optimum():

@@ -22,6 +22,7 @@ from homodyne_bell import (
     seed,
     tmss,
 )
+from homodyne_bell.bell import kernel
 
 CHI = np.pi / 4
 
@@ -83,6 +84,22 @@ def test_p_plus_plus_is_even_in_chi(chi, seed_int):
     rng = np.random.default_rng(seed_int)
     v = normalize(CoefficientVector(rng.standard_normal(6)))
     assert abs(p_plus_plus(v, chi) - p_plus_plus(v, -chi)) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(-2 * np.pi, 2 * np.pi), st.integers(0, 12), st.integers(0, 2 ** 31))
+def test_kernel_invariants_on_random_states(chi, n_max, seed_int):
+    rng = np.random.default_rng(seed_int)
+    v = normalize(CoefficientVector(rng.standard_normal(n_max + 1)))
+    K = kernel(n_max + 1, chi)
+    assert np.array_equal(K, K.T)
+    # flipping one sign shifts chi by pi: K(chi + pi) = (-1)^(n - m) K(chi)
+    parity = np.where(np.subtract.outer(np.arange(n_max + 1), np.arange(n_max + 1)) % 2, -1, 1)
+    assert np.max(np.abs(kernel(n_max + 1, chi + np.pi) - parity * K)) < 1e-15
+    assert abs(p_plus_plus(v, chi) - v.coeffs @ K @ v.coeffs) < 1e-15
+    assert abs(ch_S(v, chi) - (chsh_B(v, chi) / 4.0 + 0.5)) < 1e-10
+    assert abs(marginal_plus(v, chi) - 0.5) < 1e-12
+    assert abs(correlation_E(v, chi)) <= 1.0 + 1e-12
 
 
 def test_marginal_is_half_for_all_angles(pipeline_state):

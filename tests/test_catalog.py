@@ -122,6 +122,9 @@ def test_catalog_spec_builds_and_labels():
     assert v.cutoff == 16
     v = CatalogSpec("ps-tmss", 0.6).build()
     assert v.provenance == "ps_tmss(0.6)"
+    v = CatalogSpec("pipeline", 1 / np.sqrt(2), cutoff=24).build()
+    assert v.provenance.startswith("pipeline(xi=0.707107")
+    assert v.cutoff == 23  # the final photon subtraction drops the top level
 
 
 def test_catalog_spec_validation():

@@ -84,6 +84,22 @@ def test_bell_on_vacuum_state(tmp_path):
     assert abs(doc["S"] - 0.5) < 1e-9
 
 
+def test_bell_reads_pipeline_report(tmp_path):
+    report = tmp_path / "pipeline.json"
+    assert run_cli("pipeline", "--xi", "0.7071", "--out", str(report)) == 0
+    out = tmp_path / "bell.json"
+    assert run_cli("bell", "--state", str(report), "--out", str(out)) == 0
+    assert json.loads(out.read_text())["B"] == pytest.approx(
+        json.loads(report.read_text())["bell"]["B"], abs=1e-11)
+
+
+def test_state_file_without_coefficients_is_an_error(tmp_path, capsys):
+    state = tmp_path / "broken.json"
+    state.write_text('{"cutoff": 2, "normalized": true}\n')
+    assert run_cli("bell", "--state", str(state)) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_bell_csv_field_names(tmp_path):
     state = tmp_path / "seed.json"
     write_state_file(seed(1.0, cutoff=8), state)
@@ -138,16 +154,21 @@ def test_sample_dump_xy(tmp_path, pipeline_state):
     lines = dump.read_text().strip().split("\n")
     assert lines[0] == "x_A,x_B,sign_A,sign_B"
     assert len(lines) == 501
+    # the dump is the batch that was counted at chi
+    signs = np.array([line.split(",")[2:] for line in lines[1:]], dtype=int)
+    plus_a, plus_b = signs[:, 0] > 0, signs[:, 1] > 0
+    dumped = [[int(np.sum(plus_a & plus_b)), int(np.sum(plus_a & ~plus_b))],
+              [int(np.sum(~plus_a & plus_b)), int(np.sum(~plus_a & ~plus_b))]]
+    assert dumped == json.loads((tmp_path / "s.json").read_text())["counts_chi"]
 
 
 def test_optimize_coefficients_cli(tmp_path):
     out = tmp_path / "opt.json"
-    assert run_cli("optimize", "--objective", "chsh", "--n", "10", "--starts", "8",
-                   "--out", str(out)) == 0
+    assert run_cli("optimize", "--objective", "chsh", "--n", "10", "--out", str(out)) == 0
     doc = json.loads(out.read_text())
     assert doc["provenance"].startswith("optimized(CHSH, N=10")
     from homodyne_bell import chsh_B
-    assert chsh_B(read_state_file(out), np.pi / 4) >= 2.07
+    assert abs(chsh_B(read_state_file(out), np.pi / 4) - 2.0919544289398) < 1e-10
 
 
 def test_optimize_angle_cli(tmp_path, pipeline_state):
@@ -163,6 +184,25 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["state", "--family", "quartic"])
     assert exc.value.code != 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["pipeline", "--xi", "0.7071", "--format", "csv"],
+    ["bell", "--state", "s.json", "--cutoff", "8"],
+    ["scan", "--seed", "3"],
+    ["optimize", "--starts", "8"],
+])
+def test_flags_a_subcommand_does_not_honour_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code != 0
+
+
+def test_scan_rejects_a_parameter_of_another_family(tmp_path):
+    out = tmp_path / "scan.csv"
+    assert run_cli("scan", "--family", "tmss", "--param", "r", "--from", "0.1", "--to", "0.5",
+                   "--steps", "3", "--out", str(out)) == 1
+    assert not out.exists()
 
 
 def test_byte_identical_state_outputs(tmp_path):
