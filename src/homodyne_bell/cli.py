@@ -135,7 +135,9 @@ def cmd_scan(args) -> None:
         return
     values = np.linspace(args.frm, args.to, args.steps)
     if args.param == "chi":
-        param = args.value if args.value is not None else args.xi
+        param = args.xi if args.value is None and own == "xi" else args.value
+        if param is None:
+            raise ValueError(f"scan over chi needs --value for family {args.family!r}")
         v = catalog.CatalogSpec(family, param, cutoff=cutoff).build()
         rows = [(float(ch), metric_fn(v, float(ch))) for ch in values]
     else:

@@ -1,12 +1,17 @@
 """Monte Carlo emulation of the two-party homodyne record.
 
-Pairs (x_A, x_B) are drawn from the Born density
-|sum_n c_n e^(i n chi) psi_n(x_A) psi_n(x_B)|^2: x_A from its marginal (a
-mixture of |psi_n|^2 weighted by c_n^2) via inverse CDF on a fine grid, then
-x_B from the exact conditional density of x_A's grid cell.  Outcomes are
-dichotomized by sign.  The per-state tables (marginal CDF and per-cell
-conditional CDFs over the marginal's support) are precomputed once and
-cached, so repeated seeded runs against one state cost only the draws.
+Pairs (x_A, x_B) follow the Born density
+|sum_n c_n e^(i n chi) psi_n(x_A) psi_n(x_B)|^2 on a grid symmetric about 0.
+x_A's cell is drawn by inverse CDF from its marginal, a mixture of |psi_n|^2
+weighted by c_n^2.  Only signs enter the Bell functionals, so x_B's sign is
+drawn against P(x_B < 0 | cell) = Re(a^H G_neg a) / Re(a^H G_all a), with
+a = c o e^(i n chi) o psi(cell) and G_neg, G_all the Gram matrices of the basis
+summed over the grid's negative half and over all of it.  These two tables are
+cached per (state, chi); a state the grid holds less than 1 - 1e-9 of is refused.
+Raw pairs, made only on request, place x_A inside its cell and x_B inside the
+half-line of its counted sign, from conditional CDF rows of the drawn cells.
+The sampler never reuses the closed-form overlap table, so it stays an
+independent check on it.
 
 Randomness comes from numpy's counter-based Philox engine; the algorithm name
 is recorded in each batch, and a batch is a pure function of its seed.
@@ -26,6 +31,9 @@ GENERATOR_NAME = "philox4x64"
 GRID_POINTS = 2 ** 14
 GRID_HALF_WIDTH = 12.0
 _SUPPORT_EPS = 1e-12
+_MASS_TOL = 1e-9          # largest share of the state's mass the grid may miss
+_ROW_CHUNK = 256          # conditional CDF rows held at once when making raw pairs
+_GUIDE_SIZE = 2 ** 16     # guide-table buckets over u in [0, 1) for the x_A cell lookup
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,32 +68,74 @@ class SampleBatch:
 
 
 class _SamplerPlan:
-    """Precomputed inverse-CDF tables for one (state, chi) pair."""
+    """Marginal CDF of x_A and P(x_B < 0 | x_A cell) for one (state, chi) pair."""
 
     def __init__(self, coeffs: np.ndarray, chi: float,
                  grid_points: int = GRID_POINTS, half_width: float = GRID_HALF_WIDTH):
         k = coeffs.size
         self.edges = np.linspace(-half_width, half_width, grid_points + 1)
         self.dx = self.edges[1] - self.edges[0]
-        centers = 0.5 * (self.edges[:-1] + self.edges[1:])
-        V = hermite_basis(k - 1, centers)
+        self.centers = 0.5 * (self.edges[:-1] + self.edges[1:])
+        self.half = grid_points // 2                  # first cell of x >= 0
+        V = hermite_basis(k - 1, self.centers)
         marginal = (coeffs[:, None] ** 2 * V ** 2).sum(axis=0)
         mass = np.cumsum(marginal)
+        lost = 1.0 - mass[-1] * self.dx / np.dot(coeffs, coeffs)
+        if lost > _MASS_TOL:
+            raise ValueError(f"the sampling grid [-{half_width:g}, {half_width:g}] misses "
+                             f"{lost:.3g} of the state's quadrature mass (limit {_MASS_TOL:g})")
         self.marginal_cdf = mass / mass[-1]
         lo = int(np.searchsorted(self.marginal_cdf, _SUPPORT_EPS))
         hi = int(np.searchsorted(self.marginal_cdf, 1.0 - _SUPPORT_EPS)) + 1
         self.support = (lo, hi)
-        # Conditional CDF row for every support cell, chunked to bound memory.
-        phased = (coeffs * np.exp(1j * chi * np.arange(k)))[:, None] * V
-        V_c = V.astype(complex)
-        rows = np.empty((hi - lo, grid_points), dtype=np.float32)
-        for start in range(lo, hi, 1024):
-            stop = min(start + 1024, hi)
-            amp = phased[:, start:stop].T @ V_c
-            dens = np.abs(amp) ** 2
-            cdf = np.cumsum(dens, axis=1)
-            rows[start - lo:stop - lo] = (cdf / cdf[:, -1:]).astype(np.float32)
-        self.conditional_cdf = rows
+        # guide[b] = first cell with CDF >= b / _GUIDE_SIZE, a lower bound for any u in bucket b
+        self.guide = np.searchsorted(self.marginal_cdf,
+                                     np.arange(_GUIDE_SIZE) / _GUIDE_SIZE).astype(np.int32)
+        self.phase = coeffs * np.exp(1j * chi * np.arange(k))
+        a = self.phase[:, None] * V[:, lo:hi]
+        neg, every = (np.einsum("nc,nc->c", a.conj(), (W @ W.T) @ a).real
+                      for W in (V[:, :self.half], V))
+        self.p_minus_b = neg / every
+
+    def cells(self, u):
+        """np.searchsorted(marginal_cdf, u), started from the guide table."""
+        idx = self.guide[(u * _GUIDE_SIZE).astype(np.intp)]
+        late = np.flatnonzero(self.marginal_cdf[idx] < u)
+        idx[late] = np.searchsorted(self.marginal_cdf, u[late])
+        return idx
+
+    def invert(self, prev, at, idx, u):
+        """Point in cell idx where a CDF rising from prev to at reaches u.
+
+        Cells are half-open, so a draw in a cell left of 0 stays negative."""
+        span = at - prev
+        frac = np.where(span > 0, (u - prev) / np.where(span > 0, span, 1.0), 0.5)
+        x = self.edges[idx] + np.clip(frac, 0.0, 1.0) * self.dx
+        return np.where(idx < self.half, np.minimum(x, -np.finfo(float).tiny), x)
+
+    def raw_pairs(self, ia, u_a, u_b, minus_b):
+        """(x_A, x_B) of drawn pairs: x_A inside cell ia, x_B inside its counted half-line."""
+        cdf = self.marginal_cdf
+        x_a = self.invert(np.where(ia > 0, cdf[np.maximum(ia - 1, 0)], 0.0), cdf[ia], ia, u_a)
+        V = hermite_basis(self.phase.size - 1, self.centers)
+        order = np.argsort(ia, kind="stable")
+        ia_sorted = ia[order]
+        cells = np.unique(ia)
+        x_b = np.empty(ia.size)
+        for i in range(0, cells.size, _ROW_CHUNK):
+            block = cells[i:i + _ROW_CHUNK]
+            pick = order[np.searchsorted(ia_sorted, block[0]):
+                         np.searchsorted(ia_sorted, block[-1], side="right")]
+            a = self.phase[:, None] * V[:, block]
+            rows = np.cumsum((a.real.T @ V) ** 2 + (a.imag.T @ V) ** 2, axis=1)
+            rows /= rows[:, -1:]
+            r = np.searchsorted(block, ia[pick])
+            neg = minus_b[pick]
+            jb = _lower_bound_rows(rows, r, u_b[pick], np.where(neg, 0, self.half),
+                                   np.where(neg, self.half - 1, self.centers.size - 1))
+            prev = np.where(jb > 0, rows[r, np.maximum(jb - 1, 0)], 0.0)
+            x_b[pick] = self.invert(prev, rows[r, jb], jb, u_b[pick])
+        return np.column_stack([x_a, x_b])
 
 
 @lru_cache(maxsize=4)
@@ -94,22 +144,15 @@ def _plan_for(coeff_bytes: bytes, k: int, chi: float) -> _SamplerPlan:
     return _SamplerPlan(coeffs, chi)
 
 
-def _lower_bound_rows(rows: np.ndarray, row_idx: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Vectorized per-row lower-bound binary search: first j with rows[r, j] >= t."""
-    lo = np.zeros(targets.size, dtype=np.int64)
-    hi = np.full(targets.size, rows.shape[1] - 1, dtype=np.int64)
+def _lower_bound_rows(rows: np.ndarray, row_idx: np.ndarray, targets: np.ndarray,
+                      lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Vectorized per-row binary search: first j in [lo, hi] with rows[r, j] >= t, else hi."""
     while np.any(lo < hi):
         mid = (lo + hi) // 2
         below = rows[row_idx, mid] < targets
         lo = np.where(below, mid + 1, lo)
         hi = np.where(below, hi, mid)
     return lo
-
-
-def _invert_cells(cdf_vals_prev, cdf_vals_at, idx, edges, dx, u):
-    span = cdf_vals_at - cdf_vals_prev
-    frac = np.where(span > 0, (u - cdf_vals_prev) / np.where(span > 0, span, 1.0), 0.5)
-    return edges[idx] + np.clip(frac, 0.0, 1.0) * dx
 
 
 def sample_joint(v: CoefficientVector, chi: float, n: int, seed: int,
@@ -130,24 +173,13 @@ def sample_joint(v: CoefficientVector, chi: float, n: int, seed: int,
     u_a = rng.random(n)
     u_b = rng.random(n)
 
-    ia = np.searchsorted(plan.marginal_cdf, u_a)
-    ia = np.clip(ia, plan.support[0], plan.support[1] - 1)
-    prev_a = np.where(ia > 0, plan.marginal_cdf[np.maximum(ia - 1, 0)], 0.0)
-    x_a = _invert_cells(prev_a, plan.marginal_cdf[ia], ia, plan.edges, plan.dx, u_a)
-
-    rows = plan.conditional_cdf
-    ridx = ia - plan.support[0]
-    jb = _lower_bound_rows(rows, ridx, u_b.astype(np.float32))
-    prev_b = np.where(jb > 0, rows[ridx, np.maximum(jb - 1, 0)], 0.0)
-    x_b = _invert_cells(prev_b, rows[ridx, jb], jb, plan.edges, plan.dx, u_b)
-
-    plus_a = x_a >= 0
-    plus_b = x_b >= 0
-    counts = np.array([
-        [int(np.sum(plus_a & plus_b)), int(np.sum(plus_a & ~plus_b))],
-        [int(np.sum(~plus_a & plus_b)), int(np.sum(~plus_a & ~plus_b))],
-    ])
-    samples = np.column_stack([x_a, x_b]) if keep_samples else None
+    lo, hi = plan.support
+    ia = np.clip(plan.cells(u_a), lo, hi - 1)
+    minus_a = ia < plan.half
+    # the event x_B < 0 of an inverse-CDF draw of x_B from the cell's conditional law
+    minus_b = u_b <= plan.p_minus_b[ia - lo]
+    counts = np.bincount(2 * minus_a + minus_b, minlength=4).reshape(2, 2)
+    samples = plan.raw_pairs(ia, u_a, u_b, minus_b) if keep_samples else None
     return SampleBatch(seed=seed, n_samples=n, theta=float(chi), phi=0.0,
                        counts=counts, samples=samples)
 

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from homodyne_bell import read_state_file, seed, write_state_file
+from homodyne_bell import (CoefficientVector, chsh_B, circle, read_state_file, seed,
+                           write_state_file)
 from homodyne_bell.cli import main
 
 
@@ -202,6 +203,30 @@ def test_scan_rejects_a_parameter_of_another_family(tmp_path):
     out = tmp_path / "scan.csv"
     assert run_cli("scan", "--family", "tmss", "--param", "r", "--from", "0.1", "--to", "0.5",
                    "--steps", "3", "--out", str(out)) == 1
+    assert not out.exists()
+
+
+def test_scan_over_chi_needs_the_family_value(tmp_path):
+    out = tmp_path / "scan.csv"
+    assert run_cli("scan", "--family", "circle", "--param", "chi", "--from", "0.7",
+                   "--to", "0.8", "--steps", "2", "--out", str(out)) == 1
+    assert not out.exists()
+    assert run_cli("scan", "--family", "circle", "--param", "chi", "--value", "1.12",
+                   "--from", "0.7", "--to", "0.8", "--steps", "2", "--out", str(out)) == 0
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert len(rows) == 2
+    for chi, b in rows:        # scan builds families at cutoff 32
+        assert float(b) == float("%.12g" % chsh_B(circle(1.12, 32), float(chi)))
+
+
+def test_sample_refuses_a_state_the_grid_truncates(tmp_path, capsys):
+    c = np.zeros(100)
+    c[80:] = np.sqrt(1.0 / 20.0)
+    state = tmp_path / "high.json"
+    write_state_file(CoefficientVector(c, normalized=True), state)
+    out = tmp_path / "s.json"
+    assert run_cli("sample", "--state", str(state), "--n", "100", "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from homodyne_bell import chsh_B, estimate_B, p_plus_plus, sample_joint, seed, tmss
+from homodyne_bell import (CoefficientVector, chsh_B, estimate_B, normalize, p_plus_plus,
+                           sample_joint, sampler, seed, tmss)
 
 CHI = np.pi / 4
 
@@ -85,12 +87,76 @@ def test_estimate_respects_gaussian_bound():
     assert est.b <= 2.0 + 3 * est.stderr
 
 
+def _counted_signs(v, chi, n, seed_):
+    """Per-pair (A, B) signs as sample_joint counts them, replayed from its two streams."""
+    plan = sampler._plan_for(v.coeffs.tobytes(), v.coeffs.size, float(chi))
+    rng = np.random.Generator(np.random.Philox(seed_))
+    u_a, u_b = rng.random(n), rng.random(n)
+    lo, hi = plan.support
+    ia = np.clip(np.searchsorted(plan.marginal_cdf, u_a), lo, hi - 1)
+    return ia >= plan.half, u_b > plan.p_minus_b[ia - lo]
+
+
 def test_raw_sample_export(pipeline_state):
-    batch = sample_joint(pipeline_state, CHI, 1_000, seed=1, keep_samples=True)
-    assert batch.samples.shape == (1_000, 2)
-    signs = batch.samples >= 0
-    counts = np.array([
-        [np.sum(signs[:, 0] & signs[:, 1]), np.sum(signs[:, 0] & ~signs[:, 1])],
-        [np.sum(~signs[:, 0] & signs[:, 1]), np.sum(~signs[:, 0] & ~signs[:, 1])],
-    ])
-    assert np.array_equal(counts, batch.counts)
+    n = 1_000
+    for state in (pipeline_state, tmss(0.6)):
+        for chi in (CHI, 1.1):
+            batch = sample_joint(state, chi, n, seed=1, keep_samples=True)
+            assert batch.samples.shape == (n, 2)
+            signs = batch.samples >= 0
+            counts = np.array([
+                [np.sum(signs[:, 0] & signs[:, 1]), np.sum(signs[:, 0] & ~signs[:, 1])],
+                [np.sum(~signs[:, 0] & signs[:, 1]), np.sum(~signs[:, 0] & ~signs[:, 1])],
+            ])
+            assert np.array_equal(counts, batch.counts)
+            assert np.array_equal(batch.counts, sample_joint(state, chi, n, seed=1).counts)
+            # every dumped value lies in the half-line its counted sign names
+            plus_a, plus_b = _counted_signs(state, chi, n, 1)
+            assert np.array_equal(signs[:, 0], plus_a)
+            assert np.array_equal(signs[:, 1], plus_b)
+            assert np.all(np.abs(batch.samples) <= sampler.GRID_HALF_WIDTH)
+
+
+def test_counts_are_pinned(pipeline_state):
+    # recorded with the per-cell conditional-CDF sampler; the sign table draws the same signs
+    assert sample_joint(pipeline_state, CHI, 10 ** 5, seed=7).counts.tolist() == \
+        [[37934, 12039], [12116, 37911]]
+    assert sample_joint(tmss(0.6), 1.1, 10 ** 5, seed=22).counts.tolist() == \
+        [[31602, 18425], [18413, 31560]]
+
+
+def test_guide_table_lookup_is_searchsorted(pipeline_state):
+    c = pipeline_state.coeffs
+    plan = sampler._plan_for(c.tobytes(), c.size, CHI)
+    u = np.random.Generator(np.random.Philox(3)).random(200_000)
+    u[:4] = (0.0, 1.0 - 2.0 ** -53, plan.marginal_cdf[plan.half], 0.5)
+    assert np.array_equal(plan.cells(u), np.searchsorted(plan.marginal_cdf, u))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 12), st.floats(-2 * np.pi, 2 * np.pi), st.integers(0, 2 ** 31))
+def test_sign_table_reproduces_closed_form(n_max, chi, seed_int):
+    v = normalize(CoefficientVector(np.random.default_rng(seed_int).standard_normal(n_max + 1)))
+    plan = sampler._SamplerPlan(v.coeffs, chi)
+    lo, hi = plan.support
+    mass = np.diff(plan.marginal_cdf, prepend=0.0)[lo:hi]
+    p_plus_b = mass * (1.0 - plan.p_minus_b)
+    assert abs(p_plus_b[plan.half - lo:].sum() - p_plus_plus(v, chi)) < 1e-7
+    assert abs(p_plus_b.sum() - 0.5) < 1e-7
+
+
+def test_grid_truncation_is_refused():
+    # the +-12 grid misses over a third of levels 80..99; renormalizing gave B = -0.13
+    c = np.zeros(100)
+    c[80:] = np.sqrt(1.0 / 20.0)
+    with pytest.raises(ValueError, match="misses"):
+        sample_joint(CoefficientVector(c, normalized=True), CHI, 100, seed=0)
+    # tmss(0.9) at its 64-level cap loses 1.8e-10 on the grid and is sampled
+    assert sample_joint(tmss(0.9), CHI, 100, seed=0).n_samples == 100
+
+
+def test_warm_plan_is_small(pipeline_state):
+    c = pipeline_state.coeffs
+    plan = sampler._plan_for(c.tobytes(), c.size, CHI)
+    held = sum(a.nbytes for a in vars(plan).values() if isinstance(a, np.ndarray))
+    assert held < 2 ** 20
