@@ -7,7 +7,14 @@ depends only on the angle sum chi = theta + phi and is the quadratic form
     P++(chi) = c^T K(chi) c,    K(chi)_nm = cos((n - m) chi) G_nm^2,
 
 where G_nm = integral_0^inf psi_n(x) psi_m(x) dx over orthonormal oscillator
-wavefunctions.  Flipping one party's sign shifts chi by pi, so everything else
+wavefunctions.  G has a closed form: psi_n'' = (x^2 - 2n - 1) psi_n, so the
+Wronskian psi_m psi_n' - psi_n psi_m' has derivative 2 (m - n) psi_n psi_m and
+
+    G_nn = 1/2,    G_nm = (psi_n'(0) psi_m(0) - psi_n(0) psi_m'(0)) / (2 (n - m)),
+
+with psi_n'(0) = sqrt(n/2) psi_(n-1)(0) - sqrt((n+1)/2) psi_(n+1)(0).  Entries
+of equal parity vanish.  Quadrature serves only the 2-D oracle, which stays
+independent of G.  Flipping one party's sign shifts chi by pi, so everything else
 follows from the one kernel: P+-(chi) = P++(chi + pi), the marginal
 P+ = P++ + P+-, E = 2 (P++ - P+-), the CHSH combination B = 3 E(chi) - E(3 chi)
 and the CH combination S = 3 P++(chi) - P++(3 chi), tied by S = B/4 + 1/2.
@@ -26,7 +33,6 @@ from numpy.polynomial.legendre import leggauss
 from .fock_core import CoefficientVector
 
 _EVAL_NORM_TOL = 1e-8
-_QUAD_POINTS = 800
 
 
 def hermite_wavefunction(n: int, x):
@@ -58,14 +64,6 @@ def hermite_basis(n_max: int, xs: np.ndarray) -> np.ndarray:
 _legendre_rule = lru_cache(maxsize=8)(leggauss)   # shared arrays: never written
 
 
-def quadrature_grid(n_max: int, x_max: float | None = None, points: int = _QUAD_POINTS):
-    """Gauss-Legendre nodes/weights on [0, x_max] covering psi_{n_max} mass to < 1e-14."""
-    if x_max is None:
-        x_max = max(12.0, np.sqrt(2.0 * n_max + 1.0) + 6.0)
-    x, w = _legendre_rule(points)
-    return 0.5 * x_max * (x + 1.0), 0.5 * x_max * w
-
-
 @dataclass(frozen=True, eq=False)
 class OverlapTable:
     """Symmetric matrix of half-line overlaps G_nm = integral_0^inf psi_n psi_m dx."""
@@ -85,10 +83,15 @@ class OverlapTable:
 
 @lru_cache(maxsize=64)
 def _overlap_matrix(n_max: int) -> np.ndarray:
-    xs, ws = quadrature_grid(n_max)
-    V = hermite_basis(n_max, xs)
-    G = (V * ws) @ V.T
-    G = 0.5 * (G + G.T)
+    """Half-line overlaps by the Wronskian closed form (module docstring)."""
+    psi = hermite_basis(n_max + 1, np.zeros(1))[:, 0]
+    n = np.arange(n_max + 1)
+    dpsi = np.sqrt(n / 2.0) * np.concatenate(([0.0], psi[:-2])) - np.sqrt((n + 1) / 2.0) * psi[1:]
+    psi = psi[:-1]
+    gap = 2.0 * np.subtract.outer(n, n)
+    np.fill_diagonal(gap, 1)
+    G = (np.outer(dpsi, psi) - np.outer(psi, dpsi)) / gap
+    np.fill_diagonal(G, 0.5)
     G.setflags(write=False)
     return G
 
@@ -193,7 +196,8 @@ def p_plus_plus_quadrature_oracle(v: CoefficientVector, chi: float,
     n_max = c.size - 1
     if x_max is None:
         x_max = max(12.0, np.sqrt(2.0 * n_max + 1.0) + 6.0) / scale
-    xs, ws = quadrature_grid(n_max, x_max=x_max, points=points)
+    x, w = _legendre_rule(points)     # Gauss-Legendre on [0, x_max]
+    xs, ws = 0.5 * x_max * (x + 1.0), 0.5 * x_max * w
     V = np.sqrt(scale) * hermite_basis(n_max, scale * xs)
     phases = c * np.exp(1j * chi * np.arange(c.size))
     amp = (V * phases[:, None]).T @ V    # amp[i, j] = sum_n c_n e^{in chi} psi_n(x_i) psi_n(y_j)

@@ -9,7 +9,9 @@ Families (amplitudes of sum_n c_n |n,n>):
 
 Generators renormalize the truncated tail (the discarded mass is below the
 tail tolerance at auto-selected cutoffs, so printed-formula values survive to
-better than 1e-12).
+better than 1e-12).  An automatic cutoff that reaches HARD_CUTOFF_CAP with
+the tail still above tolerance is an error; an explicit cutoff truncates as
+asked and the vector reports `converged = False`.
 """
 
 from __future__ import annotations
@@ -55,6 +57,17 @@ def _auto_cutoff(log_coeff, cutoff: int | None) -> int:
     return HARD_CUTOFF_CAP
 
 
+def _finished(c: np.ndarray, cutoff: int | None, family: str, param: float) -> CoefficientVector:
+    """Normalized family state; an automatic cutoff must have converged."""
+    v = normalize(CoefficientVector(c))
+    if cutoff is None and not v.converged:
+        raise ValueError(
+            f"{family} with {FAMILY_PARAMETERS[family]} = {param:g} keeps tail mass "
+            f"c_N^2 = {v.tail_mass:.2e} > {TAIL_TOL:g} at the {HARD_CUTOFF_CAP}-level "
+            f"automatic cutoff cap; pass an explicit cutoff")
+    return CoefficientVector(v.coeffs, normalized=True, provenance=f"{family}({param:g})")
+
+
 def tmss(lam: float, cutoff: int | None = None) -> CoefficientVector:
     """Two-mode squeezed state with lambda = tanh(squeezing), 0 <= lambda < 1."""
     if not 0.0 <= lam < 1.0:
@@ -67,8 +80,7 @@ def tmss(lam: float, cutoff: int | None = None) -> CoefficientVector:
     n_max = _auto_cutoff(lambda n: n * log(lam), cutoff)
     n = np.arange(n_max + 1)
     c = lam ** n * np.sqrt(1.0 - lam * lam)
-    v = normalize(CoefficientVector(c))
-    return CoefficientVector(v.coeffs, normalized=True, provenance=f"tmss({lam:g})")
+    return _finished(c, cutoff, "tmss", lam)
 
 
 def circle(r: float, cutoff: int | None = None) -> CoefficientVector:
@@ -85,8 +97,7 @@ def circle(r: float, cutoff: int | None = None) -> CoefficientVector:
     n = np.arange(n_max + 1)
     logc = 2 * n * log(r) - np.array([lgamma(k + 1) for k in n])
     c = np.exp(logc) / np.sqrt(bessel_i0(2.0 * r * r))
-    v = normalize(CoefficientVector(c))
-    return CoefficientVector(v.coeffs, normalized=True, provenance=f"circle({r:g})")
+    return _finished(c, cutoff, "circle", r)
 
 
 def ps_tmss(lam: float, cutoff: int | None = None) -> CoefficientVector:
@@ -101,8 +112,7 @@ def ps_tmss(lam: float, cutoff: int | None = None) -> CoefficientVector:
     n_max = _auto_cutoff(lambda n: log(n + 1.0) + n * log(lam), cutoff)
     n = np.arange(n_max + 1)
     c = np.sqrt((1.0 - lam * lam) ** 3 / (1.0 + lam * lam)) * (n + 1) * lam ** n
-    v = normalize(CoefficientVector(c))
-    return CoefficientVector(v.coeffs, normalized=True, provenance=f"ps_tmss({lam:g})")
+    return _finished(c, cutoff, "ps_tmss", lam)
 
 
 def seed(xi: float, cutoff: int | None = None) -> CoefficientVector:
@@ -123,11 +133,13 @@ def seed(xi: float, cutoff: int | None = None) -> CoefficientVector:
 def seed_transmissivity(xi: float, lam: float) -> float:
     """|T(lambda)| = |xi - sqrt(xi^2 + 8 lambda^2)| / (4 lambda).
 
-    Small-lambda limit lambda/xi.  Singular at lambda = 0.
+    Evaluated as 2 lambda / (xi + sqrt(xi^2 + 8 lambda^2)), the same value
+    without the cancellation at lambda << xi.  Small-lambda limit lambda/xi.
+    Singular at lambda = 0.
     """
     if lam <= 0.0:
         raise ValueError("transmissivity formula is singular at lambda = 0")
-    return abs(xi - np.sqrt(xi * xi + 8.0 * lam * lam)) / (4.0 * lam)
+    return 2.0 * lam / (xi + np.sqrt(xi * xi + 8.0 * lam * lam))
 
 
 # Each family with the name of its parameter; "custom" reads a state file.

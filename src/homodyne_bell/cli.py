@@ -8,6 +8,7 @@ significant digits, state files 17.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -165,9 +166,11 @@ def cmd_sample(args) -> None:
     if args.dump_xy:
         # the batch counted in counts_chi, drawn again from its own (child) seed
         batch = sampler.sample_joint(v, args.chi, args.n, est.batch_chi.seed, keep_samples=True)
-        rows = [(float(xa), float(xb), 1 if xa >= 0 else -1, 1 if xb >= 0 else -1)
-                for xa, xb in batch.samples]
-        _emit(_csv(["x_A", "x_B", "sign_A", "sign_B"], rows), args.dump_xy)
+        xy = batch.samples
+        buf = io.StringIO()
+        np.savetxt(buf, np.column_stack([xy, np.where(xy >= 0, 1, -1)]),
+                   fmt=f"{_FMT},{_FMT},%d,%d", header="x_A,x_B,sign_A,sign_B", comments="")
+        _emit(buf.getvalue(), args.dump_xy)
 
 
 def cmd_optimize(args) -> None:

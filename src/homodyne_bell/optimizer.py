@@ -4,17 +4,34 @@ At fixed chi, S = 3 P++(chi) - P++(3 chi) is the Rayleigh quotient of
 M = 3 K(chi) - K(3 chi) and B = 4 S - 2, so the free coefficient optimum is
 the top eigenpair of M: S* = lambda_max, B* = 4 lambda_max - 2.  Family-parameter
 and angle searches are bounded 1-D maximizations.
+
+`scipy.optimize` is imported on first use of `minimize` or `minimize_scalar`,
+which are module attributes bound then (PEP 562), so importing the package
+does not pay for scipy.  The searches call them through the module, so a
+name rebound from outside is the one called.
 """
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from . import bell, catalog
 from .fock_core import CoefficientVector
 
 _OBJECTIVES = ("chsh", "ch")
+_SCIPY_NAMES = ("minimize", "minimize_scalar")
+_module = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _SCIPY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import scipy.optimize
+    value = getattr(scipy.optimize, name)
+    globals()[name] = value
+    return value
 
 
 def optimize_coefficients(n_max: int, chi: float, objective: str = "chsh",
@@ -39,9 +56,9 @@ def optimize_coefficients(n_max: int, chi: float, objective: str = "chsh",
             q = float(x @ mx) / n2
             return -q, (2.0 * q * x - 2.0 * mx) / n2
 
-        c = minimize(negated, np.abs(c), jac=True, method="L-BFGS-B",
-                     bounds=[(0.0, None)] * k,
-                     options={"maxiter": 10_000, "ftol": 1e-12}).x
+        c = _module.minimize(negated, np.abs(c), jac=True, method="L-BFGS-B",
+                             bounds=[(0.0, None)] * k,
+                             options={"maxiter": 10_000, "ftol": 1e-12}).x
         # The ascent stops short by ~1e-10; on the face it found, the exact
         # optimum is the top eigenvector of M restricted to the support.
         face = c > 0.0
@@ -84,9 +101,8 @@ def optimize_family_parameter(family: str, chi: float, objective: str = "chsh",
         if family not in _FAMILY_BOUNDS:
             raise ValueError(f"no default bounds for family {family!r}")
         bounds = _FAMILY_BOUNDS[family]
-    res = minimize_scalar(lambda p: -_family_value(family, p, chi, objective, cutoff),
-                          bounds=bounds, method="bounded",
-                          options={"xatol": 1e-8})
+    res = _module.minimize_scalar(lambda p: -_family_value(family, p, chi, objective, cutoff),
+                                  bounds=bounds, method="bounded", options={"xatol": 1e-8})
     return float(res.x), -float(res.fun)
 
 
@@ -97,8 +113,8 @@ def optimize_angle(v: CoefficientVector, objective: str = "chsh"):
     conventional chi = pi/4.
     """
     fun = bell.chsh_B if objective == "chsh" else bell.ch_S
-    res = minimize_scalar(lambda ch: -fun(v, ch), bounds=(1e-6, np.pi / 2),
-                          method="bounded", options={"xatol": 1e-10})
+    res = _module.minimize_scalar(lambda ch: -fun(v, ch), bounds=(1e-6, np.pi / 2),
+                                  method="bounded", options={"xatol": 1e-10})
     chi_star, val = float(res.x), -float(res.fun)
     flat_value = 0.0 if objective == "chsh" else 0.5
     if abs(val - flat_value) < 1e-11:

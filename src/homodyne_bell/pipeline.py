@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from math import lgamma, log
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import bell
 from .catalog import seed, seed_transmissivity, tmss
@@ -80,18 +79,20 @@ def stage1_transmissivity(xi: float, lam: float) -> float:
     """Beam-splitter transmissivity at which the double-click herald of two
     squeezed pairs reproduces the two-term target with ratio xi.
 
-    Root of 2 T sqrt(1 - T^2) xi = lambda (8 T^4 - 8 T^2 + 1) on (0, 1/sqrt2);
-    close to half of seed_transmissivity for small lambda.
+    The calibration is the root on (0, 1/sqrt2) of the gap equation
+    2 T sqrt(1 - T^2) xi = lambda (8 T^4 - 8 T^2 + 1).  With T = cos(theta)
+    the left side is xi sin(2 theta) and the right side lambda cos(4 theta)
+    = lambda (1 - 2 s^2) for s = sin(2 theta), so 2 lambda s^2 + xi s - lambda
+    = 0, whose positive root is the printed seed_transmissivity(xi, lambda):
+    the paper prints sin(2 theta) of the splitter angle.  T < 1/sqrt2 puts
+    2 theta in (pi/2, pi), hence T = sin(arcsin(s) / 2), close to s/2 for
+    small lambda.
     """
     if lam <= 0.0:
         raise ValueError("stage-1 calibration needs lambda > 0")
     if xi <= 0.0:
         raise ValueError("stage-1 calibration needs xi > 0")
-
-    def gap(t):
-        return 2.0 * t * np.sqrt(1.0 - t * t) * xi - lam * (8.0 * t ** 4 - 8.0 * t ** 2 + 1.0)
-
-    return float(brentq(gap, 1e-12, np.sqrt(0.5), xtol=1e-16))
+    return float(np.sin(0.5 * np.arcsin(seed_transmissivity(xi, lam))))
 
 
 @dataclass(frozen=True)

@@ -47,19 +47,31 @@ def test_wavefunctions_are_normalized_up_to_n_32():
 
 def test_overlap_table_closed_form_entries():
     G = overlap_table(4).G
-    assert abs(G[0, 0] - 0.5) < 1e-12
-    assert abs(G[0, 1] - 1.0 / np.sqrt(2.0 * np.pi)) < 1e-12
-    assert abs(G[0, 2]) < 1e-12
+    assert G[0, 0] == 0.5
+    assert np.isclose(G[0, 1], 1.0 / np.sqrt(2.0 * np.pi), rtol=1e-15, atol=0.0)
+    assert G[0, 2] == 0.0
 
 
 def test_overlap_table_invariants_exhaustive_at_32():
     G = overlap_table(32).G
     assert np.array_equal(G, G.T)
-    assert np.max(np.abs(np.diag(G) - 0.5)) < 1e-12
+    assert np.all(np.diag(G) == 0.5)
     off = np.array(G)
     np.fill_diagonal(off, 0.0)
     same_parity = np.equal.outer(np.arange(33) % 2, np.arange(33) % 2)
-    assert np.max(np.abs(off[same_parity])) < 1e-12
+    assert np.all(off[same_parity] == 0.0)
+
+
+@pytest.mark.parametrize("n_max", [10, 64, 128])
+def test_overlap_table_matches_half_line_quadrature(n_max):
+    # composite 20-point Gauss-Legendre on panels of width 1/2 over [0, x_max];
+    # a single high-degree rule carries 1e-13-level errors of its own
+    x, w = leggauss(20)
+    left = np.arange(0.0, np.sqrt(2.0 * n_max + 1.0) + 8.0, 0.5)
+    xs = (left[:, None] + 0.25 * (x + 1.0)).ravel()
+    ws = np.tile(0.25 * w, left.size)
+    V = np.array([hermite_wavefunction(n, xs) for n in range(n_max + 1)])
+    assert np.max(np.abs(overlap_table(n_max).G - (V * ws) @ V.T)) < 1e-14
 
 
 def test_p_plus_plus_vacuum_is_quarter():

@@ -143,6 +143,20 @@ def test_auto_cutoff_hits_tail_tolerance():
 
 
 def test_auto_cutoff_caps_at_hard_limit():
-    v = tmss(0.95, cutoff=None)
+    for build, message in ((lambda: tmss(0.95, cutoff=None), "lambda = 0.95"),
+                           (lambda: tmss(0.85), "lambda = 0.85"),
+                           (lambda: ps_tmss(0.9), "lambda = 0.9"),
+                           (lambda: CatalogSpec("tmss", 0.9).build(), "lambda = 0.9")):
+        with pytest.raises(ValueError, match=message + ".*tail mass.*explicit cutoff"):
+            build()
+    # the largest auto cutoffs that still converge
+    assert tmss(0.8).cutoff == 62 and tmss(0.8).converged
+    for r in np.linspace(0.05, 3.0, 60):
+        assert circle(float(r)).converged
+
+
+def test_explicit_cutoff_truncates_and_reports_it():
+    v = tmss(0.95, cutoff=64)
     assert v.cutoff == 64
     assert not v.converged  # tail mass reported above tolerance
+    assert abs(v.tail_mass - (1 - 0.95 ** 2) * 0.95 ** 128 / (1 - 0.95 ** 130)) < 1e-15

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from homodyne_bell import (CoefficientVector, chsh_B, circle, read_state_file, seed,
-                           write_state_file)
+from homodyne_bell import (CoefficientVector, chsh_B, circle, estimate_B, read_state_file,
+                           sample_joint, seed, write_state_file)
 from homodyne_bell.cli import main
 
 
@@ -161,6 +161,30 @@ def test_sample_dump_xy(tmp_path, pipeline_state):
     dumped = [[int(np.sum(plus_a & plus_b)), int(np.sum(plus_a & ~plus_b))],
               [int(np.sum(~plus_a & plus_b)), int(np.sum(~plus_a & ~plus_b))]]
     assert dumped == json.loads((tmp_path / "s.json").read_text())["counts_chi"]
+
+
+def test_sample_dump_xy_text_matches_row_by_row_formatting(tmp_path, pipeline_state):
+    state = tmp_path / "source.json"
+    write_state_file(pipeline_state, state)
+    dump = tmp_path / "xy.csv"
+    assert run_cli("sample", "--state", str(state), "--n", "300", "--seed", "4",
+                   "--out", str(tmp_path / "s.json"), "--dump-xy", str(dump)) == 0
+    child = estimate_B(pipeline_state, np.pi / 4, 300, 4).batch_chi.seed
+    xy = sample_joint(pipeline_state, np.pi / 4, 300, child, keep_samples=True).samples
+    rows = ["%.12g,%.12g,%d,%d" % (xa, xb, 1 if xa >= 0 else -1, 1 if xb >= 0 else -1)
+            for xa, xb in xy]
+    assert dump.read_text() == "\n".join(["x_A,x_B,sign_A,sign_B", *rows]) + "\n"
+
+
+def test_automatic_cutoff_at_the_cap_is_an_error(tmp_path, capsys):
+    out = tmp_path / "tmss.json"
+    assert run_cli("state", "--family", "tmss", "--lambda", "0.9", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: tmss with lambda = 0.9") and "explicit cutoff" in err
+    assert not out.exists()
+    assert run_cli("state", "--family", "tmss", "--lambda", "0.9", "--cutoff", "64",
+                   "--out", str(out)) == 0
+    assert read_state_file(out).cutoff == 64
 
 
 def test_optimize_coefficients_cli(tmp_path):

@@ -1,0 +1,81 @@
+"""The cold path: importing the package and running a subcommand that does not
+search loads no scipy module; the searches still find scipy's optimizers."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import homodyne_bell
+from homodyne_bell import optimizer, write_state_file
+from homodyne_bell.cli import main
+
+SRC = str(Path(homodyne_bell.__file__).resolve().parents[1])
+
+
+def imported_modules(*args, cwd=None) -> list:
+    """Module names a fresh interpreter imports while running `python -X importtime *args`."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:") and "|" in line]
+
+
+def scipy_modules(names) -> list:
+    return [name for name in names if name.split(".")[0] == "scipy"]
+
+
+def test_package_import_loads_no_scipy():
+    names = imported_modules("-c", "import homodyne_bell")
+    assert "homodyne_bell.optimizer" in names
+    assert scipy_modules(names) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["state", "--family", "tmss", "--lambda", "0.6"],
+    ["pipeline", "--xi", "0.7071", "--lambda", "0.01", "--verify-stage1"],
+    ["bell", "--state", "state.json"],
+    ["scan", "--family", "circle", "--param", "r", "--steps", "5"],
+    ["optimize", "--n", "10"],
+])
+def test_subcommands_without_a_search_load_no_scipy(tmp_path, argv):
+    write_state_file(homodyne_bell.circle(1.12, 32), tmp_path / "state.json")
+    names = imported_modules("-m", "homodyne_bell.cli", *argv, "--out", "out.txt",
+                             cwd=tmp_path)
+    assert (tmp_path / "out.txt").stat().st_size > 0
+    assert scipy_modules(names) == []
+
+
+def test_optimizer_minimize_is_scipys():
+    import scipy.optimize
+    assert optimizer.minimize is scipy.optimize.minimize
+    assert optimizer.minimize_scalar is scipy.optimize.minimize_scalar
+    with pytest.raises(AttributeError):
+        optimizer.maximize
+
+
+def test_lbfgs_ascent_calls_the_module_attribute(monkeypatch):
+    calls = []
+    lbfgs = optimizer.minimize
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return lbfgs(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "minimize", counted)
+    optimizer.optimize_coefficients(10, np.pi / 4, nonnegative=True)
+    assert calls == ["L-BFGS-B"]
+
+
+def test_family_search_still_finds_the_circle_optimum(tmp_path):
+    out = tmp_path / "family.csv"
+    assert main(["optimize", "--family", "circle", "--out", str(out)]) == 0
+    r, b = map(float, out.read_text().strip().split("\n")[1].split(","))
+    assert abs(r - 1.12) < 0.05
+    assert b > 2.0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from homodyne_bell import (
@@ -103,6 +104,28 @@ def test_brute_force_equivalence_20_random_splitters():
                     k = m + n - j
                     worst = max(worst, abs(bs_matrix_element(bs, j, k, m, n) - U[j, k, m, n]))
         assert worst < 1e-10
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.floats(0.0, np.pi / 2), st.floats(0.0, 2 * np.pi), st.floats(0.0, 2 * np.pi),
+       st.integers(0, 2 ** 31))
+def test_random_splitter_is_unitary_and_conserves_photons(theta, phase_t, phase_r, seed):
+    bs = BeamSplitter(np.cos(theta) * np.exp(1j * phase_t), np.sin(theta) * np.exp(1j * phase_r))
+    for total in range(9):
+        # the block on total photon number N = j + k = m + n is unitary
+        block = np.array([[bs_matrix_element(bs, j, total - j, m, total - m)
+                           for m in range(total + 1)] for j in range(total + 1)])
+        assert np.max(np.abs(block.conj().T @ block - np.eye(total + 1))) < 1e-12
+    assert bs_matrix_element(bs, 2, 1, 1, 1) == 0.0
+    # mixing a state supported below the cutoff keeps its photon-number distribution
+    rng = np.random.default_rng(seed)
+    amps = np.zeros((9, 9), dtype=complex)
+    amps[:4, :4] = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    amps /= np.linalg.norm(amps)
+    out = apply_bs_two_mode(bs, TwoModeAmplitudeMatrix(amps)).amps
+    totals = np.add.outer(np.arange(9), np.arange(9)).ravel()
+    before, after = (np.bincount(totals, np.abs(a.ravel()) ** 2) for a in (amps, out))
+    assert np.max(np.abs(after - before)) < 1e-12
 
 
 def test_unitarity_of_splitter_constructor():

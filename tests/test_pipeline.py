@@ -1,5 +1,8 @@
+from math import comb
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homodyne_bell import (
     BeamSplitter,
@@ -37,6 +40,30 @@ def test_unnormalized_leading_coefficient_squares():
     assert abs(gaussify_coefficients(c)[0] - 0.25) < 1e-15
     c = np.array([1.0, 0.7, 0.0, 0.0])
     assert gaussify_coefficients(c)[0] == 1.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(0.05, 0.95), st.integers(2, 16))
+def test_gaussify_step_fixes_truncated_geometric_states(lam, size):
+    v = normalize(CoefficientVector(lam ** np.arange(size)))
+    out, p = gaussify_step(v)
+    assert np.max(np.abs(out.coeffs - v.coeffs)) < 1e-12
+    assert 0.0 < p <= 1.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8).filter(
+    lambda c: abs(c[0]) > 0.1 * np.linalg.norm(c) > 1e-4))
+def test_gaussify_success_is_squared_norm_of_unnormalized_output(raw):
+    v = normalize(CoefficientVector(np.array(raw)))
+    c, k = v.coeffs, len(raw)
+    # c'_n = 2^-n sum_r C(n, r) c_r c_(n-r), summed term by term over the doubled support
+    wide = np.array([sum(comb(n, r) * c[r] * c[n - r] for r in range(n + 1)
+                         if r < k and n - r < k) / 2 ** n for n in range(2 * k - 1)])
+    out, p = gaussify_step(v)
+    assert abs(p - float(wide @ wide)) < 1e-12
+    expected = wide[:k] / np.linalg.norm(wide[:k])
+    assert np.max(np.abs(out.coeffs - expected)) < 1e-12
 
 
 def test_seed_expansion_by_hand():
@@ -97,6 +124,17 @@ def test_stage1_transmissivity_is_half_printed_for_small_lambda():
     t_cal = stage1_transmissivity(XI, 0.01)
     t_printed = seed_transmissivity(XI, 0.01)
     assert abs(t_cal / t_printed - 0.5) < 5e-4
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.05, 3.0), st.floats(1e-4, 0.99))
+def test_stage1_transmissivity_solves_the_gap_equation(xi, lam):
+    t = stage1_transmissivity(xi, lam)
+    gap = 2.0 * t * np.sqrt(1.0 - t * t) * xi - lam * (8.0 * t ** 4 - 8.0 * t ** 2 + 1.0)
+    assert abs(gap) < 1e-11
+    assert 0.0 < t < 1.0 / np.sqrt(2.0)
+    # the printed transmissivity is sin(2 theta) of the splitter T = cos(theta)
+    assert abs(2.0 * t * np.sqrt(1.0 - t * t) - seed_transmissivity(xi, lam)) < 1e-15
 
 
 def test_stage1_closeness_at_reference_point():

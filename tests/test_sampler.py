@@ -151,8 +151,8 @@ def test_grid_truncation_is_refused():
     c[80:] = np.sqrt(1.0 / 20.0)
     with pytest.raises(ValueError, match="misses"):
         sample_joint(CoefficientVector(c, normalized=True), CHI, 100, seed=0)
-    # tmss(0.9) at its 64-level cap loses 1.8e-10 on the grid and is sampled
-    assert sample_joint(tmss(0.9), CHI, 100, seed=0).n_samples == 100
+    # tmss(0.9) cut at 64 levels loses 1.8e-10 on the grid and is sampled
+    assert sample_joint(tmss(0.9, cutoff=64), CHI, 100, seed=0).n_samples == 100
 
 
 def test_warm_plan_is_small(pipeline_state):
