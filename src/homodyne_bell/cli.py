@@ -8,7 +8,6 @@ significant digits, state files 17.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 
@@ -19,6 +18,7 @@ from .fock_core import CoefficientVector, read_state_file, state_file_text
 from .pipeline import PipelineConfig, overgaussification_scan, run_pipeline
 
 _FMT = "%.12g"
+_DUMP_ROWS = 2 ** 16      # raw pairs formatted per block by sample --dump-xy
 
 
 def _num(x) -> str:
@@ -166,11 +166,13 @@ def cmd_sample(args) -> None:
     if args.dump_xy:
         # the batch counted in counts_chi, drawn again from its own (child) seed
         batch = sampler.sample_joint(v, args.chi, args.n, est.batch_chi.seed, keep_samples=True)
-        xy = batch.samples
-        buf = io.StringIO()
-        np.savetxt(buf, np.column_stack([xy, np.where(xy >= 0, 1, -1)]),
-                   fmt=f"{_FMT},{_FMT},%d,%d", header="x_A,x_B,sign_A,sign_B", comments="")
-        _emit(buf.getvalue(), args.dump_xy)
+        row_fmt = f"{_FMT},{_FMT},%d,%d\n"
+        text = ["x_A,x_B,sign_A,sign_B\n"]
+        # a block of rows at a time, so the rows' Python objects never all exist at once
+        for xy in np.split(batch.samples, range(_DUMP_ROWS, args.n, _DUMP_ROWS)):
+            cols = (*xy.T.tolist(), *np.where(xy >= 0, 1, -1).T.tolist())
+            text.append("".join(map(row_fmt.__mod__, zip(*cols))))
+        _emit("".join(text), args.dump_xy)
 
 
 def cmd_optimize(args) -> None:

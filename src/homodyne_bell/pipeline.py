@@ -47,12 +47,14 @@ def gaussify_coefficients(c: np.ndarray) -> np.ndarray:
     Exact for inputs whose support fits the array: entry n only reads c_0..c_n.
     """
     c = np.asarray(c, dtype=float)
-    out = np.empty_like(c)
-    for n in range(c.size):
-        r = np.arange(n + 1)
-        logbin = lgamma(n + 1) - np.array([lgamma(k + 1) + lgamma(n - k + 1) for k in r])
-        out[n] = float(np.exp(logbin - n * log(2.0)) @ (c[r] * c[n - r]))
-    return out
+    n = np.arange(c.size)
+    logfact = np.array([lgamma(k + 1) for k in n])
+    d = n[:, None] - n[None, :]                      # n - r; the sum runs over d >= 0
+    valid = d >= 0
+    d = np.where(valid, d, 0)
+    logbin = logfact[:, None] - (logfact[None, :] + logfact[d])
+    w = np.where(valid, np.exp(logbin - n[:, None] * log(2.0)), 0.0)
+    return (w * c[d]) @ c
 
 
 def gaussify_step(v: CoefficientVector):

@@ -2,14 +2,18 @@
 
 Pairs (x_A, x_B) follow the Born density
 |sum_n c_n e^(i n chi) psi_n(x_A) psi_n(x_B)|^2 on a grid symmetric about 0.
-x_A's cell is drawn by inverse CDF from its marginal, a mixture of |psi_n|^2
-weighted by c_n^2.  Only signs enter the Bell functionals, so x_B's sign is
-drawn against P(x_B < 0 | cell) = Re(a^H G_neg a) / Re(a^H G_all a), with
+x_A's cell law p_cell comes from its marginal, a mixture of |psi_n|^2 weighted
+by c_n^2.  Only signs enter the Bell functionals, and x_B's sign in a cell is
+negative with P(x_B < 0 | cell) = Re(a^H G_neg a) / Re(a^H G_all a), with
 a = c o e^(i n chi) o psi(cell) and G_neg, G_all the Gram matrices of the basis
 summed over the grid's negative half and over all of it.  These two tables are
 cached per (state, chi); a state the grid holds less than 1 - 1e-9 of is refused.
-Raw pairs, made only on request, place x_A inside its cell and x_B inside the
-half-line of its counted sign, from conditional CDF rows of the drawn cells.
+n i.i.d. pairs then have exactly the counts m = Multinomial(n, p_cell) per cell
+and m_minus = Binomial(m, P(x_B < 0 | cell)) of negative x_B, so a batch costs
+O(cells) whatever n is.  Raw pairs, made only on request, are built from these
+counts: x_A uniform inside its cell, x_B inside the half-line of its counted
+sign from conditional CDF rows of the drawn cells, then shuffled; they are
+drawn after the counts, which keeping them therefore never changes.
 The sampler never reuses the closed-form overlap table, so it stays an
 independent check on it.
 
@@ -33,7 +37,6 @@ GRID_HALF_WIDTH = 12.0
 _SUPPORT_EPS = 1e-12
 _MASS_TOL = 1e-9          # largest share of the state's mass the grid may miss
 _ROW_CHUNK = 256          # conditional CDF rows held at once when making raw pairs
-_GUIDE_SIZE = 2 ** 16     # guide-table buckets over u in [0, 1) for the x_A cell lookup
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +71,7 @@ class SampleBatch:
 
 
 class _SamplerPlan:
-    """Marginal CDF of x_A and P(x_B < 0 | x_A cell) for one (state, chi) pair."""
+    """Cell law of x_A and P(x_B < 0 | x_A cell) for one (state, chi) pair."""
 
     def __init__(self, coeffs: np.ndarray, chi: float,
                  grid_points: int = GRID_POINTS, half_width: float = GRID_HALF_WIDTH):
@@ -88,21 +91,14 @@ class _SamplerPlan:
         lo = int(np.searchsorted(self.marginal_cdf, _SUPPORT_EPS))
         hi = int(np.searchsorted(self.marginal_cdf, 1.0 - _SUPPORT_EPS)) + 1
         self.support = (lo, hi)
-        # guide[b] = first cell with CDF >= b / _GUIDE_SIZE, a lower bound for any u in bucket b
-        self.guide = np.searchsorted(self.marginal_cdf,
-                                     np.arange(_GUIDE_SIZE) / _GUIDE_SIZE).astype(np.int32)
+        # law of clip(searchsorted(cdf, u), lo, hi - 1): the end cells hold the mass outside
+        self.p_cell = np.diff(self.marginal_cdf[lo:hi - 1], prepend=0.0, append=1.0)
         self.phase = coeffs * np.exp(1j * chi * np.arange(k))
-        a = self.phase[:, None] * V[:, lo:hi]
-        neg, every = (np.einsum("nc,nc->c", a.conj(), (W @ W.T) @ a).real
+        # Re(a^H M a) = v^T (Re(conj(phase) phase^T) o M) v for a = phase o v and real M
+        P, S = (self.phase.conj()[:, None] * self.phase).real, V[:, lo:hi]
+        neg, every = (np.einsum("nc,nc->c", S, (P * (W @ W.T)) @ S)
                       for W in (V[:, :self.half], V))
-        self.p_minus_b = neg / every
-
-    def cells(self, u):
-        """np.searchsorted(marginal_cdf, u), started from the guide table."""
-        idx = self.guide[(u * _GUIDE_SIZE).astype(np.intp)]
-        late = np.flatnonzero(self.marginal_cdf[idx] < u)
-        idx[late] = np.searchsorted(self.marginal_cdf, u[late])
-        return idx
+        self.p_minus_b = np.clip(neg / every, 0.0, 1.0)      # rounding can step past 0 or 1
 
     def invert(self, prev, at, idx, u):
         """Point in cell idx where a CDF rising from prev to at reaches u.
@@ -113,29 +109,33 @@ class _SamplerPlan:
         x = self.edges[idx] + np.clip(frac, 0.0, 1.0) * self.dx
         return np.where(idx < self.half, np.minimum(x, -np.finfo(float).tiny), x)
 
-    def raw_pairs(self, ia, u_a, u_b, minus_b):
-        """(x_A, x_B) of drawn pairs: x_A inside cell ia, x_B inside its counted half-line."""
-        cdf = self.marginal_cdf
-        x_a = self.invert(np.where(ia > 0, cdf[np.maximum(ia - 1, 0)], 0.0), cdf[ia], ia, u_a)
+    def raw_pairs(self, m, m_minus, rng):
+        """n = sum(m) shuffled (x_A, x_B) pairs with m[i] in support cell i, m_minus[i]
+        of them with x_B < 0: x_A uniform in its cell, x_B inside its counted half-line."""
+        lo, hi = self.support
+        blocks = np.column_stack([m_minus, m - m_minus]).ravel()
+        ia = np.repeat(np.repeat(np.arange(lo, hi), 2), blocks)       # sorted by cell
+        neg = np.repeat(np.tile([True, False], hi - lo), blocks)
+        x_a = self.invert(0.0, 1.0, ia, rng.random(ia.size))
+        u_b = rng.random(ia.size)
         V = hermite_basis(self.phase.size - 1, self.centers)
-        order = np.argsort(ia, kind="stable")
-        ia_sorted = ia[order]
-        cells = np.unique(ia)
+        cells = np.flatnonzero(m) + lo
         x_b = np.empty(ia.size)
         for i in range(0, cells.size, _ROW_CHUNK):
             block = cells[i:i + _ROW_CHUNK]
-            pick = order[np.searchsorted(ia_sorted, block[0]):
-                         np.searchsorted(ia_sorted, block[-1], side="right")]
+            pick = slice(np.searchsorted(ia, block[0]), np.searchsorted(ia, block[-1], "right"))
             a = self.phase[:, None] * V[:, block]
             rows = np.cumsum((a.real.T @ V) ** 2 + (a.imag.T @ V) ** 2, axis=1)
             rows /= rows[:, -1:]
             r = np.searchsorted(block, ia[pick])
-            neg = minus_b[pick]
-            jb = _lower_bound_rows(rows, r, u_b[pick], np.where(neg, 0, self.half),
-                                   np.where(neg, self.half - 1, self.centers.size - 1))
+            q, nb = rows[r, self.half - 1], neg[pick]
+            # u_b rescaled onto the row's CDF range of the counted half-line
+            t = np.where(nb, u_b[pick] * q, q + u_b[pick] * (1.0 - q))
+            jb = _lower_bound_rows(rows, r, t, np.where(nb, 0, self.half),
+                                   np.where(nb, self.half - 1, self.centers.size - 1))
             prev = np.where(jb > 0, rows[r, np.maximum(jb - 1, 0)], 0.0)
-            x_b[pick] = self.invert(prev, rows[r, jb], jb, u_b[pick])
-        return np.column_stack([x_a, x_b])
+            x_b[pick] = self.invert(prev, rows[r, jb], jb, t)
+        return np.column_stack([x_a, x_b])[rng.permutation(ia.size)]
 
 
 @lru_cache(maxsize=4)
@@ -157,7 +157,7 @@ def _lower_bound_rows(rows: np.ndarray, row_idx: np.ndarray, targets: np.ndarray
 
 def sample_joint(v: CoefficientVector, chi: float, n: int, seed: int,
                  keep_samples: bool = False) -> SampleBatch:
-    """Draw n i.i.d. quadrature pairs and bin their signs.
+    """Sign-binned counts of n i.i.d. quadrature pairs, drawn per cell in O(cells).
 
     Deterministic for a given seed.  The angle pair is recorded as
     (theta, phi) = (chi, 0); only the sum enters the statistics.
@@ -170,16 +170,12 @@ def sample_joint(v: CoefficientVector, chi: float, n: int, seed: int,
         raise ValueError("need at least one sample")
     plan = _plan_for(c.tobytes(), c.size, float(chi))
     rng = np.random.Generator(np.random.Philox(seed))
-    u_a = rng.random(n)
-    u_b = rng.random(n)
-
-    lo, hi = plan.support
-    ia = np.clip(plan.cells(u_a), lo, hi - 1)
-    minus_a = ia < plan.half
-    # the event x_B < 0 of an inverse-CDF draw of x_B from the cell's conditional law
-    minus_b = u_b <= plan.p_minus_b[ia - lo]
-    counts = np.bincount(2 * minus_a + minus_b, minlength=4).reshape(2, 2)
-    samples = plan.raw_pairs(ia, u_a, u_b, minus_b) if keep_samples else None
+    m = rng.multinomial(n, plan.p_cell)
+    m_minus = rng.binomial(m, plan.p_minus_b)
+    signs = np.column_stack([m - m_minus, m_minus])            # per cell: x_B >= 0, x_B < 0
+    split = plan.half - plan.support[0]                        # first cell with x_A >= 0
+    counts = np.array([signs[split:].sum(axis=0), signs[:split].sum(axis=0)])
+    samples = plan.raw_pairs(m, m_minus, rng) if keep_samples else None
     return SampleBatch(seed=seed, n_samples=n, theta=float(chi), phi=0.0,
                        counts=counts, samples=samples)
 

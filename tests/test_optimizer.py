@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from homodyne_bell import (
     CoefficientVector,
+    bell,
     ch_S,
     chsh_B,
     optimize_angle,
@@ -33,6 +34,20 @@ def test_chsh_optimum_at_n10_beats_threshold():
     assert abs(value - B_STAR_10) < 1e-10
     assert abs(chsh_B(vec, CHI) - value) < 1e-12
     assert history == (value,)
+
+
+def test_exact_optimum_grows_with_cutoff_and_is_stationary_at_pi_over_4():
+    # B*(pi/4, N) runs 2.07823 (N = 4) -> 2.10188 (N = 128); more levels can only help
+    cutoffs = (4, 8, 10, 16, 32, 64, 128)
+    values = [optimize_coefficients(n, CHI)[1] for n in cutoffs]
+    assert all(b <= later for b, later in zip(values, values[1:]))
+    assert values[0] > 2.078 and values[-1] < 2.102
+    h = 1e-5
+    for n in cutoffs:
+        def top(chi):
+            M = 3.0 * bell.kernel(n + 1, chi) - bell.kernel(n + 1, 3.0 * chi)
+            return np.linalg.eigvalsh(M)[-1]
+        assert abs(top(CHI + h) - top(CHI - h)) / (2 * h) <= 1e-7
 
 
 def test_ch_optimum_at_n10():

@@ -66,6 +66,19 @@ def test_gaussify_success_is_squared_norm_of_unnormalized_output(raw):
     assert np.max(np.abs(out.coeffs - expected)) < 1e-12
 
 
+def test_gaussify_matches_exact_binomial_recursion_on_pipeline_states():
+    # the integer-binomial recursion of bench/reference.py, in exact comb() weights
+    def exact(c):
+        return np.array([sum(comb(n, r) * c[r] * c[n - r] for r in range(n + 1)) / 2.0 ** n
+                         for n in range(c.size)])
+
+    for xi, cutoff in ((XI, 32), (0.4, 24), (1.2, 64)):
+        rep = run_pipeline(PipelineConfig(xi=xi, iterations=4, cutoff=cutoff))
+        for v in (rep.seed_state, *rep.stage_states):
+            wide = np.concatenate([v.coeffs, np.zeros(v.coeffs.size - 1)])
+            assert np.max(np.abs(gaussify_coefficients(wide) - exact(wide))) < 1e-14
+
+
 def test_seed_expansion_by_hand():
     xi = 0.83
     out = gaussify_coefficients(np.array([1.0, xi, 0.0, 0.0, 0.0]))

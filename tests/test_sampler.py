@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homodyne_bell import (CoefficientVector, chsh_B, estimate_B, normalize, p_plus_plus,
-                           sample_joint, sampler, seed, tmss)
+from homodyne_bell import (CoefficientVector, PipelineConfig, bell, chsh_B, estimate_B,
+                           normalize, p_plus_plus, run_pipeline, sample_joint, sampler, seed,
+                           tmss)
 
 CHI = np.pi / 4
+PINNED = [[37696, 12019], [12162, 38123]]   # pipelined state, chi = pi/4, 10^5 pairs, seed 7
 
 
 def test_same_seed_reproduces_counts(pipeline_state):
@@ -88,13 +90,19 @@ def test_estimate_respects_gaussian_bound():
 
 
 def _counted_signs(v, chi, n, seed_):
-    """Per-pair (A, B) signs as sample_joint counts them, replayed from its two streams."""
+    """Per-pair (A, B) signs in dump order, replayed from sample_joint's per-cell draws:
+    the counts, then the in-cell uniforms of x_A and x_B, then the shuffle."""
     plan = sampler._plan_for(v.coeffs.tobytes(), v.coeffs.size, float(chi))
     rng = np.random.Generator(np.random.Philox(seed_))
-    u_a, u_b = rng.random(n), rng.random(n)
+    m = rng.multinomial(n, plan.p_cell)
+    m_minus = rng.binomial(m, plan.p_minus_b)
+    rng.random(n), rng.random(n)
+    order = rng.permutation(n)
     lo, hi = plan.support
-    ia = np.clip(np.searchsorted(plan.marginal_cdf, u_a), lo, hi - 1)
-    return ia >= plan.half, u_b > plan.p_minus_b[ia - lo]
+    blocks = np.column_stack([m_minus, m - m_minus]).ravel()
+    plus_a = np.repeat(np.repeat(np.arange(lo, hi) >= plan.half, 2), blocks)
+    plus_b = np.repeat(np.tile([False, True], hi - lo), blocks)
+    return plus_a[order], plus_b[order]
 
 
 def test_raw_sample_export(pipeline_state):
@@ -118,19 +126,59 @@ def test_raw_sample_export(pipeline_state):
 
 
 def test_counts_are_pinned(pipeline_state):
-    # recorded with the per-cell conditional-CDF sampler; the sign table draws the same signs
-    assert sample_joint(pipeline_state, CHI, 10 ** 5, seed=7).counts.tolist() == \
-        [[37934, 12039], [12116, 37911]]
+    # recorded with the per-cell multinomial/binomial draws; the per-pair draws they
+    # replace had the same law in another order, and gave [[37934, 12039], [12116, 37911]]
+    # and [[31602, 18425], [18413, 31560]] for these two seeds
+    assert sample_joint(pipeline_state, CHI, 10 ** 5, seed=7).counts.tolist() == PINNED
     assert sample_joint(tmss(0.6), 1.1, 10 ** 5, seed=22).counts.tolist() == \
-        [[31602, 18425], [18413, 31560]]
+        [[31497, 18568], [18318, 31617]]
 
 
-def test_guide_table_lookup_is_searchsorted(pipeline_state):
+def test_cell_law_is_the_clipped_lookup_law(pipeline_state):
     c = pipeline_state.coeffs
     plan = sampler._plan_for(c.tobytes(), c.size, CHI)
-    u = np.random.Generator(np.random.Philox(3)).random(200_000)
-    u[:4] = (0.0, 1.0 - 2.0 ** -53, plan.marginal_cdf[plan.half], 0.5)
-    assert np.array_equal(plan.cells(u), np.searchsorted(plan.marginal_cdf, u))
+    cdf, (lo, hi) = plan.marginal_cdf, plan.support
+    # clip(searchsorted(cdf, u), lo, hi - 1) = i exactly for u in (cdf[i - 1], cdf[i]],
+    # widened to [0, cdf[lo]] in the first cell and to (cdf[hi - 2], 1) in the last
+    lower = np.insert(cdf[lo:hi - 1], 0, 0.0)
+    upper = np.append(cdf[lo:hi - 1], 1.0)
+    assert np.array_equal(plan.p_cell, upper - lower)
+    assert plan.p_cell.size == hi - lo == 8135 and np.all(plan.p_cell >= 0)
+    assert abs(plan.p_cell.sum() - 1.0) < 1e-15 and plan.p_cell[:-1].sum() <= 1.0
+    # the lookup sends each interval's upper end to its own cell
+    assert np.array_equal(np.clip(np.searchsorted(cdf, upper), lo, hi - 1), np.arange(lo, hi))
+    # the end cells carry the folded out-of-support mass, at most 1e-12 on each side
+    assert 0 < plan.p_cell[0] - (cdf[lo] - cdf[lo - 1]) <= 1e-12
+    assert 0 < plan.p_cell[-1] - (cdf[hi - 1] - cdf[hi - 2]) <= 1e-12
+    p_plus_b = plan.p_cell * (1.0 - plan.p_minus_b)
+    assert abs(p_plus_b[plan.half - lo:].sum() - bell.p_plus_plus(pipeline_state, CHI)) < 1e-7
+
+
+def test_tight_coverage_at_1e11_pairs(pipeline_state):
+    est = estimate_B(pipeline_state, CHI, 10 ** 11, seed=2718)
+    assert 8.5e-6 < est.stderr < 8.7e-6
+    assert abs(est.b - chsh_B(pipeline_state, CHI)) <= 3 * est.stderr
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.floats(0.3, 1.0), st.integers(0, 4), st.integers(0, 2 ** 31))
+def test_pipeline_sampler_bell_agree(xi, iterations, seed_int):
+    v = run_pipeline(PipelineConfig(xi=xi, iterations=iterations)).final_state
+    est = estimate_B(v, CHI, 10 ** 9, seed=seed_int)
+    assert abs(est.b - chsh_B(v, CHI)) <= 4 * est.stderr
+
+
+def test_sampler_never_reads_the_overlap_table(pipeline_state, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("the sampler read the closed-form overlap table")
+
+    sampler._plan_for.cache_clear()
+    monkeypatch.setattr(bell, "overlap_table", refuse)
+    monkeypatch.setattr(bell, "_overlap_matrix", refuse)
+    assert sample_joint(pipeline_state, CHI, 10 ** 5, seed=7).counts.tolist() == PINNED
+    assert sample_joint(pipeline_state, CHI, 1_000, seed=7, keep_samples=True).samples.shape \
+        == (1_000, 2)
+    assert estimate_B(pipeline_state, CHI, 10 ** 5, seed=1).b > 0
 
 
 @settings(max_examples=15, deadline=None)
