@@ -14,11 +14,14 @@ Wronskian psi_m psi_n' - psi_n psi_m' has derivative 2 (m - n) psi_n psi_m and
 
 with psi_n'(0) = sqrt(n/2) psi_(n-1)(0) - sqrt((n+1)/2) psi_(n+1)(0).  Entries
 of equal parity vanish.  Quadrature serves only the 2-D oracle, which stays
-independent of G.  Flipping one party's sign shifts chi by pi, so everything else
-follows from the one kernel: P+-(chi) = P++(chi + pi), the marginal
-P+ = P++ + P+-, E = 2 (P++ - P+-), the CHSH combination B = 3 E(chi) - E(3 chi)
-and the CH combination S = 3 P++(chi) - P++(3 chi), tied by S = B/4 + 1/2.
-Sign binning is scale invariant, so the quadrature convention is immaterial.
+independent of G; sign binning is scale invariant, so the quadrature convention
+is immaterial.  Flipping one party's sign shifts chi by pi, and the parity of
+G gives K(chi) + K(chi + pi) = I/2, so P+-(chi) = P++(chi + pi) = 1/2 - P++(chi).
+Every Bell quantity therefore follows from P++ at chi and 3 chi: the correlation
+E = 2 (P++ - P+-) = 4 P++ - 1, the CH combination S = 3 P++(chi) - P++(3 chi) and
+the CHSH combination B = 3 E(chi) - E(3 chi) = 4 S - 2.  Searches maximize S.
+Only the marginal P+ = P++ + P+- and the literal four-angle CH ratio evaluate
+P++ at chi + pi, as their definitions read.
 """
 
 from __future__ import annotations
@@ -64,26 +67,12 @@ def hermite_basis(n_max: int, xs: np.ndarray) -> np.ndarray:
 _legendre_rule = lru_cache(maxsize=8)(leggauss)   # shared arrays: never written
 
 
-@dataclass(frozen=True, eq=False)
-class OverlapTable:
-    """Symmetric matrix of half-line overlaps G_nm = integral_0^inf psi_n psi_m dx."""
-
-    G: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.G, dtype=float)
-        g = np.array(g, copy=True)
-        g.setflags(write=False)
-        object.__setattr__(self, "G", g)
-
-    @property
-    def size(self) -> int:
-        return self.G.shape[0] - 1
-
-
 @lru_cache(maxsize=64)
-def _overlap_matrix(n_max: int) -> np.ndarray:
-    """Half-line overlaps by the Wronskian closed form (module docstring)."""
+def overlap_table(n_max: int) -> np.ndarray:
+    """Read-only half-line overlaps G_nm for indices 0..n_max by the Wronskian
+    closed form (module docstring); cached."""
+    if n_max < 0:
+        raise ValueError("table size must be nonnegative")
     psi = hermite_basis(n_max + 1, np.zeros(1))[:, 0]
     n = np.arange(n_max + 1)
     dpsi = np.sqrt(n / 2.0) * np.concatenate(([0.0], psi[:-2])) - np.sqrt((n + 1) / 2.0) * psi[1:]
@@ -94,13 +83,6 @@ def _overlap_matrix(n_max: int) -> np.ndarray:
     np.fill_diagonal(G, 0.5)
     G.setflags(write=False)
     return G
-
-
-def overlap_table(n_max: int) -> OverlapTable:
-    """Overlap table for indices 0..n_max (cached)."""
-    if n_max < 0:
-        raise ValueError("table size must be nonnegative")
-    return OverlapTable(_overlap_matrix(n_max))
 
 
 @dataclass(frozen=True)
@@ -125,7 +107,7 @@ def kernel(k: int, chi: float) -> np.ndarray:
     """Bell kernel K(chi) = cos((n - m) chi) o G o G on levels 0..k-1: P++ = c^T K c."""
     if k < 1:
         raise ValueError("kernel needs at least one level")
-    G = _overlap_matrix(k - 1)
+    G = overlap_table(k - 1)
     d = np.subtract.outer(np.arange(k), np.arange(k))
     return np.cos(d * chi) * G * G
 
@@ -150,14 +132,14 @@ def marginal_plus(v: CoefficientVector, theta: float) -> float:
 
 def correlation_E(v: CoefficientVector, chi: float) -> float:
     """Correlation E = P++ + P-- - P+- - P-+ at angle sum chi."""
-    c = _checked_coeffs(v)
-    # P-- = P++(chi) and P-+ = P+- = P++(chi + pi)
-    return 2.0 * (_p_plus_plus(c, chi) - _p_plus_plus(c, chi + np.pi))
+    # P-- = P++ and P-+ = P+- = 1/2 - P++: G's equal-parity entries vanish off
+    # the diagonal and G_nn = 1/2, so K(chi) + K(chi + pi) = I/2
+    return 4.0 * p_plus_plus(v, chi) - 1.0
 
 
 def chsh_B(v: CoefficientVector, chi: float) -> float:
-    """CHSH combination B = 3 E(chi) - E(3 chi); |B| <= 2 for local models."""
-    return 3.0 * correlation_E(v, chi) - correlation_E(v, 3.0 * chi)
+    """CHSH combination B = 3 E(chi) - E(3 chi) = 4 S - 2; |B| <= 2 for local models."""
+    return 4.0 * ch_S(v, chi) - 2.0
 
 
 def ch_S(v: CoefficientVector, chi: float) -> float:
@@ -258,11 +240,10 @@ class BellReport:
 
 
 def bell_report(v: CoefficientVector, chi: float, provenance: str | None = None) -> BellReport:
-    """Evaluate P++, E, B and S for one state at chi (and 3 chi)."""
+    """Evaluate P++, E, B and S for one state from P++ at chi and 3 chi."""
     p1 = p_plus_plus(v, chi)
     p3 = p_plus_plus(v, 3.0 * chi)
-    e1 = correlation_E(v, chi)
-    e3 = correlation_E(v, 3.0 * chi)
-    return BellReport(chi=chi, p_pp_chi=p1, p_pp_3chi=p3, E_chi=e1, E_3chi=e3,
-                      B=3.0 * e1 - e3, S=3.0 * p1 - p3, cutoff=v.cutoff,
+    s = 3.0 * p1 - p3
+    return BellReport(chi=chi, p_pp_chi=p1, p_pp_3chi=p3, E_chi=4.0 * p1 - 1.0,
+                      E_3chi=4.0 * p3 - 1.0, B=4.0 * s - 2.0, S=s, cutoff=v.cutoff,
                       provenance=v.provenance if provenance is None else provenance)

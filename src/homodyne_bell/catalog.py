@@ -45,12 +45,17 @@ def bessel_i0(x: float) -> float:
     return total
 
 
-def _auto_cutoff(log_coeff, cutoff: int | None) -> int:
-    """Smallest N with c_N^2 < tail tolerance, capped; or the explicit cutoff."""
+def _auto_cutoff(param: float, log_coeff, cutoff: int | None) -> int:
+    """Smallest N with c_N^2 < tail tolerance, capped; or the explicit cutoff.
+
+    A zero parameter gives the vacuum, which needs no level above n = 1.
+    """
     if cutoff is not None:
         if cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
         return cutoff
+    if param == 0.0:
+        return 1
     for n in range(1, HARD_CUTOFF_CAP + 1):
         if 2.0 * log_coeff(n) < log(TAIL_TOL):
             return n
@@ -72,12 +77,7 @@ def tmss(lam: float, cutoff: int | None = None) -> CoefficientVector:
     """Two-mode squeezed state with lambda = tanh(squeezing), 0 <= lambda < 1."""
     if not 0.0 <= lam < 1.0:
         raise ValueError("squeezing parameter lambda must lie in [0, 1)")
-    if lam == 0.0:
-        n_max = cutoff if cutoff is not None else 1
-        c = np.zeros(n_max + 1)
-        c[0] = 1.0
-        return CoefficientVector(c, normalized=True, provenance="tmss(0)")
-    n_max = _auto_cutoff(lambda n: n * log(lam), cutoff)
+    n_max = _auto_cutoff(lam, lambda n: n * log(lam), cutoff)
     n = np.arange(n_max + 1)
     c = lam ** n * np.sqrt(1.0 - lam * lam)
     return _finished(c, cutoff, "tmss", lam)
@@ -87,16 +87,11 @@ def circle(r: float, cutoff: int | None = None) -> CoefficientVector:
     """Circle state; the printed form is self-normalizing via sum r^(4n)/(n!)^2 = I0(2 r^2)."""
     if r < 0:
         raise ValueError("circle parameter r must be nonnegative")
-    if r == 0.0:
-        n_max = cutoff if cutoff is not None else 1
-        c = np.zeros(n_max + 1)
-        c[0] = 1.0
-        return CoefficientVector(c, normalized=True, provenance="circle(0)")
-    n_max = _auto_cutoff(lambda n: 2 * n * log(r) - lgamma(n + 1) - 0.5 * log(bessel_i0(2 * r * r)),
-                         cutoff)
-    n = np.arange(n_max + 1)
-    logc = 2 * n * log(r) - np.array([lgamma(k + 1) for k in n])
-    c = np.exp(logc) / np.sqrt(bessel_i0(2.0 * r * r))
+    n_max = _auto_cutoff(r, lambda n: 2 * n * log(r) - lgamma(n + 1)
+                         - 0.5 * log(bessel_i0(2 * r * r)), cutoff)
+    # c_n = c_(n-1) r^2 / n
+    c = np.cumprod(np.concatenate(([1.0], r * r / np.arange(1, n_max + 1))))
+    c /= np.sqrt(bessel_i0(2.0 * r * r))
     return _finished(c, cutoff, "circle", r)
 
 
@@ -104,12 +99,7 @@ def ps_tmss(lam: float, cutoff: int | None = None) -> CoefficientVector:
     """Photon-subtracted two-mode squeezed state."""
     if not 0.0 <= lam < 1.0:
         raise ValueError("squeezing parameter lambda must lie in [0, 1)")
-    if lam == 0.0:
-        n_max = cutoff if cutoff is not None else 1
-        c = np.zeros(n_max + 1)
-        c[0] = 1.0
-        return CoefficientVector(c, normalized=True, provenance="ps_tmss(0)")
-    n_max = _auto_cutoff(lambda n: log(n + 1.0) + n * log(lam), cutoff)
+    n_max = _auto_cutoff(lam, lambda n: log(n + 1.0) + n * log(lam), cutoff)
     n = np.arange(n_max + 1)
     c = np.sqrt((1.0 - lam * lam) ** 3 / (1.0 + lam * lam)) * (n + 1) * lam ** n
     return _finished(c, cutoff, "ps_tmss", lam)

@@ -64,15 +64,6 @@ class CoefficientVector:
     def converged(self) -> bool:
         return self.tail_mass < TAIL_TOL
 
-    def padded(self, cutoff: int) -> "CoefficientVector":
-        """Zero-extend to a larger cutoff (identity if already large enough)."""
-        if cutoff < self.cutoff:
-            raise ValueError("padded() cannot shrink a vector; slice coeffs instead")
-        out = np.zeros(cutoff + 1)
-        out[: self.coeffs.size] = self.coeffs
-        return CoefficientVector(out, normalized=self.normalized,
-                                 provenance=self.provenance)
-
 
 @dataclass(frozen=True, eq=False)
 class TwoModeAmplitudeMatrix:

@@ -1,9 +1,11 @@
 """Maximization of the Bell functionals.
 
-At fixed chi, S = 3 P++(chi) - P++(3 chi) is the Rayleigh quotient of
-M = 3 K(chi) - K(3 chi) and B = 4 S - 2, so the free coefficient optimum is
-the top eigenpair of M: S* = lambda_max, B* = 4 lambda_max - 2.  Family-parameter
-and angle searches are bounded 1-D maximizations.
+Every search maximizes the CH value S = 3 P++(chi) - P++(3 chi).  The CHSH value
+B = 4 S - 2 is an increasing affine function of S, so it has the same maximizer;
+the objective only chooses which of the two is reported.  At fixed chi, S is
+the Rayleigh quotient of M = 3 K(chi) - K(3 chi), so the free coefficient
+optimum is the top eigenpair of M: S* = lambda_max, B* = 4 lambda_max - 2.
+Family-parameter and angle searches are bounded 1-D maximizations.
 
 `scipy.optimize` is imported on first use of `minimize` or `minimize_scalar`,
 which are module attributes bound then (PEP 562), so importing the package
@@ -34,6 +36,14 @@ def __getattr__(name: str):
     return value
 
 
+def _reported(objective: str):
+    """The value reported for `objective` as a function of S: B = 4 S - 2 for
+    "chsh", S itself for "ch"."""
+    if objective not in _OBJECTIVES:
+        raise ValueError(f"objective must be one of {_OBJECTIVES}")
+    return (lambda s: 4.0 * s - 2.0) if objective == "chsh" else (lambda s: s)
+
+
 def optimize_coefficients(n_max: int, chi: float, objective: str = "chsh",
                           nonnegative: bool = False):
     """Maximize the Bell functional over unit coefficient vectors c_0..c_n_max.
@@ -43,8 +53,7 @@ def optimize_coefficients(n_max: int, chi: float, objective: str = "chsh",
     the constraint binds, comes from one L-BFGS-B ascent started at the
     absolute free optimum, then solved exactly on the face it ends on.
     """
-    if objective not in _OBJECTIVES:
-        raise ValueError(f"objective must be one of {_OBJECTIVES}")
+    report = _reported(objective)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     k = n_max + 1
@@ -69,8 +78,7 @@ def optimize_coefficients(n_max: int, chi: float, objective: str = "chsh",
             c[face] = top
     c = c / np.linalg.norm(c)
     c = c * np.sign(c[np.flatnonzero(np.abs(c) > 1e-12)[0]])
-    s_value = float(c @ M @ c)
-    value = 4.0 * s_value - 2.0 if objective == "chsh" else s_value
+    value = report(float(c @ M @ c))
     label = f"optimized({objective.upper()}, N={n_max}, chi={chi!r})"
     return CoefficientVector(c, normalized=True, provenance=label), value, (value,)
 
@@ -84,39 +92,37 @@ _FAMILY_BOUNDS = {
 }
 
 
-def _family_value(family: str, param: float, chi: float, objective: str,
-                  cutoff: int = 32) -> float:
-    state = catalog.CatalogSpec(family, param, cutoff=cutoff).build()
-    return bell.chsh_B(state, chi) if objective == "chsh" else bell.ch_S(state, chi)
-
-
 def optimize_family_parameter(family: str, chi: float, objective: str = "chsh",
                               bounds: tuple | None = None, cutoff: int = 32):
     """Bounded 1-D maximization of the functional over one family parameter.
 
     Returns (best parameter, best value).
     """
+    report = _reported(objective)
     family = family.replace("-", "_")
     if bounds is None:
         if family not in _FAMILY_BOUNDS:
             raise ValueError(f"no default bounds for family {family!r}")
         bounds = _FAMILY_BOUNDS[family]
-    res = _module.minimize_scalar(lambda p: -_family_value(family, p, chi, objective, cutoff),
-                                  bounds=bounds, method="bounded", options={"xatol": 1e-8})
-    return float(res.x), -float(res.fun)
+
+    def negated_s(p):
+        return -bell.ch_S(catalog.CatalogSpec(family, p, cutoff=cutoff).build(), chi)
+
+    res = _module.minimize_scalar(negated_s, bounds=bounds, method="bounded",
+                                  options={"xatol": 1e-8})
+    return float(res.x), report(-float(res.fun))
 
 
 def optimize_angle(v: CoefficientVector, objective: str = "chsh"):
     """Maximize the functional over the angle sum chi in (0, pi/2].
 
-    Returns (chi*, best value); a flat objective (e.g. vacuum) reports the
-    conventional chi = pi/4.
+    Returns (chi*, best value); a flat objective (S = 1/2, e.g. vacuum) reports
+    the conventional chi = pi/4.
     """
-    fun = bell.chsh_B if objective == "chsh" else bell.ch_S
-    res = _module.minimize_scalar(lambda ch: -fun(v, ch), bounds=(1e-6, np.pi / 2),
+    report = _reported(objective)
+    res = _module.minimize_scalar(lambda ch: -bell.ch_S(v, ch), bounds=(1e-6, np.pi / 2),
                                   method="bounded", options={"xatol": 1e-10})
-    chi_star, val = float(res.x), -float(res.fun)
-    flat_value = 0.0 if objective == "chsh" else 0.5
-    if abs(val - flat_value) < 1e-11:
-        return np.pi / 4, flat_value
-    return chi_star, val
+    chi_star, s_star = float(res.x), -float(res.fun)
+    if abs(s_star - 0.5) < 1e-11:
+        chi_star, s_star = np.pi / 4, 0.5
+    return chi_star, report(s_star)

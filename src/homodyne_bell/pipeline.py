@@ -154,7 +154,6 @@ class PipelineConfig:
     lam: float | None = None          # set to verify stage 1 alongside
     iterations: int = 3
     cutoff: int = 32
-    stage1_cutoff: int = 4
     subtraction: str = "exact"        # "exact" or "beamsplitter"
     subtraction_reflectivity: float = 0.01
 
@@ -207,7 +206,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
                               provenance=f"pipeline(xi={cfg.xi:g}, iters={cfg.iterations})")
     stage1 = None
     if cfg.lam is not None:
-        stage1 = stage1_verify(cfg.xi, cfg.lam, cfg.stage1_cutoff)
+        stage1 = stage1_verify(cfg.xi, cfg.lam)
     return PipelineReport(
         config=cfg,
         seed_state=start,

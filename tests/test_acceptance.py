@@ -135,7 +135,7 @@ def test_criterion_09_quadrature_cross_validation(pipeline_state):
         abs(p_plus_plus(v, float(chi)) - p_plus_plus_quadrature_oracle(v, float(chi)))
         for v in states for chi in rng.uniform(-np.pi, np.pi, 20)
     )
-    G = overlap_table(32).G
+    G = overlap_table(32)
     diag_err = float(np.max(np.abs(np.diag(G) - 0.5)))
     off = np.array(G)
     np.fill_diagonal(off, 0.0)

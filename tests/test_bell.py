@@ -46,14 +46,14 @@ def test_wavefunctions_are_normalized_up_to_n_32():
 
 
 def test_overlap_table_closed_form_entries():
-    G = overlap_table(4).G
+    G = overlap_table(4)
     assert G[0, 0] == 0.5
     assert np.isclose(G[0, 1], 1.0 / np.sqrt(2.0 * np.pi), rtol=1e-15, atol=0.0)
     assert G[0, 2] == 0.0
 
 
 def test_overlap_table_invariants_exhaustive_at_32():
-    G = overlap_table(32).G
+    G = overlap_table(32)
     assert np.array_equal(G, G.T)
     assert np.all(np.diag(G) == 0.5)
     off = np.array(G)
@@ -71,7 +71,7 @@ def test_overlap_table_matches_half_line_quadrature(n_max):
     xs = (left[:, None] + 0.25 * (x + 1.0)).ravel()
     ws = np.tile(0.25 * w, left.size)
     V = np.array([hermite_wavefunction(n, xs) for n in range(n_max + 1)])
-    assert np.max(np.abs(overlap_table(n_max).G - (V * ws) @ V.T)) < 1e-14
+    assert np.max(np.abs(overlap_table(n_max) - (V * ws) @ V.T)) < 1e-14
 
 
 def test_p_plus_plus_vacuum_is_quarter():
@@ -99,7 +99,7 @@ def test_p_plus_plus_is_even_in_chi(chi, seed_int):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.floats(-2 * np.pi, 2 * np.pi), st.integers(0, 12), st.integers(0, 2 ** 31))
+@given(st.floats(-2 * np.pi, 2 * np.pi), st.integers(0, 128), st.integers(0, 2 ** 31))
 def test_kernel_invariants_on_random_states(chi, n_max, seed_int):
     rng = np.random.default_rng(seed_int)
     v = normalize(CoefficientVector(rng.standard_normal(n_max + 1)))
@@ -132,7 +132,9 @@ def test_correlation_reduces_to_quadrant_form():
     for _ in range(10):
         v = normalize(CoefficientVector(rng.standard_normal(7)))
         chi = rng.uniform(-3, 3)
-        assert abs(correlation_E(v, chi) - (4.0 * p_plus_plus(v, chi) - 1.0)) < 1e-12
+        # literal quadrant form: P-- = P++ and P-+ = P+- = P++(chi + pi)
+        quadrant = 2.0 * (p_plus_plus(v, chi) - p_plus_plus(v, chi + np.pi))
+        assert abs(correlation_E(v, chi) - quadrant) < 1e-12
         assert abs(correlation_E(v, chi) - correlation_E(v, -chi)) < 1e-12
         assert abs(correlation_E(v, chi)) <= 1.0 + 1e-12
 

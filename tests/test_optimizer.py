@@ -79,6 +79,10 @@ def test_canonical_sign_and_label():
 def test_unknown_objective_rejected():
     with pytest.raises(ValueError):
         optimize_coefficients(4, CHI, objective="bell")
+    with pytest.raises(ValueError):
+        optimize_family_parameter("circle", CHI, objective="bell")
+    with pytest.raises(ValueError):
+        optimize_angle(seed(0.7, cutoff=4), objective="CHSH")
 
 
 def test_nonnegative_constraint():

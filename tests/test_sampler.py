@@ -174,7 +174,6 @@ def test_sampler_never_reads_the_overlap_table(pipeline_state, monkeypatch):
 
     sampler._plan_for.cache_clear()
     monkeypatch.setattr(bell, "overlap_table", refuse)
-    monkeypatch.setattr(bell, "_overlap_matrix", refuse)
     assert sample_joint(pipeline_state, CHI, 10 ** 5, seed=7).counts.tolist() == PINNED
     assert sample_joint(pipeline_state, CHI, 1_000, seed=7, keep_samples=True).samples.shape \
         == (1_000, 2)
