@@ -12,8 +12,8 @@ n i.i.d. pairs then have exactly the counts m = Multinomial(n, p_cell) per cell
 and m_minus = Binomial(m, P(x_B < 0 | cell)) of negative x_B, so a batch costs
 O(cells) whatever n is.  Raw pairs, made only on request, are built from these
 counts: x_A uniform inside its cell, x_B inside the half-line of its counted
-sign from conditional CDF rows of the drawn cells, then shuffled; they are
-drawn after the counts, which keeping them therefore never changes.
+sign by a two-level inversion of its conditional CDF (128-point blocks, then one
+block's points), then shuffled; drawn after the counts, they never change them.
 The sampler never reuses the closed-form overlap table, so it stays an
 independent check on it.
 
@@ -36,7 +36,8 @@ GRID_POINTS = 2 ** 14
 GRID_HALF_WIDTH = 12.0
 _SUPPORT_EPS = 1e-12
 _MASS_TOL = 1e-9          # largest share of the state's mass the grid may miss
-_ROW_CHUNK = 256          # conditional CDF rows held at once when making raw pairs
+_ROW_CHUNK = 256          # drawn cells whose x_B are inverted at once when making raw pairs
+_BLOCK = 128              # grid points per block of that inversion's first level
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +112,10 @@ class _SamplerPlan:
 
     def raw_pairs(self, m, m_minus, rng):
         """n = sum(m) shuffled (x_A, x_B) pairs with m[i] in support cell i, m_minus[i]
-        of them with x_B < 0: x_A uniform in its cell, x_B inside its counted half-line."""
+        of them with x_B < 0: x_A uniform in its cell, x_B inside its counted half-line,
+        by inverting its cell's conditional CDF first over blocks of _BLOCK grid points,
+        then over the points of the one block found: O(drawn cells * blocks * k^2 +
+        distinct (cell, block) * _BLOCK * k), where full rows cost O(drawn cells * 2^14 * k)."""
         lo, hi = self.support
         blocks = np.column_stack([m_minus, m - m_minus]).ravel()
         ia = np.repeat(np.repeat(np.arange(lo, hi), 2), blocks)       # sorted by cell
@@ -119,22 +123,38 @@ class _SamplerPlan:
         x_a = self.invert(0.0, 1.0, ia, rng.random(ia.size))
         u_b = rng.random(ia.size)
         V = hermite_basis(self.phase.size - 1, self.centers)
+        k, nb, half_b = V.shape[0], self.centers.size // _BLOCK, self.half // _BLOCK
+        # block weights v^T Q_b v with Q_b = P o (V_b V_b^T) = R_b^T R_b, taken as ||R_b v||^2:
+        # never < 0, and as exact as point weights where a block holds ~0 (v^T Q_b v is not)
+        R = np.linalg.qr(V.T.reshape(nb, _BLOCK, k), mode="r")
+        R = np.linalg.qr(np.concatenate([R * self.phase.real, R * self.phase.imag], 1), mode="r")
         cells = np.flatnonzero(m) + lo
         x_b = np.empty(ia.size)
         for i in range(0, cells.size, _ROW_CHUNK):
-            block = cells[i:i + _ROW_CHUNK]
-            pick = slice(np.searchsorted(ia, block[0]), np.searchsorted(ia, block[-1], "right"))
-            a = self.phase[:, None] * V[:, block]
-            rows = np.cumsum((a.real.T @ V) ** 2 + (a.imag.T @ V) ** 2, axis=1)
-            rows /= rows[:, -1:]
-            r = np.searchsorted(block, ia[pick])
-            q, nb = rows[r, self.half - 1], neg[pick]
-            # u_b rescaled onto the row's CDF range of the counted half-line
-            t = np.where(nb, u_b[pick] * q, q + u_b[pick] * (1.0 - q))
-            jb = _lower_bound_rows(rows, r, t, np.where(nb, 0, self.half),
-                                   np.where(nb, self.half - 1, self.centers.size - 1))
-            prev = np.where(jb > 0, rows[r, np.maximum(jb - 1, 0)], 0.0)
-            x_b[pick] = self.invert(prev, rows[r, jb], jb, t)
+            chunk = cells[i:i + _ROW_CHUNK]
+            pick = slice(np.searchsorted(ia, chunk[0]), np.searchsorted(ia, chunk[-1], "right"))
+            v = V[:, chunk]
+            w = (R.reshape(-1, k) @ v).reshape(nb, -1, chunk.size)  # (block, R_b row, cell)
+            cum = np.cumsum(np.einsum("bkc,bkc->bc", w, w), axis=0).T
+            cum, total = cum / cum[:, -1:], cum[:, -1:]
+            r = np.searchsorted(chunk, ia[pick])
+            q, nh = cum[r, half_b - 1], neg[pick]
+            # u_b rescaled onto the cell's CDF range of the counted half-line
+            t = np.where(nh, u_b[pick] * q, q + u_b[pick] * (1.0 - q))
+            b = _lower_bound_rows(cum, r, t, np.where(nh, 0, half_b),
+                                  np.where(nh, half_b - 1, nb - 1))
+            # the CDF inside each distinct (cell, block), one product per block
+            keys, g = np.unique(r * nb + b, return_inverse=True)
+            kr, kb = np.divmod(keys, nb)
+            a, rows = self.phase[:, None] * v[:, kr], np.empty((keys.size, _BLOCK))
+            for blk in np.unique(kb):
+                at, pts = kb == blk, V[:, blk * _BLOCK:(blk + 1) * _BLOCK]
+                rows[at] = (a[:, at].real.T @ pts) ** 2 + (a[:, at].imag.T @ pts) ** 2
+            base = np.where(kb > 0, cum[kr, kb - 1], 0.0)
+            rows = base[:, None] + np.cumsum(rows, axis=1) / total[kr]
+            j = _lower_bound_rows(rows, g, t, 0, _BLOCK - 1)
+            prev = np.where(j > 0, rows[g, j - 1], base[g])
+            x_b[pick] = self.invert(prev, rows[g, j], b * _BLOCK + j, t)
         return np.column_stack([x_a, x_b])[rng.permutation(ia.size)]
 
 

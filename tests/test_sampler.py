@@ -1,3 +1,6 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -207,3 +210,141 @@ def test_warm_plan_is_small(pipeline_state):
     plan = sampler._plan_for(c.tobytes(), c.size, CHI)
     held = sum(a.nbytes for a in vars(plan).values() if isinstance(a, np.ndarray))
     assert held < 2 ** 20
+
+
+def _full_row_pairs(plan, m, m_minus, rng):
+    """The earlier raw_pairs, kept as an oracle: one full 2^14-point conditional CDF
+    row per drawn cell, 256 cells at a time, and one search over the counted half."""
+    lo, hi = plan.support
+    blocks = np.column_stack([m_minus, m - m_minus]).ravel()
+    ia = np.repeat(np.repeat(np.arange(lo, hi), 2), blocks)
+    neg = np.repeat(np.tile([True, False], hi - lo), blocks)
+    x_a = plan.invert(0.0, 1.0, ia, rng.random(ia.size))
+    u_b = rng.random(ia.size)
+    V = bell.hermite_basis(plan.phase.size - 1, plan.centers)
+    cells = np.flatnonzero(m) + lo
+    x_b = np.empty(ia.size)
+    for i in range(0, cells.size, 256):
+        block = cells[i:i + 256]
+        pick = slice(np.searchsorted(ia, block[0]), np.searchsorted(ia, block[-1], "right"))
+        a = plan.phase[:, None] * V[:, block]
+        rows = np.cumsum((a.real.T @ V) ** 2 + (a.imag.T @ V) ** 2, axis=1)
+        rows /= rows[:, -1:]
+        r = np.searchsorted(block, ia[pick])
+        q, nb = rows[r, plan.half - 1], neg[pick]
+        t = np.where(nb, u_b[pick] * q, q + u_b[pick] * (1.0 - q))
+        jb = sampler._lower_bound_rows(rows, r, t, np.where(nb, 0, plan.half),
+                                       np.where(nb, plan.half - 1, plan.centers.size - 1))
+        prev = np.where(jb > 0, rows[r, np.maximum(jb - 1, 0)], 0.0)
+        x_b[pick] = plan.invert(prev, rows[r, jb], jb, t)
+    return np.column_stack([x_a, x_b])[rng.permutation(ia.size)]
+
+
+def _exact_x_b(plan, cell, negative, u):
+    """x_B inverted from the float64 point weights of `cell` in exact rational arithmetic."""
+    a = plan.phase[:, None] * bell.hermite_basis(plan.phase.size - 1, plan.centers[[cell]])
+    V = bell.hermite_basis(plan.phase.size - 1, plan.centers)
+    w = [Fraction(x) for x in ((a.real.T @ V) ** 2 + (a.imag.T @ V) ** 2)[0]]
+    total, q = sum(w), sum(w[:plan.half])
+    target = u * q if negative else q + u * (total - q)
+    below = Fraction(0)
+    for j, wj in enumerate(w[:-1]):
+        if below + wj >= target:
+            break
+        below += wj
+    return plan.edges[j] + float((target - below) / wj) * plan.dx
+
+
+def _assert_matches_oracle(plan, m, m_minus, rng, new):
+    """new raw pairs against the oracle's from the same stream (rng as raw_pairs found it):
+    same x_A and signs, x_B to 1e-9.  Where they differ by more, the oracle's float64
+    cumsum over 2^14 points is the coarser one (far tails): new is the nearer the exact."""
+    state = rng.bit_generator.state
+    old = _full_row_pairs(plan, m, m_minus, rng)
+    rng.bit_generator.state = state
+    n = int(m.sum())
+    _, u_b, order = rng.random(n), rng.random(n), rng.permutation(n)
+    lo, hi = plan.support
+    cells = np.repeat(np.repeat(np.arange(lo, hi), 2),
+                      np.column_stack([m_minus, m - m_minus]).ravel())[order]
+    assert np.array_equal(new[:, 0], old[:, 0])               # same uniforms, same x_A
+    assert np.array_equal(new >= 0, old >= 0)
+    assert np.all(np.abs(new) <= sampler.GRID_HALF_WIDTH)
+    far = np.flatnonzero(np.abs(new[:, 1] - old[:, 1]) > 1e-9)
+    assert far.size <= 3                                     # far-tail pairs only
+    for i in far:
+        exact = _exact_x_b(plan, cells[i], new[i, 1] < 0, Fraction(u_b[order[i]]))
+        assert abs(new[i, 1] - exact) <= 1e-9 < abs(old[i, 1] - exact)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.one_of(st.integers(0, 12), st.sampled_from(["pipeline", "tmss"])),
+       st.floats(-2 * np.pi, 2 * np.pi), st.integers(0, 2 ** 31))
+def test_raw_pairs_match_full_row_oracle(pipeline_state, which, chi, seed_int):
+    if which == "pipeline":
+        v = pipeline_state
+    elif which == "tmss":
+        v = tmss(0.6)
+    else:
+        c = np.random.default_rng(seed_int).standard_normal(which + 1)
+        v = normalize(CoefficientVector(c))
+    n = 1_000
+    new = sample_joint(v, chi, n, seed_int, keep_samples=True).samples
+    # replay sample_joint's stream: the counts, then what raw_pairs draws
+    plan = sampler._plan_for(v.coeffs.tobytes(), v.coeffs.size, float(chi))
+    rng = np.random.Generator(np.random.Philox(seed_int))
+    m = rng.multinomial(n, plan.p_cell)
+    m_minus = rng.binomial(m, plan.p_minus_b)
+    _assert_matches_oracle(plan, m, m_minus, rng, new)
+
+
+def test_raw_pairs_match_oracle_where_a_half_line_holds_nothing():
+    # tmss(0.5) at 64 levels: in the outer x_A cells x_B's conditional mass on the far
+    # half-line is below float64 rounding, so P(x_B < 0 | cell) rounds to exactly 1 (or 0
+    # at chi = pi); a pair counted on that half meets a flat CDF, and invert's zero-span
+    # branch puts it in the middle of the half's first cell
+    v = tmss(0.5, cutoff=64)
+    for chi in (0.0, np.pi):
+        plan = sampler._SamplerPlan(v.coeffs, chi)
+        rng = np.random.Generator(np.random.Philox(5))
+        m = rng.multinomial(2_000, plan.p_cell)
+        m_minus = rng.binomial(m, plan.p_minus_b)
+        # the eight outermost such cells: nearer the middle, P rounds to 1 while the mass
+        # of x_B >= 0 is still near rounding, where neither inversion resolves it
+        empty_plus = np.flatnonzero(plan.p_minus_b == 1.0)
+        x_a = plan.centers[plan.support[0] + empty_plus]
+        empty_plus = empty_plus[np.argsort(-np.abs(x_a))[:8]]
+        m[empty_plus] += 2                        # two x_B >= 0 pairs in each such cell
+        state = rng.bit_generator.state
+        new = plan.raw_pairs(m, m_minus, rng)
+        rng.bit_generator.state = state
+        _assert_matches_oracle(plan, m, m_minus, rng, new)
+        assert np.sum(new[:, 1] == plan.centers[plan.half]) >= 16
+
+
+def test_raw_x_b_has_the_x_a_marginal(pipeline_state):
+    # sum_n c_n |n, n>: both modes have the reduced state sum_n c_n^2 |n><n|, so x_B of
+    # one batch and x_A of an independent one share a law; the two columns of one batch
+    # are correlated and are not compared
+    n = 10 ** 5
+    x_b = sample_joint(pipeline_state, CHI, n, seed=31, keep_samples=True).samples[:, 1]
+    x_a = sample_joint(pipeline_state, CHI, n, seed=32, keep_samples=True).samples[:, 0]
+    x_a, x_b = np.sort(x_a), np.sort(x_b)
+    both = np.concatenate([x_a, x_b])
+    ks = np.max(np.abs(np.searchsorted(x_a, both, "right") - np.searchsorted(x_b, both, "right")))
+    # two-sample Kolmogorov-Smirnov critical value at level 1e-3 (asymptotic)
+    critical = np.sqrt(-0.5 * np.log(1e-3 / 2)) * np.sqrt(2.0 / n)
+    assert ks / n < critical
+
+
+def test_raw_pairs_memory_is_bounded(pipeline_state):
+    # full conditional CDF rows peaked at 101 MiB here; block then point inversion
+    # holds one chunk's block weights and point rows
+    sample_joint(pipeline_state, CHI, 10, seed=3)                 # plan built and cached
+    tracemalloc.start()
+    try:
+        sample_joint(pipeline_state, CHI, 20_000, seed=3, keep_samples=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2 ** 20
