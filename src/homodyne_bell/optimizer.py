@@ -5,16 +5,21 @@ B = 4 S - 2 is an increasing affine function of S, so it has the same maximizer;
 the objective only chooses which of the two is reported.  At fixed chi, S is
 the Rayleigh quotient of M = 3 K(chi) - K(3 chi), so the free coefficient
 optimum is the top eigenpair of M: S* = lambda_max, B* = 4 lambda_max - 2.
-Family-parameter and angle searches are bounded 1-D maximizations.
+Family-parameter and angle searches are bounded 1-D maximizations by
+`_bounded_brent`, a step-for-step port of the bounded Brent search that
+`scipy.optimize.minimize_scalar(method="bounded")` runs, so they need numpy
+alone and return scipy's values bit for bit.
 
-`scipy.optimize` is imported on first use of `minimize` or `minimize_scalar`,
-which are module attributes bound then (PEP 562), so importing the package
-does not pay for scipy.  The searches call them through the module, so a
-name rebound from outside is the one called.
+Only the nonnegative coefficient ascent uses scipy: `scipy.optimize` is
+imported on first use of `minimize`, a module attribute bound then (PEP 562),
+so importing the package or running any 1-D search does not pay for scipy.
+The ascent calls it through the module, so a name rebound from outside is the
+one called.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -23,7 +28,7 @@ from . import bell, catalog
 from .fock_core import CoefficientVector
 
 _OBJECTIVES = ("chsh", "ch")
-_SCIPY_NAMES = ("minimize", "minimize_scalar")
+_SCIPY_NAMES = ("minimize",)
 _module = sys.modules[__name__]
 
 
@@ -83,6 +88,50 @@ def optimize_coefficients(n_max: int, chi: float, objective: str = "chsh",
     return CoefficientVector(c, normalized=True, provenance=label), value, (value,)
 
 
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+
+
+def _bounded_brent(f, lo: float, hi: float, xatol: float, maxfun: int = 500):
+    """Minimize f on [lo, hi]; returns (x, f(x), evaluations).  Each golden-section
+    or parabolic step and the stopping rule are scipy's bounded Brent
+    (`minimize_scalar(method="bounded")`) in the same floating-point order, so
+    all three agree with it exactly."""
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
+        raise ValueError(f"bounds must be finite with lo <= hi, got ({lo}, {hi})")
+    a, b = lo, hi
+    v = w = x = a + _GOLDEN * (b - a)          # v, w: the two previous best points
+    fv = fw = fx = f(x)
+    d = e = 0.0                                 # last step, the one before it
+    evals, xm, tol1 = 1, 0.5 * (a + b), _SQRT_EPS * abs(x) + xatol / 3.0
+    while abs(x - xm) > 2.0 * tol1 - 0.5 * (b - a) and evals < maxfun:
+        golden = True
+        if abs(e) > tol1:                       # try a parabola through x, w, v
+            r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+            p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+            p, q, r, e = (-p if q > 0.0 else p), abs(q), e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                golden, d = False, p / q
+                if (x + d) - a < 2.0 * tol1 or b - (x + d) < 2.0 * tol1:
+                    d = tol1 if xm - x >= 0.0 else -tol1
+        if golden:
+            e = (a if x >= xm else b) - x
+            d = _GOLDEN * e
+        u = x + (1.0 if d >= 0.0 else -1.0) * max(abs(d), tol1)
+        fu, evals = f(u), evals + 1
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        xm, tol1 = 0.5 * (a + b), _SQRT_EPS * abs(x) + xatol / 3.0
+    return x, fx, evals
+
+
 _FAMILY_BOUNDS = {
     "circle": (0.05, 3.0),
     "tmss": (0.0, 0.95),
@@ -108,9 +157,8 @@ def optimize_family_parameter(family: str, chi: float, objective: str = "chsh",
     def negated_s(p):
         return -bell.ch_S(catalog.CatalogSpec(family, p, cutoff=cutoff).build(), chi)
 
-    res = _module.minimize_scalar(negated_s, bounds=bounds, method="bounded",
-                                  options={"xatol": 1e-8})
-    return float(res.x), report(-float(res.fun))
+    x, fun, _ = _bounded_brent(negated_s, *bounds, xatol=1e-8)
+    return float(x), report(-float(fun))
 
 
 def optimize_angle(v: CoefficientVector, objective: str = "chsh"):
@@ -120,9 +168,8 @@ def optimize_angle(v: CoefficientVector, objective: str = "chsh"):
     the conventional chi = pi/4.
     """
     report = _reported(objective)
-    res = _module.minimize_scalar(lambda ch: -bell.ch_S(v, ch), bounds=(1e-6, np.pi / 2),
-                                  method="bounded", options={"xatol": 1e-10})
-    chi_star, s_star = float(res.x), -float(res.fun)
+    x, fun, _ = _bounded_brent(lambda ch: -bell.ch_S(v, ch), 1e-6, np.pi / 2, xatol=1e-10)
+    chi_star, s_star = float(x), -float(fun)
     if abs(s_star - 0.5) < 1e-11:
         chi_star, s_star = np.pi / 4, 0.5
     return chi_star, report(s_star)

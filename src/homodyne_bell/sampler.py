@@ -13,7 +13,8 @@ and m_minus = Binomial(m, P(x_B < 0 | cell)) of negative x_B, so a batch costs
 O(cells) whatever n is.  Raw pairs, made only on request, are built from these
 counts: x_A uniform inside its cell, x_B inside the half-line of its counted
 sign by a two-level inversion of its conditional CDF (128-point blocks, then one
-block's points), then shuffled; drawn after the counts, they never change them.
+block's points; the x_B >= 0 half from its upper end, so a half with little mass
+keeps its precision), then shuffled; drawn after the counts, they never change them.
 The sampler never reuses the closed-form overlap table, so it stays an
 independent check on it.
 
@@ -135,26 +136,37 @@ class _SamplerPlan:
             pick = slice(np.searchsorted(ia, chunk[0]), np.searchsorted(ia, chunk[-1], "right"))
             v = V[:, chunk]
             w = (R.reshape(-1, k) @ v).reshape(nb, -1, chunk.size)  # (block, R_b row, cell)
-            cum = np.cumsum(np.einsum("bkc,bkc->bc", w, w), axis=0).T
-            cum, total = cum / cum[:, -1:], cum[:, -1:]
+            cum = np.einsum("bkc,bkc->cb", w, w)
+            # the x_B >= 0 half-line is inverted from the grid's top down, on the mass above
+            # (1 - cum loses the relative precision of a half holding little of its cell);
+            # above[:, b] is the mass beyond block b
+            above = np.pad(np.cumsum(cum[:, :0:-1], axis=1)[:, ::-1], ((0, 0), (0, 1)))
+            np.cumsum(cum, axis=1, out=cum)
+            total = cum[:, -1:].copy()
+            cum /= total
+            above /= total
+            cum[:, half_b:] = -above[:, half_b:]     # block ends of the increasing CDF searched
             r = np.searchsorted(chunk, ia[pick])
-            q, nh = cum[r, half_b - 1], neg[pick]
-            # u_b rescaled onto the cell's CDF range of the counted half-line
-            t = np.where(nh, u_b[pick] * q, q + u_b[pick] * (1.0 - q))
-            b = _lower_bound_rows(cum, r, t, np.where(nh, 0, half_b),
+            nh = neg[pick]
+            # u_b rescaled onto the counted half's mass, measured from its far end
+            t = np.where(nh, u_b[pick] * cum[r, half_b - 1], (1.0 - u_b[pick]) * above[r, half_b - 1])
+            b = _lower_bound_rows(cum, r, np.where(nh, t, -t), np.where(nh, 0, half_b),
                                   np.where(nh, half_b - 1, nb - 1))
-            # the CDF inside each distinct (cell, block), one product per block
+            # the CDF inside each distinct (cell, block), one product per block; the points
+            # of an x_B >= 0 block are taken from its top down
             keys, g = np.unique(r * nb + b, return_inverse=True)
             kr, kb = np.divmod(keys, nb)
             a, rows = self.phase[:, None] * v[:, kr], np.empty((keys.size, _BLOCK))
             for blk in np.unique(kb):
                 at, pts = kb == blk, V[:, blk * _BLOCK:(blk + 1) * _BLOCK]
-                rows[at] = (a[:, at].real.T @ pts) ** 2 + (a[:, at].imag.T @ pts) ** 2
-            base = np.where(kb > 0, cum[kr, kb - 1], 0.0)
+                wp = (a[:, at].real.T @ pts) ** 2 + (a[:, at].imag.T @ pts) ** 2
+                rows[at] = wp[:, ::-1] if blk >= half_b else wp
+            base = np.where(kb >= half_b, above[kr, kb], np.where(kb > 0, cum[kr, kb - 1], 0.0))
             rows = base[:, None] + np.cumsum(rows, axis=1) / total[kr]
             j = _lower_bound_rows(rows, g, t, 0, _BLOCK - 1)
-            prev = np.where(j > 0, rows[g, j - 1], base[g])
-            x_b[pick] = self.invert(prev, rows[g, j], b * _BLOCK + j, t)
+            prev, at = np.where(j > 0, rows[g, j - 1], base[g]), rows[g, j]
+            x_b[pick] = np.where(nh, self.invert(prev, at, b * _BLOCK + j, t),
+                                 self.invert(-at, -prev, (b + 1) * _BLOCK - 1 - j, -t))
         return np.column_stack([x_a, x_b])[rng.permutation(ia.size)]
 
 

@@ -5,11 +5,13 @@ from hypothesis import given, settings, strategies as st
 from homodyne_bell import (
     CoefficientVector,
     bell,
+    catalog,
     ch_S,
     chsh_B,
     optimize_angle,
     optimize_coefficients,
     optimize_family_parameter,
+    optimizer,
     seed,
 )
 
@@ -162,3 +164,46 @@ def test_angle_on_bell_seed_stays_local():
     chi_star, b_star = optimize_angle(seed(1.0, cutoff=8))
     assert b_star <= 2.0
     assert 0.0 < chi_star <= np.pi / 2
+
+
+def _assert_brent_is_scipys(f, lo, hi, xatol, maxfun=500):
+    """The in-house bounded Brent against the scipy search it ports: same x, same
+    f(x) and same evaluation count, compared exactly."""
+    import scipy.optimize
+    ref = scipy.optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                                         options={"xatol": xatol, "maxiter": maxfun})
+    x, fun, evals = optimizer._bounded_brent(f, lo, hi, xatol, maxfun)
+    assert (x, fun, evals) == (ref.x, ref.fun, ref.nfev)
+
+
+@settings(max_examples=15, deadline=None)
+@given(family=st.sampled_from(sorted(optimizer._FAMILY_BOUNDS)), chi=st.floats(0.0, np.pi))
+def test_family_search_is_scipys_bounded_brent(family, chi):
+    def negated_s(p):
+        return -ch_S(catalog.CatalogSpec(family, p, cutoff=32).build(), chi)
+    _assert_brent_is_scipys(negated_s, *optimizer._FAMILY_BOUNDS[family], 1e-8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_max=st.integers(0, 16),
+       raw=st.lists(st.floats(-1.0, 1.0), min_size=17, max_size=17))
+def test_angle_search_is_scipys_bounded_brent(n_max, raw):
+    c = np.array(raw[:n_max + 1])
+    if np.linalg.norm(c) < 1e-3:
+        c[0] = 1.0
+    v = CoefficientVector(c / np.linalg.norm(c), normalized=True)
+    _assert_brent_is_scipys(lambda ch: -ch_S(v, ch), 1e-6, np.pi / 2, 1e-10)
+
+
+@pytest.mark.parametrize("f, maxfun", [
+    (lambda x: -x, 500),                                  # maximum at the upper bound
+    (lambda x: x, 500),                                   # maximum at the lower bound
+    (lambda ch: -ch_S(seed(0.0, cutoff=4), ch), 500),     # flat: the vacuum at every angle
+    (lambda x: np.cos(7.0 * x), 6),                       # stopped by the evaluation cap
+    (lambda x: np.floor(8.0 * x) % 3.0, 500),             # steps: ties between evaluations
+    (lambda x: np.round((x - 0.7) ** 2, 4), 500),         # a flat-bottomed parabola
+])
+def test_bounded_brent_edge_cases_are_scipys(f, maxfun):
+    _assert_brent_is_scipys(f, 1e-6, np.pi / 2, 1e-10, maxfun)
+    with pytest.raises(ValueError):
+        optimizer._bounded_brent(f, 1.0, 0.0, 1e-8)

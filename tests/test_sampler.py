@@ -244,15 +244,28 @@ def _exact_x_b(plan, cell, negative, u):
     """x_B inverted from the float64 point weights of `cell` in exact rational arithmetic."""
     a = plan.phase[:, None] * bell.hermite_basis(plan.phase.size - 1, plan.centers[[cell]])
     V = bell.hermite_basis(plan.phase.size - 1, plan.centers)
-    w = [Fraction(x) for x in ((a.real.T @ V) ** 2 + (a.imag.T @ V) ** 2)[0]]
+    # float64 weights are dyadic: as integers in units of 2^-1074 every sum is exact
+    w = [n << (1075 - d.bit_length()) for n, d in
+         (x.as_integer_ratio() for x in ((a.real.T @ V) ** 2 + (a.imag.T @ V) ** 2)[0])]
     total, q = sum(w), sum(w[:plan.half])
     target = u * q if negative else q + u * (total - q)
-    below = Fraction(0)
+    below = 0
     for j, wj in enumerate(w[:-1]):
         if below + wj >= target:
             break
         below += wj
     return plan.edges[j] + float((target - below) / wj) * plan.dx
+
+
+def _replay(plan, m, m_minus, rng):
+    """Cell and x_B uniform of each pair raw_pairs returns, in its output order, replayed
+    from its stream (rng as raw_pairs found it)."""
+    n = int(m.sum())
+    _, u_b, order = rng.random(n), rng.random(n), rng.permutation(n)
+    lo, hi = plan.support
+    cells = np.repeat(np.repeat(np.arange(lo, hi), 2),
+                      np.column_stack([m_minus, m - m_minus]).ravel())
+    return cells[order], u_b[order]
 
 
 def _assert_matches_oracle(plan, m, m_minus, rng, new):
@@ -262,19 +275,40 @@ def _assert_matches_oracle(plan, m, m_minus, rng, new):
     state = rng.bit_generator.state
     old = _full_row_pairs(plan, m, m_minus, rng)
     rng.bit_generator.state = state
-    n = int(m.sum())
-    _, u_b, order = rng.random(n), rng.random(n), rng.permutation(n)
-    lo, hi = plan.support
-    cells = np.repeat(np.repeat(np.arange(lo, hi), 2),
-                      np.column_stack([m_minus, m - m_minus]).ravel())[order]
+    cells, u_b = _replay(plan, m, m_minus, rng)
     assert np.array_equal(new[:, 0], old[:, 0])               # same uniforms, same x_A
     assert np.array_equal(new >= 0, old >= 0)
     assert np.all(np.abs(new) <= sampler.GRID_HALF_WIDTH)
     far = np.flatnonzero(np.abs(new[:, 1] - old[:, 1]) > 1e-9)
     assert far.size <= 3                                     # far-tail pairs only
     for i in far:
-        exact = _exact_x_b(plan, cells[i], new[i, 1] < 0, Fraction(u_b[order[i]]))
+        exact = _exact_x_b(plan, cells[i], new[i, 1] < 0, Fraction(u_b[i]))
         assert abs(new[i, 1] - exact) <= 1e-9 < abs(old[i, 1] - exact)
+
+
+def _assert_light_halves_exact(v, chi, plus, minus=(), tol=1e-9):
+    """Two pairs forced onto x_B >= 0 in each support cell `plus` and two onto x_B < 0 in
+    each of `minus`, on top of a drawn batch: each lands on its half, x_B within tol of an
+    exact rational inversion of the same point weights."""
+    plan = sampler._SamplerPlan(v.coeffs, chi)
+    plus, minus = np.asarray(plus, dtype=int), np.asarray(minus, dtype=int)
+    rng = np.random.Generator(np.random.Philox(5))
+    m = rng.multinomial(2_000, plan.p_cell)
+    m_minus = rng.binomial(m, plan.p_minus_b)
+    m[plus] += 2
+    m[minus] += 2
+    m_minus[minus] += 2
+    state = rng.bit_generator.state
+    new = plan.raw_pairs(m, m_minus, rng)
+    rng.bit_generator.state = state
+    cells, u_b = _replay(plan, m, m_minus, rng)
+    lo = plan.support[0]
+    forced = np.flatnonzero(np.isin(cells, plus + lo) & (new[:, 1] >= 0)
+                            | np.isin(cells, minus + lo) & (new[:, 1] < 0))
+    assert forced.size >= 2 * (len(plus) + len(minus))
+    for i in forced:
+        exact = _exact_x_b(plan, cells[i], new[i, 1] < 0, Fraction(u_b[i]))
+        assert abs(new[i, 1] - exact) <= tol
 
 
 @settings(max_examples=10, deadline=None)
@@ -300,26 +334,30 @@ def test_raw_pairs_match_full_row_oracle(pipeline_state, which, chi, seed_int):
 
 def test_raw_pairs_match_oracle_where_a_half_line_holds_nothing():
     # tmss(0.5) at 64 levels: in the outer x_A cells x_B's conditional mass on the far
-    # half-line is below float64 rounding, so P(x_B < 0 | cell) rounds to exactly 1 (or 0
-    # at chi = pi); a pair counted on that half meets a flat CDF, and invert's zero-span
-    # branch puts it in the middle of the half's first cell
+    # half-line, about 4e-21 of the cell's, is below float64 rounding of the cell's CDF, so
+    # P(x_B < 0 | cell) rounds to exactly 1 (or 0 at chi = pi) and the full-row oracle
+    # meets a flat CDF there (it put x_B mid first cell, up to 0.19 off); summed down from
+    # the grid's top, x_B >= 0 keeps its own relative precision.  At 4e-21 the float64
+    # point weights themselves carry ~1e-16 / sqrt(4e-21) ~ 2e-6 of their value, so the
+    # exact inversion of them pins x_B to about 1e-7 (the block weights are finer)
     v = tmss(0.5, cutoff=64)
     for chi in (0.0, np.pi):
         plan = sampler._SamplerPlan(v.coeffs, chi)
-        rng = np.random.Generator(np.random.Philox(5))
-        m = rng.multinomial(2_000, plan.p_cell)
-        m_minus = rng.binomial(m, plan.p_minus_b)
-        # the eight outermost such cells: nearer the middle, P rounds to 1 while the mass
-        # of x_B >= 0 is still near rounding, where neither inversion resolves it
+        # the eight outermost such cells
         empty_plus = np.flatnonzero(plan.p_minus_b == 1.0)
         x_a = plan.centers[plan.support[0] + empty_plus]
-        empty_plus = empty_plus[np.argsort(-np.abs(x_a))[:8]]
-        m[empty_plus] += 2                        # two x_B >= 0 pairs in each such cell
-        state = rng.bit_generator.state
-        new = plan.raw_pairs(m, m_minus, rng)
-        rng.bit_generator.state = state
-        _assert_matches_oracle(plan, m, m_minus, rng, new)
-        assert np.sum(new[:, 1] == plan.centers[plan.half]) >= 16
+        _assert_light_halves_exact(v, chi, empty_plus[np.argsort(-np.abs(x_a))[:8]], tol=2e-7)
+
+
+def test_raw_pairs_keep_precision_on_a_light_half_line():
+    # tmss(0.6) at chi = 0: cells where one half holds about 2.8e-12 of the cell's mass; in
+    # units of the whole cell the x_B >= 0 target q + u (1 - q) and its CDF carry ~1e-16,
+    # which put x_B 2.7e-5 off the exact inversion in this batch
+    v = tmss(0.6)
+    plan = sampler._SamplerPlan(v.coeffs, 0.0)
+    plus = np.argsort(np.abs(1.0 - plan.p_minus_b - 2.8e-12))[:8]
+    minus = np.argsort(np.abs(plan.p_minus_b - 2.8e-12))[:8]
+    _assert_light_halves_exact(v, 0.0, plus, minus)
 
 
 def test_raw_x_b_has_the_x_a_marginal(pipeline_state):
