@@ -21,7 +21,10 @@ Every Bell quantity therefore follows from P++ at chi and 3 chi: the correlation
 E = 2 (P++ - P+-) = 4 P++ - 1, the CH combination S = 3 P++(chi) - P++(3 chi) and
 the CHSH combination B = 3 E(chi) - E(3 chi) = 4 S - 2.  Searches maximize S.
 Only the marginal P+ = P++ + P+- and the literal four-angle CH ratio evaluate
-P++ at chi + pi, as their definitions read.
+P++ at chi + pi, as their definitions read.  With G_nn = 1/2 and only odd n - m
+off the diagonal, P++(chi) = |c|^2 / 4 + sum_(d odd) a_d cos(d chi) where
+a_d = 2 sum_(n - m = d) c_n c_m G_nm^2: each state forms its a_d once, then an
+angle costs O(N).  The matrix K is formed only for the optimizer's eigenproblem.
 """
 
 from __future__ import annotations
@@ -112,13 +115,30 @@ def kernel(k: int, chi: float) -> np.ndarray:
     return np.cos(d * chi) * G * G
 
 
-def _p_plus_plus(c: np.ndarray, chi: float) -> float:
-    return float(c @ kernel(c.size, chi) @ c)
+@lru_cache(maxsize=64)
+def _odd_pairs(k: int):
+    """Read-only (n, m, (n - m - 1) / 2, 2 G_nm^2) over the pairs n > m of levels
+    0..k-1 with n - m odd, the only off-diagonal pairs where G is nonzero; cached."""
+    d = np.subtract.outer(np.arange(k), np.arange(k))
+    n, m = np.nonzero((d > 0) & (d % 2 == 1))
+    table = (n, m, (n - m - 1) // 2, 2.0 * overlap_table(k - 1)[n, m] ** 2)
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
+def _p_plus_plus_of(v: CoefficientVector):
+    """P++ as a function of chi, by the cosine polynomial of the module docstring."""
+    c = _checked_coeffs(v)
+    n, m, half, w = _odd_pairs(c.size)
+    a = np.bincount(half, weights=w * c[n] * c[m], minlength=c.size // 2)
+    odd, base = np.arange(1, 2 * a.size, 2), 0.25 * float(c @ c)
+    return lambda chi: base + float(np.cos(chi * odd) @ a)
 
 
 def p_plus_plus(v: CoefficientVector, chi: float) -> float:
     """Joint probability that both homodyne outcomes are nonnegative, at angle sum chi."""
-    return _p_plus_plus(_checked_coeffs(v), chi)
+    return _p_plus_plus_of(v)(chi)
 
 
 def marginal_plus(v: CoefficientVector, theta: float) -> float:
@@ -126,14 +146,12 @@ def marginal_plus(v: CoefficientVector, theta: float) -> float:
 
     Equals 1/2 for every photon-number-correlated state, independent of angle.
     """
-    c = _checked_coeffs(v)
-    return _p_plus_plus(c, theta) + _p_plus_plus(c, theta + np.pi)
+    p = _p_plus_plus_of(v)
+    return p(theta) + p(theta + np.pi)
 
 
 def correlation_E(v: CoefficientVector, chi: float) -> float:
-    """Correlation E = P++ + P-- - P+- - P-+ at angle sum chi."""
-    # P-- = P++ and P-+ = P+- = 1/2 - P++: G's equal-parity entries vanish off
-    # the diagonal and G_nn = 1/2, so K(chi) + K(chi + pi) = I/2
+    """Correlation E = P++ + P-- - P+- - P-+ = 4 P++ - 1 at angle sum chi (module docstring)."""
     return 4.0 * p_plus_plus(v, chi) - 1.0
 
 
@@ -144,7 +162,8 @@ def chsh_B(v: CoefficientVector, chi: float) -> float:
 
 def ch_S(v: CoefficientVector, chi: float) -> float:
     """CH combination S = 3 P++(chi) - P++(3 chi); |S| <= 1 for local realism."""
-    return 3.0 * p_plus_plus(v, chi) - p_plus_plus(v, 3.0 * chi)
+    p = _p_plus_plus_of(v)
+    return 3.0 * p(chi) - p(3.0 * chi)
 
 
 def ch_ratio_literal(v: CoefficientVector, angles: BellAngles = BellAngles()) -> float:
@@ -154,10 +173,9 @@ def ch_ratio_literal(v: CoefficientVector, angles: BellAngles = BellAngles()) ->
     For the default angle list this is P++(pi/4) + P++(3 pi/4), which differs
     from the simplified ch_S; the gap is diagnostic, not an error.
     """
-    num = (p_plus_plus(v, angles.theta1 + angles.phi1)
-           - p_plus_plus(v, angles.theta1 + angles.phi2)
-           + p_plus_plus(v, angles.theta2 + angles.phi1)
-           + p_plus_plus(v, angles.theta2 + angles.phi2))
+    p = _p_plus_plus_of(v)
+    num = (p(angles.theta1 + angles.phi1) - p(angles.theta1 + angles.phi2)
+           + p(angles.theta2 + angles.phi1) + p(angles.theta2 + angles.phi2))
     den = marginal_plus(v, angles.theta2) + marginal_plus(v, angles.phi1)
     return num / den
 
@@ -241,8 +259,8 @@ class BellReport:
 
 def bell_report(v: CoefficientVector, chi: float, provenance: str | None = None) -> BellReport:
     """Evaluate P++, E, B and S for one state from P++ at chi and 3 chi."""
-    p1 = p_plus_plus(v, chi)
-    p3 = p_plus_plus(v, 3.0 * chi)
+    p = _p_plus_plus_of(v)
+    p1, p3 = p(chi), p(3.0 * chi)
     s = 3.0 * p1 - p3
     return BellReport(chi=chi, p_pp_chi=p1, p_pp_3chi=p3, E_chi=4.0 * p1 - 1.0,
                       E_3chi=4.0 * p3 - 1.0, B=4.0 * s - 2.0, S=s, cutoff=v.cutoff,

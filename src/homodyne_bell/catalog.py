@@ -21,7 +21,7 @@ from math import lgamma, log
 
 import numpy as np
 
-from .fock_core import TAIL_TOL, CoefficientVector, normalize, read_state_file
+from .fock_core import TAIL_TOL, CoefficientVector, read_state_file
 
 HARD_CUTOFF_CAP = 64
 
@@ -64,13 +64,13 @@ def _auto_cutoff(param: float, log_coeff, cutoff: int | None) -> int:
 
 def _finished(c: np.ndarray, cutoff: int | None, family: str, param: float) -> CoefficientVector:
     """Normalized family state; an automatic cutoff must have converged."""
-    v = normalize(CoefficientVector(c))
-    if cutoff is None and not v.converged:
+    c = c / np.sqrt(float(np.dot(c, c)))    # family coefficients are never negative
+    if cutoff is None and not c[-1] ** 2 < TAIL_TOL:
         raise ValueError(
             f"{family} with {FAMILY_PARAMETERS[family]} = {param:g} keeps tail mass "
-            f"c_N^2 = {v.tail_mass:.2e} > {TAIL_TOL:g} at the {HARD_CUTOFF_CAP}-level "
+            f"c_N^2 = {c[-1] ** 2:.2e} > {TAIL_TOL:g} at the {HARD_CUTOFF_CAP}-level "
             f"automatic cutoff cap; pass an explicit cutoff")
-    return CoefficientVector(v.coeffs, normalized=True, provenance=f"{family}({param:g})")
+    return CoefficientVector(c, normalized=True, provenance=f"{family}({param:g})")
 
 
 def tmss(lam: float, cutoff: int | None = None) -> CoefficientVector:

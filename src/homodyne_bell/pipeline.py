@@ -17,6 +17,7 @@ verify stage 1 and the recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lgamma, log
 
 import numpy as np
@@ -41,19 +42,28 @@ from .linear_optics import (
 )
 
 
-def gaussify_coefficients(c: np.ndarray) -> np.ndarray:
-    """One un-normalized recursion step on raw coefficients (same length out).
-
-    Exact for inputs whose support fits the array: entry n only reads c_0..c_n.
-    """
-    c = np.asarray(c, dtype=float)
-    n = np.arange(c.size)
+@lru_cache(maxsize=32)
+def _gaussify_weights(size: int):
+    """Read-only cached (w, d): c'_n = sum_r w[n, r] c[d[n, r]] c_r, w = 0 where r > n."""
+    n = np.arange(size)
     logfact = np.array([lgamma(k + 1) for k in n])
     d = n[:, None] - n[None, :]                      # n - r; the sum runs over d >= 0
     valid = d >= 0
     d = np.where(valid, d, 0)
     logbin = logfact[:, None] - (logfact[None, :] + logfact[d])
     w = np.where(valid, np.exp(logbin - n[:, None] * log(2.0)), 0.0)
+    for a in (w, d):
+        a.setflags(write=False)
+    return w, d
+
+
+def gaussify_coefficients(c: np.ndarray) -> np.ndarray:
+    """One un-normalized recursion step on raw coefficients (same length out).
+
+    Exact for inputs whose support fits the array: entry n only reads c_0..c_n.
+    """
+    c = np.asarray(c, dtype=float)
+    w, d = _gaussify_weights(c.size)
     return (w * c[d]) @ c
 
 

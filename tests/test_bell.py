@@ -15,6 +15,8 @@ from homodyne_bell import (
     hermite_wavefunction,
     marginal_plus,
     normalize,
+    optimize_angle,
+    optimize_family_parameter,
     overlap_table,
     p_plus_plus,
     p_plus_plus_quadrature_oracle,
@@ -22,6 +24,7 @@ from homodyne_bell import (
     seed,
     tmss,
 )
+from homodyne_bell import bell
 from homodyne_bell.bell import kernel
 
 CHI = np.pi / 4
@@ -55,6 +58,9 @@ def test_overlap_table_closed_form_entries():
 def test_overlap_table_invariants_exhaustive_at_32():
     G = overlap_table(32)
     assert np.array_equal(G, G.T)
+    # the cached table and the cached odd-pair table behind P++ are shared: never writable
+    assert not G.flags.writeable
+    assert not any(a.flags.writeable for a in bell._odd_pairs(33))
     assert np.all(np.diag(G) == 0.5)
     off = np.array(G)
     np.fill_diagonal(off, 0.0)
@@ -75,9 +81,10 @@ def test_overlap_table_matches_half_line_quadrature(n_max):
 
 
 def test_p_plus_plus_vacuum_is_quarter():
-    vac = seed(0.0, cutoff=4)
-    for chi in (0.0, 0.3, CHI, 2.0):
-        assert abs(p_plus_plus(vac, chi) - 0.25) < 1e-12
+    # one level has no odd pairs at all; padded levels contribute exact zeros
+    for vac in (seed(0.0, cutoff=0), seed(0.0, cutoff=4)):
+        for chi in (0.0, 0.3, CHI, 2.0):
+            assert p_plus_plus(vac, chi) == 0.25
 
 
 def test_p_plus_plus_bell_seed_closed_value():
@@ -108,10 +115,28 @@ def test_kernel_invariants_on_random_states(chi, n_max, seed_int):
     # flipping one sign shifts chi by pi: K(chi + pi) = (-1)^(n - m) K(chi)
     parity = np.where(np.subtract.outer(np.arange(n_max + 1), np.arange(n_max + 1)) % 2, -1, 1)
     assert np.max(np.abs(kernel(n_max + 1, chi + np.pi) - parity * K)) < 1e-15
-    assert abs(p_plus_plus(v, chi) - v.coeffs @ K @ v.coeffs) < 1e-15
+    c, K3 = v.coeffs, kernel(n_max + 1, 3.0 * chi)
+    assert abs(p_plus_plus(v, chi) - c @ K @ c) < 1e-15
+    assert abs(ch_S(v, chi) - c @ (3.0 * K - K3) @ c) < 1e-15
+    assert abs(bell_report(v, chi).p_pp_3chi - c @ K3 @ c) < 1e-15
     assert abs(ch_S(v, chi) - (chsh_B(v, chi) / 4.0 + 0.5)) < 1e-10
     assert abs(marginal_plus(v, chi) - 0.5) < 1e-12
     assert abs(correlation_E(v, chi)) <= 1.0 + 1e-12
+
+
+def test_functionals_never_build_a_kernel(pipeline_state, monkeypatch):
+    # every Bell value comes from the cosine polynomial; K is only the eigenproblem's
+    def refuse(*_):
+        raise AssertionError("a Bell functional built a kernel matrix")
+
+    monkeypatch.setattr(bell, "kernel", refuse)
+    v = pipeline_state
+    values = [p_plus_plus(v, CHI), ch_S(v, CHI), chsh_B(v, CHI), correlation_E(v, CHI),
+              marginal_plus(v, CHI), bell_report(v, CHI).B, ch_ratio_literal(v)]
+    assert np.all(np.isfinite(values))
+    assert abs(optimize_angle(v)[0] - CHI) < 1e-7
+    r_star, b_star = optimize_family_parameter("circle", CHI)
+    assert abs(r_star - 1.12) < 0.05 and b_star > 2.0
 
 
 def test_marginal_is_half_for_all_angles(pipeline_state):

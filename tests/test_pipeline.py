@@ -23,6 +23,7 @@ from homodyne_bell import (
     stage1_transmissivity,
     stage1_verify,
 )
+from homodyne_bell import pipeline
 from homodyne_bell.pipeline import PipelineConfig
 
 XI = 1 / np.sqrt(2)
@@ -77,6 +78,8 @@ def test_gaussify_matches_exact_binomial_recursion_on_pipeline_states():
         for v in (rep.seed_state, *rep.stage_states):
             wide = np.concatenate([v.coeffs, np.zeros(v.coeffs.size - 1)])
             assert np.max(np.abs(gaussify_coefficients(wide) - exact(wide))) < 1e-14
+            # the weights are cached by size and shared between calls: never writable
+            assert not any(a.flags.writeable for a in pipeline._gaussify_weights(wide.size))
 
 
 def test_seed_expansion_by_hand():
