@@ -1,6 +1,8 @@
 """Conditional preparation of correlated photon-number states and
 quadrature-homodyne Bell tests in truncated Fock space."""
 
+from types import ModuleType as _ModuleType
+
 from .bell import (
     BellAngles,
     BellReport,
@@ -59,58 +61,6 @@ from .sampler import BEstimate, SampleBatch, estimate_B, sample_joint
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BEstimate",
-    "BeamSplitter",
-    "BellAngles",
-    "BellReport",
-    "CatalogSpec",
-    "CoefficientVector",
-    "ConditionalEnsemble",
-    "DetectorOutcome",
-    "FourModeTensor",
-    "PipelineConfig",
-    "PipelineReport",
-    "SampleBatch",
-    "Stage1Report",
-    "TwoModeAmplitudeMatrix",
-    "apply_bs_pair_on_four_modes",
-    "apply_bs_two_mode",
-    "bell_report",
-    "bs_matrix_element",
-    "ch_S",
-    "ch_ratio_literal",
-    "chsh_B",
-    "circle",
-    "condition_on_outcome",
-    "correlation_E",
-    "diagonal_coefficients",
-    "embed_diagonal",
-    "estimate_B",
-    "gaussify_coefficients",
-    "gaussify_step",
-    "hermite_wavefunction",
-    "marginal_plus",
-    "norm_squared",
-    "normalize",
-    "optimize_angle",
-    "optimize_coefficients",
-    "optimize_family_parameter",
-    "overgaussification_scan",
-    "overlap_table",
-    "p_plus_plus",
-    "p_plus_plus_quadrature_oracle",
-    "photon_subtract_beamsplitter",
-    "photon_subtract_exact",
-    "ps_tmss",
-    "read_state_file",
-    "run_pipeline",
-    "sample_joint",
-    "seed",
-    "seed_transmissivity",
-    "stage1_transmissivity",
-    "stage1_verify",
-    "tmss",
-    "trace_distance_pure_vs_ensemble",
-    "write_state_file",
-]
+# the public API is every class and function imported above
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

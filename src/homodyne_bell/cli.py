@@ -82,6 +82,8 @@ def cmd_state(args) -> None:
 
 
 def cmd_pipeline(args) -> None:
+    if args.verify_stage1 != (args.lam is not None):
+        raise ValueError("--verify-stage1 and --lambda (the stage-1 squeezing) go together")
     cfg = PipelineConfig(
         xi=args.xi,
         lam=args.lam,

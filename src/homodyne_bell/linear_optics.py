@@ -30,6 +30,7 @@ from .fock_core import (
 )
 
 _UNITARITY_TOL = 1e-12
+NORM_GATE = 1e-6        # largest |norm^2 - 1| a four-mode state may bring to conditioning
 
 
 @dataclass(frozen=True)
@@ -196,7 +197,7 @@ def condition_on_outcome(t: FourModeTensor, modes: tuple = ("c", "d"),
     leaves room for documented truncation leakage, which shrinks the norm by
     the input's top-shell mass at worst.
     """
-    if abs(t.norm_squared() - 1.0) > 1e-6:
+    if abs(t.norm_squared() - 1.0) > NORM_GATE:
         raise ValueError("conditioning expects a normalized four-mode state")
     if len(modes) != 2 or len(outcomes) != 2:
         raise ValueError("exactly two detected modes and outcomes are required")

@@ -10,17 +10,16 @@ Family-parameter and angle searches are bounded 1-D maximizations by
 `scipy.optimize.minimize_scalar(method="bounded")` runs, so they need numpy
 alone and return scipy's values bit for bit.
 
-Only the nonnegative coefficient ascent uses scipy: `scipy.optimize` is
-imported on first use of `minimize`, a module attribute bound then (PEP 562),
-so importing the package or running any 1-D search does not pay for scipy.
-The ascent calls it through the module, so a name rebound from outside is the
-one called.
+The nonnegative optimum, where the constraint binds, is a projected power
+(minorize-maximize) ascent that ends on an exact face solve certified by the
+KKT conditions; it needs numpy alone too.  The module attribute `minimize` is
+still bound to scipy's on first access (PEP 562) for outside code that reads
+it, such as the benchmark tracer; nothing in the package calls it.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
@@ -29,7 +28,8 @@ from .fock_core import CoefficientVector
 
 _OBJECTIVES = ("chsh", "ch")
 _SCIPY_NAMES = ("minimize",)
-_module = sys.modules[__name__]
+_KKT_TOL = 1e-12        # eigenvalue ties, zero entries and (M c)_i <= 0 are judged to it
+_ASCENT_STEPS = 20_000
 
 
 def __getattr__(name: str):
@@ -49,38 +49,60 @@ def _reported(objective: str):
     return (lambda s: 4.0 * s - 2.0) if objective == "chsh" else (lambda s: s)
 
 
+def _nonnegative_top(M: np.ndarray, w_min: float, v_top: np.ndarray, chi: float):
+    """A unit c >= 0 maximizing c^T M c, certified as a KKT point.
+
+    Projected power steps x <- P+((M - w_min I) x) / norm from |v_top| never lower
+    the quotient.  Whenever the support F holds for one step, x_F is projected on
+    the top eigenspace of M_FF; that c is returned once it is nonnegative (entries
+    down to -_KKT_TOL are clipped to 0) with (M c)_i <= 0 wherever c_i = 0.  An x
+    orthogonal to that eigenspace is a saddle: it takes a half step along M_FF's
+    top eigenvector, then P+.  Raises RuntimeError at the step cap.
+    """
+    A, x = M - w_min * np.eye(len(M)), np.abs(v_top)
+    prev, tried = (x > 0.0).tobytes(), None
+    for _ in range(_ASCENT_STEPS):
+        face = x > 0.0
+        key = face.tobytes()
+        if key == prev and key != tried:
+            tried = key
+            w, V = np.linalg.eigh(M[np.ix_(face, face)])
+            top = V[:, w >= w[-1] - _KKT_TOL]
+            c = np.zeros(len(M))
+            c[face] = top @ (top.T @ x[face])
+            norm = np.linalg.norm(c)
+            if norm < _KKT_TOL:
+                t = V[:, -1] * np.copysign(1.0, V[:, -1] @ x[face])
+                x[face] = np.maximum(x[face] + 0.5 * t, 0.0)
+                tried = None
+            elif c.min() >= -_KKT_TOL * norm:
+                c = np.maximum(c, 0.0) / norm
+                if np.all((M @ c)[c == 0.0] <= _KKT_TOL):
+                    return c
+        prev, x = key, np.maximum(A @ x, 0.0)
+        norm = math.sqrt(x @ x)
+        if norm == 0.0:
+            break
+        x /= norm
+    raise RuntimeError(f"nonnegative ascent certified no optimum within {_ASCENT_STEPS} "
+                       f"steps (N={len(M) - 1}, chi={chi!r})")
+
+
 def optimize_coefficients(n_max: int, chi: float, objective: str = "chsh",
                           nonnegative: bool = False):
     """Maximize the Bell functional over unit coefficient vectors c_0..c_n_max.
 
     Returns (CoefficientVector, value, (value,)); the first nonzero coefficient
     is made positive.  The free optimum is exact.  The nonnegative one, where
-    the constraint binds, comes from one L-BFGS-B ascent started at the
-    absolute free optimum, then solved exactly on the face it ends on.
+    the constraint binds, is the KKT point `_nonnegative_top` certifies.
     """
     report = _reported(objective)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     k = n_max + 1
     M = 3.0 * bell.kernel(k, chi) - bell.kernel(k, 3.0 * chi)
-    c = np.linalg.eigh(M)[1][:, -1]
-    if nonnegative:
-        def negated(x):
-            mx, n2 = M @ x, float(x @ x)
-            q = float(x @ mx) / n2
-            return -q, (2.0 * q * x - 2.0 * mx) / n2
-
-        c = _module.minimize(negated, np.abs(c), jac=True, method="L-BFGS-B",
-                             bounds=[(0.0, None)] * k,
-                             options={"maxiter": 10_000, "ftol": 1e-12}).x
-        # The ascent stops short by ~1e-10; on the face it found, the exact
-        # optimum is the top eigenvector of M restricted to the support.
-        face = c > 0.0
-        top = np.linalg.eigh(M[np.ix_(face, face)])[1][:, -1]
-        top *= np.sign(top.sum())
-        if np.all(top > 0.0):
-            c = np.zeros(k)
-            c[face] = top
+    w, V = np.linalg.eigh(M)
+    c = _nonnegative_top(M, w[0], V[:, -1], chi) if nonnegative else V[:, -1]
     c = c / np.linalg.norm(c)
     c = c * np.sign(c[np.flatnonzero(np.abs(c) > 1e-12)[0]])
     value = report(float(c @ M @ c))

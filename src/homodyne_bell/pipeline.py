@@ -33,6 +33,7 @@ from .fock_core import (
     trace_distance_pure_vs_ensemble,
 )
 from .linear_optics import (
+    NORM_GATE,
     BeamSplitter,
     DetectorOutcome,
     apply_bs_pair_on_four_modes,
@@ -127,6 +128,8 @@ def stage1_verify(xi: float, lam: float, cutoff: int = 4) -> Stage1Report:
     R = -sqrt(1 - T^2), the phase at which the heralded two-photon amplitude
     is +xi, with T from the calibrated solve.  Returns the branch ensemble on
     (a, b), its trace distance to seed(xi), and the heralding probability.
+    Raises ValueError where the splitters leak more norm past the cutoff than
+    conditioning admits.
     """
     if cutoff < 4:
         raise ValueError("stage-1 verification needs cutoff >= 4")
@@ -141,6 +144,10 @@ def stage1_verify(xi: float, lam: float, cutoff: int = 4) -> Stage1Report:
     t_used = stage1_transmissivity(xi, lam)
     splitter = BeamSplitter(t_used, -np.sqrt(1.0 - t_used * t_used))
     mixed = apply_bs_pair_on_four_modes(splitter, tensor, ("ac", "bd"))
+    lost = 1.0 - mixed.norm_squared()
+    if abs(lost) > NORM_GATE:
+        raise ValueError(f"stage 1 at lambda={lam:g} leaks {lost:.3e} of the norm past cutoff "
+                         f"{cutoff} ({'; '.join(mixed.notes)}); use a smaller lambda")
     ensemble = condition_on_outcome(
         mixed, modes=("c", "d"),
         outcomes=(DetectorOutcome.click(), DetectorOutcome.click()),

@@ -74,6 +74,23 @@ def test_pipeline_stage1_verification(tmp_path):
     assert doc["stage1"]["trace_distance"] < 1e-3
 
 
+@pytest.mark.parametrize("flags", [["--verify-stage1"], ["--lambda", "0.01"]])
+def test_pipeline_stage1_needs_both_flags(tmp_path, capsys, flags):
+    out = tmp_path / "half.json"
+    assert run_cli("pipeline", "--xi", "0.7071", *flags, "--out", str(out)) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: --verify-stage1 and --lambda")
+
+
+@pytest.mark.parametrize("lam", ["0.3", "0.5", "0.9"])
+def test_pipeline_refuses_stage1_leaking_past_its_cutoff(tmp_path, capsys, lam):
+    out = tmp_path / "leaky.json"
+    assert run_cli("pipeline", "--xi", "0.7071", "--lambda", lam, "--verify-stage1",
+                   "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"stage 1 at lambda={lam} leaks" in err and "past cutoff 4" in err
+
+
 def test_bell_on_vacuum_state(tmp_path):
     state = tmp_path / "vacuum.json"
     write_state_file(seed(0.0, cutoff=4), state)

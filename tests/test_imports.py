@@ -1,5 +1,6 @@
-"""The cold path: importing the package and running any subcommand loads no scipy
-module; the nonnegative coefficient ascent still finds scipy's `minimize`."""
+"""The cold path: importing the package, running any subcommand and the
+nonnegative coefficient ascent load no scipy module; `optimizer.minimize` is still
+scipy's for outside code that reads it, and nothing in the package calls it."""
 
 import os
 import subprocess
@@ -54,6 +55,14 @@ def test_subcommands_load_no_scipy(tmp_path, argv):
     assert scipy_modules(names) == []
 
 
+def test_public_api_is_every_imported_class_and_function():
+    public = set(homodyne_bell.__all__)
+    assert {"optimize_coefficients", "stage1_verify", "CoefficientVector", "estimate_B"} <= public
+    assert not {"bell", "optimizer", "_ModuleType", "__version__"} & public
+    for name in public:
+        assert getattr(homodyne_bell, name).__module__.startswith("homodyne_bell."), name
+
+
 def test_optimizer_minimize_is_scipys():
     import scipy.optimize
     assert optimizer.minimize is scipy.optimize.minimize
@@ -63,17 +72,20 @@ def test_optimizer_minimize_is_scipys():
         optimizer.maximize
 
 
-def test_lbfgs_ascent_calls_the_module_attribute(monkeypatch):
-    calls = []
-    lbfgs = optimizer.minimize
+def test_nonnegative_ascent_loads_no_scipy():
+    names = imported_modules("-c", "import math; from homodyne_bell import optimizer; "
+                             "optimizer.optimize_coefficients(10, math.pi / 4, nonnegative=True)")
+    assert "homodyne_bell.optimizer" in names
+    assert scipy_modules(names) == []
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs["method"])
-        return lbfgs(*args, **kwargs)
 
-    monkeypatch.setattr(optimizer, "minimize", counted)
-    optimizer.optimize_coefficients(10, np.pi / 4, nonnegative=True)
-    assert calls == ["L-BFGS-B"]
+def test_nonnegative_ascent_never_calls_minimize(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("optimizer.minimize was called")
+
+    monkeypatch.setattr(optimizer, "minimize", refuse)
+    vec, _, _ = optimizer.optimize_coefficients(10, np.pi / 4, nonnegative=True)
+    assert np.all(vec.coeffs >= 0.0)
 
 
 def test_family_search_still_finds_the_circle_optimum(tmp_path):

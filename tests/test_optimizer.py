@@ -105,6 +105,69 @@ def test_nonnegative_optimum_is_feasible_and_bounded(n_max):
     assert abs(s_nonneg - (b_nonneg / 4.0 + 0.5)) < 1e-10
 
 
+def _lbfgs_face_oracle(M):
+    """The nonnegative optimum as scipy's L-BFGS-B finds it from the absolute free
+    optimum, then solved on the face it ends on where that face's top eigenvector
+    is positive; an independent route to the same ceiling."""
+    import scipy.optimize
+
+    def negated(x):
+        mx, n2 = M @ x, float(x @ x)
+        q = float(x @ mx) / n2
+        return -q, (2.0 * q * x - 2.0 * mx) / n2
+
+    c = scipy.optimize.minimize(negated, np.abs(np.linalg.eigh(M)[1][:, -1]), jac=True,
+                                method="L-BFGS-B", bounds=[(0.0, None)] * len(M),
+                                options={"maxiter": 10_000, "ftol": 1e-12}).x
+    face = c > 0.0
+    top = np.linalg.eigh(M[np.ix_(face, face)])[1][:, -1]
+    top *= np.sign(top.sum())
+    if np.all(top > 0.0):
+        c = np.zeros(len(M))
+        c[face] = top
+    return float(c @ M @ c) / float(c @ c)
+
+
+@pytest.mark.parametrize("n_max", [4, 8, 10, 12, 16, 24, 32])
+def test_nonnegative_optimum_is_a_certified_kkt_point(n_max):
+    # angles in the domain optimize_angle searches, (0, pi/2]
+    for chi in [CHI, *np.random.default_rng(n_max).uniform(0.05, np.pi / 2, 3)]:
+        k = n_max + 1
+        M = 3.0 * bell.kernel(k, chi) - bell.kernel(k, 3.0 * chi)
+        vec, s, _ = optimize_coefficients(n_max, chi, objective="ch", nonnegative=True)
+        c = vec.coeffs
+        face = c > 0.0
+        assert np.all(c >= 0.0)
+        assert abs(ch_S(vec, chi) - s) < 1e-12
+        assert np.max(np.abs(M[np.ix_(face, face)] @ c[face] - s * c[face])) < 1e-12
+        assert np.all((M @ c)[~face] <= 1e-12)
+        assert s >= _lbfgs_face_oracle(M) - 1e-13
+
+
+def test_nonnegative_ascent_certifies_integer_matrices():
+    # small integer matrices have the ties, exact zeros and saddles the Bell
+    # kernel avoids: a face eigenvector with a zero entry, |v_top| a minimizer
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        k = int(rng.integers(2, 8))
+        R = rng.integers(-3, 4, (k, k)).astype(float)
+        M = (R + R.T) / 2.0
+        w, V = np.linalg.eigh(M)
+        c = optimizer._nonnegative_top(M, w[0], V[:, -1], 0.0)
+        face, s = c > 0.0, float(c @ M @ c)
+        assert np.all(c >= 0.0) and abs(np.linalg.norm(c) - 1.0) < 1e-14
+        assert np.max(np.abs(M[np.ix_(face, face)] @ c[face] - s * c[face])) < 1e-12
+        assert s >= np.linalg.eigvalsh(M[np.ix_(face, face)])[-1] - 1e-12
+        assert np.all((M @ c)[~face] <= 1e-12)
+
+
+def test_nonnegative_ascent_at_its_step_cap_names_n_and_chi(monkeypatch):
+    # N = 10 at pi/4 settles its support after about 20 steps
+    monkeypatch.setattr(optimizer, "_ASCENT_STEPS", 1)
+    with pytest.raises(RuntimeError, match=r"within 1 steps \(N=10, chi=0\.785"):
+        optimize_coefficients(10, CHI, nonnegative=True)
+
+
 def test_large_dimension_is_solved():
     vec, value, _ = optimize_coefficients(24, CHI)
     assert vec.cutoff == 24

@@ -176,6 +176,12 @@ def test_stage1_impossible_at_zero_squeezing():
         stage1_verify(XI, 0.0)
 
 
+def test_stage1_refuses_leakage_past_its_cutoff():
+    assert stage1_verify(XI, 0.25).success_probability > 0.0
+    with pytest.raises(ValueError, match=r"lambda=0\.3 leaks .* past cutoff 4"):
+        stage1_verify(XI, 0.3)
+
+
 def test_stage1_needs_enough_levels():
     with pytest.raises(ValueError):
         stage1_verify(XI, 0.01, cutoff=3)
