@@ -1,23 +1,22 @@
 """Closed-form coefficient generators for the named state families.
 
-Families (amplitudes of sum_n c_n |n,n>):
-
-* two-mode squeezed state:       c_n = lambda^n sqrt(1 - lambda^2)
-* circle state:                  c_n = r^(2n) / (n! sqrt(I0(2 r^2)))
-* photon-subtracted squeezed:    c_n = sqrt((1-lambda^2)^3 / (1+lambda^2)) (n+1) lambda^n
-* two-term seed:                 (|0,0> + xi |1,1>) / sqrt(1 + xi^2)
-
-Generators renormalize the truncated tail (the discarded mass is below the
-tail tolerance at auto-selected cutoffs, so printed-formula values survive to
-better than 1e-12).  An automatic cutoff that reaches HARD_CUTOFF_CAP with
-the tail still above tolerance is an error; an explicit cutoff truncates as
-asked and the vector reports `converged = False`.
+Tmss, ps_tmss and circle are power series c_n = alpha_n t^n / norm, the
+amplitudes of sum_n c_n |n,n>, each stated once by t and alpha_n / alpha_(n-1)
+with alpha_0 = 1: tmss (lambda, 1), ps_tmss (lambda, (n+1)/n), circle (r^2, 1/n).
+The norm is taken once over the kept levels; the printed prefactors
+sqrt(1 - lambda^2), sqrt((1-lambda^2)^3 / (1+lambda^2)) and I0(2 r^2)^(-1/2) are
+its limits.  Without a cutoff the levels run to the first N >= 1 with
+(alpha_N t^N)^2 < TAIL_TOL = 1e-12, at most HARD_CUTOFF_CAP = 64.  The norm is
+at least alpha_0 = 1, so only a capped state can keep c_N^2 at or above the
+tolerance, and such a state is refused.  An explicit cutoff truncates as asked
+and the vector reports `converged = False`.  The two-term seed
+(|0,0> + xi |1,1>) / sqrt(1 + xi^2) has its own generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lgamma, log
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,48 +25,42 @@ from .fock_core import TAIL_TOL, CoefficientVector, read_state_file
 HARD_CUTOFF_CAP = 64
 
 
-def bessel_i0(x: float) -> float:
-    """Modified Bessel I0 by its power series with term-ratio recurrence.
-
-    Arguments used here stay below ~20, where the series converges quickly.
-    """
-    if x < 0:
-        raise ValueError("I0 series implemented for x >= 0")
-    term = 1.0
-    total = 1.0
-    k = 0
-    while term > 1e-18 * total:
-        k += 1
-        term *= (x * x / 4.0) / (k * k)
-        total += term
-        if k > 1000:
-            raise ValueError(f"I0 series failed to converge for x = {x!r}")
-    return total
+class Family(NamedTuple):
+    parameter: str | None       # None: the family reads a state file
+    bounds: tuple | None        # default interval of a search over the parameter
 
 
-def _auto_cutoff(param: float, log_coeff, cutoff: int | None) -> int:
-    """Smallest N with c_N^2 < tail tolerance, capped; or the explicit cutoff.
-
-    A zero parameter gives the vacuum, which needs no level above n = 1.
-    """
-    if cutoff is not None:
-        if cutoff < 0:
-            raise ValueError("cutoff must be nonnegative")
-        return cutoff
-    if param == 0.0:
-        return 1
-    for n in range(1, HARD_CUTOFF_CAP + 1):
-        if 2.0 * log_coeff(n) < log(TAIL_TOL):
-            return n
-    return HARD_CUTOFF_CAP
+FAMILIES = {
+    "tmss": Family("lambda", (0.0, 0.95)),
+    "ps_tmss": Family("lambda", (0.0, 0.95)),
+    "circle": Family("r", (0.05, 3.0)),
+    "seed": Family("xi", (0.0, 3.0)),
+    "pipeline": Family("xi", (0.2, 1.5)),
+    "custom": Family(None, None),
+}
 
 
-def _finished(c: np.ndarray, cutoff: int | None, family: str, param: float) -> CoefficientVector:
-    """Normalized family state; an automatic cutoff must have converged."""
-    c = c / np.sqrt(float(np.dot(c, c)))    # family coefficients are never negative
+def family_name(name: str) -> str:
+    """The spelling of a family in FAMILIES: `ps-tmss` is `ps_tmss`."""
+    return name.replace("-", "_")
+
+
+def _series(family: str, param: float, t: float, ratio, cutoff: int | None) -> CoefficientVector:
+    """Normalized c_n ~ alpha_n t^n, alpha_0 = 1, alpha_n = alpha_(n-1) ratio(n); the
+    automatic cutoff and its refusal are the module docstring's."""
+    if cutoff is not None and cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
+    n_max = HARD_CUTOFF_CAP if cutoff is None else cutoff
+    c = np.ones(n_max + 1)
+    c[1:] = ratio(np.arange(1.0, n_max + 1))
+    c = np.cumprod(c) * t ** np.arange(n_max + 1)
+    if cutoff is None:
+        small = np.flatnonzero(c[1:] ** 2 < TAIL_TOL)
+        c = c[:small[0] + 2] if small.size else c
+    c /= np.sqrt(c @ c)
     if cutoff is None and not c[-1] ** 2 < TAIL_TOL:
         raise ValueError(
-            f"{family} with {FAMILY_PARAMETERS[family]} = {param:g} keeps tail mass "
+            f"{family} with {FAMILIES[family].parameter} = {param:g} keeps tail mass "
             f"c_N^2 = {c[-1] ** 2:.2e} > {TAIL_TOL:g} at the {HARD_CUTOFF_CAP}-level "
             f"automatic cutoff cap; pass an explicit cutoff")
     return CoefficientVector(c, normalized=True, provenance=f"{family}({param:g})")
@@ -77,32 +70,21 @@ def tmss(lam: float, cutoff: int | None = None) -> CoefficientVector:
     """Two-mode squeezed state with lambda = tanh(squeezing), 0 <= lambda < 1."""
     if not 0.0 <= lam < 1.0:
         raise ValueError("squeezing parameter lambda must lie in [0, 1)")
-    n_max = _auto_cutoff(lam, lambda n: n * log(lam), cutoff)
-    n = np.arange(n_max + 1)
-    c = lam ** n * np.sqrt(1.0 - lam * lam)
-    return _finished(c, cutoff, "tmss", lam)
+    return _series("tmss", lam, lam, lambda n: 1.0, cutoff)
 
 
 def circle(r: float, cutoff: int | None = None) -> CoefficientVector:
-    """Circle state; the printed form is self-normalizing via sum r^(4n)/(n!)^2 = I0(2 r^2)."""
+    """Circle state, c_n ~ r^(2n) / n!."""
     if r < 0:
         raise ValueError("circle parameter r must be nonnegative")
-    n_max = _auto_cutoff(r, lambda n: 2 * n * log(r) - lgamma(n + 1)
-                         - 0.5 * log(bessel_i0(2 * r * r)), cutoff)
-    # c_n = c_(n-1) r^2 / n
-    c = np.cumprod(np.concatenate(([1.0], r * r / np.arange(1, n_max + 1))))
-    c /= np.sqrt(bessel_i0(2.0 * r * r))
-    return _finished(c, cutoff, "circle", r)
+    return _series("circle", r, r * r, lambda n: 1.0 / n, cutoff)
 
 
 def ps_tmss(lam: float, cutoff: int | None = None) -> CoefficientVector:
-    """Photon-subtracted two-mode squeezed state."""
+    """Photon-subtracted two-mode squeezed state, c_n ~ (n+1) lambda^n."""
     if not 0.0 <= lam < 1.0:
         raise ValueError("squeezing parameter lambda must lie in [0, 1)")
-    n_max = _auto_cutoff(lam, lambda n: log(n + 1.0) + n * log(lam), cutoff)
-    n = np.arange(n_max + 1)
-    c = np.sqrt((1.0 - lam * lam) ** 3 / (1.0 + lam * lam)) * (n + 1) * lam ** n
-    return _finished(c, cutoff, "ps_tmss", lam)
+    return _series("ps_tmss", lam, lam, lambda n: (n + 1.0) / n, cutoff)
 
 
 def seed(xi: float, cutoff: int | None = None) -> CoefficientVector:
@@ -132,12 +114,6 @@ def seed_transmissivity(xi: float, lam: float) -> float:
     return 2.0 * lam / (xi + np.sqrt(xi * xi + 8.0 * lam * lam))
 
 
-# Each family with the name of its parameter; "custom" reads a state file.
-FAMILY_PARAMETERS = {"tmss": "lambda", "ps_tmss": "lambda", "circle": "r", "seed": "xi",
-                     "pipeline": "xi"}
-_FAMILIES = (*FAMILY_PARAMETERS, "custom")
-
-
 @dataclass(frozen=True)
 class CatalogSpec:
     """A named state family plus its parameter, resolvable to coefficients."""
@@ -148,10 +124,10 @@ class CatalogSpec:
     cutoff: int | None = None
 
     def __post_init__(self):
-        fam = self.family.replace("-", "_")
+        fam = family_name(self.family)
         object.__setattr__(self, "family", fam)
-        if fam not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; choose from {_FAMILIES}")
+        if fam not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}; choose from {tuple(FAMILIES)}")
         if fam == "custom":
             if not self.path:
                 raise ValueError("custom family requires a state-file path")

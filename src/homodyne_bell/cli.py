@@ -45,12 +45,11 @@ def _state_csv(v: CoefficientVector) -> str:
 
 
 def _spec_from_args(args) -> catalog.CatalogSpec:
-    family = args.family.replace("-", "_")
-    name = catalog.FAMILY_PARAMETERS.get(family)
+    name = catalog.FAMILIES[args.family].parameter
     param = None if name is None else getattr(args, "lam" if name == "lambda" else name)
-    if family != "custom" and param is None:
+    if name is not None and param is None:
         raise SystemExit(f"error: family {args.family!r} needs its parameter flag")
-    return catalog.CatalogSpec(family, param, path=getattr(args, "file", None),
+    return catalog.CatalogSpec(args.family, param, path=getattr(args, "file", None),
                                cutoff=args.cutoff)
 
 
@@ -126,12 +125,11 @@ def cmd_bell(args) -> None:
 
 def cmd_scan(args) -> None:
     metric_fn = bell.chsh_B if args.metric == "chsh" else bell.ch_S
-    family = args.family.replace("-", "_")
-    own = catalog.FAMILY_PARAMETERS.get(family)
+    own = catalog.FAMILIES[args.family].parameter
     if args.param not in (own, "chi", "iterations"):
         raise ValueError(f"family {args.family!r} scans over {own}, chi or iterations, "
                          f"not {args.param}")
-    cutoff = args.cutoff or 32
+    cutoff = 32 if args.cutoff is None else args.cutoff
     if args.param == "iterations":
         rows = overgaussification_scan(args.xi, int(args.to), chi=args.chi, cutoff=cutoff)
         _emit(_csv(["iterations", "B"], rows), args.out)
@@ -141,10 +139,10 @@ def cmd_scan(args) -> None:
         param = args.xi if args.value is None and own == "xi" else args.value
         if param is None:
             raise ValueError(f"scan over chi needs --value for family {args.family!r}")
-        v = catalog.CatalogSpec(family, param, cutoff=cutoff).build()
+        v = catalog.CatalogSpec(args.family, param, cutoff=cutoff).build()
         rows = [(float(ch), metric_fn(v, float(ch))) for ch in values]
     else:
-        specs = (catalog.CatalogSpec(family, float(p), cutoff=cutoff) for p in values)
+        specs = (catalog.CatalogSpec(args.family, float(p), cutoff=cutoff) for p in values)
         rows = [(spec.parameter, metric_fn(spec.build(), args.chi)) for spec in specs]
     _emit(_csv([args.param, args.metric.upper()], rows), args.out)
 
@@ -207,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--cutoff", type=int, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--family", default="tmss",
-                   choices=("tmss", "circle", "ps-tmss", "ps_tmss", "seed", "custom"))
+    p.add_argument("--family", default="tmss", type=catalog.family_name,
+                   choices=catalog.FAMILIES)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--xi", type=float, default=None)
@@ -239,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="sweep a family parameter or iteration count")
     common(p)
     p.add_argument("--cutoff", type=int, default=None)
-    p.add_argument("--family", default="circle")
+    p.add_argument("--family", default="circle", type=catalog.family_name,
+                   choices=catalog.FAMILIES)
     p.add_argument("--param", default="r",
                    choices=("lambda", "r", "xi", "chi", "iterations"))
     p.add_argument("--from", dest="frm", type=float, default=0.5)

@@ -94,11 +94,14 @@ def optimize_coefficients(n_max: int, chi: float, objective: str = "chsh",
 
     Returns (CoefficientVector, value, (value,)); the first nonzero coefficient
     is made positive.  The free optimum is exact.  The nonnegative one, where
-    the constraint binds, is the KKT point `_nonnegative_top` certifies.
+    the constraint binds, is the KKT point `_nonnegative_top` certifies, for
+    chi in (0, pi/2] only: beyond it that point can lie below the optimum.
     """
     report = _reported(objective)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    if nonnegative and not 0.0 < chi <= np.pi / 2:
+        raise ValueError(f"nonnegative optimum needs chi in (0, pi/2], not chi = {chi!r}")
     k = n_max + 1
     M = 3.0 * bell.kernel(k, chi) - bell.kernel(k, 3.0 * chi)
     w, V = np.linalg.eigh(M)
@@ -154,27 +157,18 @@ def _bounded_brent(f, lo: float, hi: float, xatol: float, maxfun: int = 500):
     return x, fx, evals
 
 
-_FAMILY_BOUNDS = {
-    "circle": (0.05, 3.0),
-    "tmss": (0.0, 0.95),
-    "ps_tmss": (0.0, 0.95),
-    "seed": (0.0, 3.0),
-    "pipeline": (0.2, 1.5),
-}
-
-
 def optimize_family_parameter(family: str, chi: float, objective: str = "chsh",
                               bounds: tuple | None = None, cutoff: int = 32):
-    """Bounded 1-D maximization of the functional over one family parameter.
+    """Bounded 1-D maximization of the functional over one family parameter
+    (by default over its interval in `catalog.FAMILIES`).
 
     Returns (best parameter, best value).
     """
     report = _reported(objective)
-    family = family.replace("-", "_")
+    family = catalog.family_name(family)
+    bounds = bounds or catalog.FAMILIES.get(family, catalog.Family(None, None)).bounds
     if bounds is None:
-        if family not in _FAMILY_BOUNDS:
-            raise ValueError(f"no default bounds for family {family!r}")
-        bounds = _FAMILY_BOUNDS[family]
+        raise ValueError(f"no default bounds for family {family!r}")
 
     def negated_s(p):
         return -bell.ch_S(catalog.CatalogSpec(family, p, cutoff=cutoff).build(), chi)

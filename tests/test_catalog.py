@@ -1,16 +1,17 @@
+import math
+
 import numpy as np
 import pytest
-from scipy.special import i0 as scipy_i0
 
 from homodyne_bell import (
     CatalogSpec,
+    catalog,
     circle,
     ps_tmss,
     seed,
     seed_transmissivity,
     tmss,
 )
-from homodyne_bell.catalog import bessel_i0
 
 
 def test_tmss_zero_squeezing_is_vacuum():
@@ -52,19 +53,6 @@ def test_circle_coefficient_ratio_recurrence():
         assert abs(c[n + 1] / c[n] - r * r / (n + 1)) < 1e-10
     # decay sets in past n ~ r^2
     assert all(c[n + 1] < c[n] for n in range(2, 15))
-
-
-def test_circle_normalization_identity_against_direct_sum():
-    for r in (0.7, 1.12, 1.9):
-        n = np.arange(60)
-        direct = float(np.sum(np.exp(4 * n * np.log(r) - 2 * np.array(
-            [float(np.sum(np.log(np.arange(1, k + 1)))) for k in n]))))
-        assert abs(bessel_i0(2 * r * r) - direct) < 1e-10 * direct
-
-
-def test_bessel_series_matches_scipy():
-    for x in (0.0, 0.5, 2.5, 10.0):
-        assert abs(bessel_i0(x) - scipy_i0(x)) < 1e-12 * max(1.0, scipy_i0(x))
 
 
 def test_ps_tmss_zero_squeezing_is_vacuum():
@@ -160,3 +148,50 @@ def test_explicit_cutoff_truncates_and_reports_it():
     assert v.cutoff == 64
     assert not v.converged  # tail mass reported above tolerance
     assert abs(v.tail_mass - (1 - 0.95 ** 2) * 0.95 ** 128 / (1 - 0.95 ** 130)) < 1e-15
+
+
+def _first_small_level(log_term) -> int:
+    """The first n >= 1 with term_n^2 < 1e-12, from log term_n; 64 if none up to it."""
+    return next((n for n in range(1, 65) if 2.0 * log_term(n) < math.log(1e-12)), 64)
+
+
+@pytest.mark.parametrize("build, grid, log_term", [
+    (tmss, np.linspace(0.0, 0.99, 2001)[1:], lambda lam, n: n * math.log(lam)),
+    (ps_tmss, np.linspace(0.0, 0.99, 2001)[1:],
+     lambda lam, n: math.log(n + 1) + n * math.log(lam)),
+    (circle, np.linspace(0.0, 6.0, 2001)[1:],
+     lambda r, n: 2 * n * math.log(r) - math.lgamma(n + 1)),
+])
+def test_automatic_cutoff_is_the_first_small_series_term(build, grid, log_term):
+    # c_n ~ alpha_n t^n with alpha_0 = 1: lambda^n, (n+1) lambda^n and r^(2n) / n!
+    for p in map(float, grid):
+        n_star = _first_small_level(lambda n: log_term(p, n))
+        try:
+            v = build(p)
+        except ValueError as exc:       # refused only at the cap
+            assert n_star == 64 and "64-level automatic cutoff cap" in str(exc)
+            continue
+        assert v.cutoff == n_star and v.converged
+
+
+@pytest.mark.parametrize("r", [4.3, 4.5, 5.0, 5.6])
+def test_large_circle_states_build_below_the_cap(r):
+    v = circle(r)
+    assert v.converged and v.cutoff <= 64
+    assert abs(float(v.coeffs @ v.coeffs) - 1.0) < 1e-12
+
+
+def test_circle_past_the_cap_is_refused():
+    with pytest.raises(ValueError, match=r"circle with r = 5\.7 keeps tail mass .* at the "
+                                         r"64-level automatic cutoff cap"):
+        circle(5.7)
+
+
+def test_family_table_names_every_family():
+    assert set(catalog.FAMILIES) == {"tmss", "ps_tmss", "circle", "seed", "pipeline", "custom"}
+    assert catalog.family_name("ps-tmss") == "ps_tmss"
+    for family, (parameter, bounds) in catalog.FAMILIES.items():
+        if family == "custom":
+            assert parameter is None and bounds is None
+        else:
+            assert CatalogSpec(family, bounds[1], cutoff=16).build().normalized

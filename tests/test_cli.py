@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,13 @@ def test_state_circle_file(tmp_path):
     assert run_cli("state", "--family", "circle", "--r", "1.12", "--out", str(out)) == 0
     v = read_state_file(out)
     assert abs(float(v.coeffs @ v.coeffs) - 1.0) < 1e-10
+
+
+def test_state_pipeline_family(tmp_path):
+    out = tmp_path / "pipeline.json"
+    assert run_cli("state", "--family", "pipeline", "--xi", "0.7071067811865476",
+                   "--out", str(out)) == 0
+    assert abs(chsh_B(read_state_file(out), np.pi / 4) - 2.0715) < 5e-5
 
 
 def test_state_csv_format(tmp_path):
@@ -137,6 +146,14 @@ def test_scan_circle_locates_maximum(tmp_path):
     best = values[np.argmax(values[:, 1])]
     assert abs(best[0] - 1.12) <= 0.05
     assert best[1] > 2.0
+
+
+def test_scan_honours_cutoff_zero(tmp_path):
+    out = tmp_path / "scan.csv"
+    assert run_cli("scan", "--family", "circle", "--param", "r", "--from", "0.5", "--to", "2",
+                   "--steps", "4", "--cutoff", "0", "--out", str(out)) == 0
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert len(rows) == 4 and all(float(b) == 0.0 for _, b in rows)   # the vacuum's B
 
 
 def test_scan_iterations(tmp_path):
@@ -276,3 +293,13 @@ def test_byte_identical_state_outputs(tmp_path):
     run_cli("state", "--family", "ps-tmss", "--lambda", "0.6", "--out", str(a))
     run_cli("state", "--family", "ps-tmss", "--lambda", "0.6", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_readme_command_block_runs_in_order(tmp_path, monkeypatch):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line for line in readme.read_text().splitlines()
+             if line.startswith("homodyne-bell ")]
+    assert len(lines) >= 11
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line

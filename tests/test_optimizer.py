@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,6 +170,21 @@ def test_nonnegative_ascent_at_its_step_cap_names_n_and_chi(monkeypatch):
         optimize_coefficients(10, CHI, nonnegative=True)
 
 
+@pytest.mark.parametrize("chi", [0.0, -0.3, np.pi / 2 + 1e-9, 2.3044])
+def test_nonnegative_optimum_refuses_angles_outside_its_domain(chi):
+    # at N = 6, chi = 2.3044 the ascent certified S = 0.5544 where a multi-start
+    # search reaches 0.5786
+    with pytest.raises(ValueError, match=re.escape(f"chi = {chi!r}")):
+        optimize_coefficients(6, chi, objective="ch", nonnegative=True)
+    optimize_coefficients(6, chi, objective="ch")      # the free optimum is exact anywhere
+
+
+@pytest.mark.parametrize("chi", [CHI, np.pi / 2])
+def test_nonnegative_optimum_keeps_its_domain(chi):
+    vec, s, _ = optimize_coefficients(6, chi, objective="ch", nonnegative=True)
+    assert np.all(vec.coeffs >= 0.0) and abs(ch_S(vec, chi) - s) < 1e-12
+
+
 def test_large_dimension_is_solved():
     vec, value, _ = optimize_coefficients(24, CHI)
     assert vec.cutoff == 24
@@ -240,11 +257,12 @@ def _assert_brent_is_scipys(f, lo, hi, xatol, maxfun=500):
 
 
 @settings(max_examples=15, deadline=None)
-@given(family=st.sampled_from(sorted(optimizer._FAMILY_BOUNDS)), chi=st.floats(0.0, np.pi))
+@given(family=st.sampled_from(sorted(f for f, spec in catalog.FAMILIES.items() if spec.bounds)),
+       chi=st.floats(0.0, np.pi))
 def test_family_search_is_scipys_bounded_brent(family, chi):
     def negated_s(p):
         return -ch_S(catalog.CatalogSpec(family, p, cutoff=32).build(), chi)
-    _assert_brent_is_scipys(negated_s, *optimizer._FAMILY_BOUNDS[family], 1e-8)
+    _assert_brent_is_scipys(negated_s, *catalog.FAMILIES[family].bounds, 1e-8)
 
 
 @settings(max_examples=30, deadline=None)
