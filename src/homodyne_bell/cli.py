@@ -115,11 +115,6 @@ def cmd_pipeline(args) -> None:
 def cmd_bell(args) -> None:
     v = read_state_file(args.state)
     report = bell.bell_report(v, args.chi)
-    gap = report.S - bell.ch_ratio_literal(v)
-    if abs(gap) > 1e-9:
-        sys.stderr.write(
-            f"note: simplified CH differs from the literal four-angle ratio by {gap:.6g}\n"
-        )
     _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
 
 

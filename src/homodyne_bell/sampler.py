@@ -2,21 +2,22 @@
 
 Pairs (x_A, x_B) follow the Born density
 |sum_n c_n e^(i n chi) psi_n(x_A) psi_n(x_B)|^2 on a grid symmetric about 0.
-x_A's cell law p_cell comes from its marginal, a mixture of |psi_n|^2 weighted
-by c_n^2.  Only signs enter the Bell functionals, and x_B's sign in a cell is
-negative with P(x_B < 0 | cell) = Re(a^H G_neg a) / Re(a^H G_all a), with
-a = c o e^(i n chi) o psi(cell) and G_neg, G_all the Gram matrices of the basis
-summed over the grid's negative half and over all of it.  These two tables are
-cached per (state, chi); a state the grid holds less than 1 - 1e-9 of is refused.
-n i.i.d. pairs then have exactly the counts m = Multinomial(n, p_cell) per cell
-and m_minus = Binomial(m, P(x_B < 0 | cell)) of negative x_B, so a batch costs
-O(cells) whatever n is.  Raw pairs, made only on request, are built from these
-counts: x_A uniform inside its cell, x_B inside the half-line of its counted
-sign by a two-level inversion of its conditional CDF (128-point blocks, then one
-block's points; the x_B >= 0 half from its upper end, so a half with little mass
-keeps its precision), then shuffled; drawn after the counts, they never change them.
-The sampler never reuses the closed-form overlap table, so it stays an
-independent check on it.
+Only signs enter the Bell functionals.  Per (state, chi) the sampler keeps the
+joint table P(x_A in cell, sign x_B) = integral over the cell of Re(a^H G_s a),
+with a = c o e^(i n chi) o psi(x_A) and G_s the Gram matrix of the basis over
+x_B's half-line s, every integral taken by two Gauss-Legendre nodes per cell
+(error O(dx^4), so the table's quadrant sums match the closed form P++ to
+rounding); a state the grid holds less than 1 - 1e-9 of is refused.  The sign
+counts of n i.i.d. pairs are then exactly Multinomial(n, four quadrant masses):
+one 4-category draw, whatever n is.  Raw pairs, made only on request, start
+from per-cell counts drawn given those counts (each quadrant's count spread
+over its cells by a multinomial, their exact conditional law): x_A uniform
+inside its cell, x_B inside the half-line of its counted sign by a two-level
+inversion of its conditional CDF at the cell's midpoint (128-point blocks, then
+one block's points; the x_B >= 0 half from its upper end, so a half with little
+mass keeps its precision), then shuffled; drawn after the counts, they never
+change them.  The sampler never reuses the closed-form overlap table, so it
+stays an independent check on it.
 
 Randomness comes from numpy's counter-based Philox engine; the algorithm name
 is recorded in each batch, and a batch is a pure function of its seed.
@@ -35,7 +36,6 @@ from .fock_core import CoefficientVector
 GENERATOR_NAME = "philox4x64"
 GRID_POINTS = 2 ** 14
 GRID_HALF_WIDTH = 12.0
-_SUPPORT_EPS = 1e-12
 _MASS_TOL = 1e-9          # largest share of the state's mass the grid may miss
 _ROW_CHUNK = 256          # drawn cells whose x_B are inverted at once when making raw pairs
 _BLOCK = 128              # grid points per block of that inversion's first level
@@ -73,7 +73,7 @@ class SampleBatch:
 
 
 class _SamplerPlan:
-    """Cell law of x_A and P(x_B < 0 | x_A cell) for one (state, chi) pair."""
+    """Joint law of (x_A cell, sign x_B) and its four quadrant masses for one (state, chi)."""
 
     def __init__(self, coeffs: np.ndarray, chi: float,
                  grid_points: int = GRID_POINTS, half_width: float = GRID_HALF_WIDTH):
@@ -82,25 +82,34 @@ class _SamplerPlan:
         self.dx = self.edges[1] - self.edges[0]
         self.centers = 0.5 * (self.edges[:-1] + self.edges[1:])
         self.half = grid_points // 2                  # first cell of x >= 0
-        V = hermite_basis(k - 1, self.centers)
-        marginal = (coeffs[:, None] ** 2 * V ** 2).sum(axis=0)
-        mass = np.cumsum(marginal)
-        lost = 1.0 - mass[-1] * self.dx / np.dot(coeffs, coeffs)
+        # two Gauss-Legendre nodes per cell, at its centre -+ dx / (2 sqrt 3), weight dx / 2 each:
+        # cell i's in columns 2i, 2i + 1
+        nodes = (self.centers[:, None] + np.array([-0.5, 0.5]) * self.dx / np.sqrt(3.0)).ravel()
+        V = hermite_basis(k - 1, nodes)
+        self.phase = coeffs * np.exp(1j * chi * np.arange(k))
+        # Re(a^H M a) = v^T (Re(conj(phase) phase^T) o M) v for a = phase o v and real M
+        P, w = (self.phase.conj()[:, None] * self.phase).real, 0.5 * self.dx
+        grams = (w * W @ W.T for W in (V[:, 2 * self.half:], V[:, :2 * self.half]))
+        joint = w * np.stack([np.einsum("nc,nc->c", V, (P * G) @ V) for G in grams])
+        joint = np.clip(joint.reshape(2, -1, 2).sum(2), 0.0, None)  # rounding can step below 0
+        lost = 1.0 - joint.sum() / np.dot(coeffs, coeffs)
         if lost > _MASS_TOL:
             raise ValueError(f"the sampling grid [-{half_width:g}, {half_width:g}] misses "
                              f"{lost:.3g} of the state's quadrature mass (limit {_MASS_TOL:g})")
-        self.marginal_cdf = mass / mass[-1]
-        lo = int(np.searchsorted(self.marginal_cdf, _SUPPORT_EPS))
-        hi = int(np.searchsorted(self.marginal_cdf, 1.0 - _SUPPORT_EPS)) + 1
-        self.support = (lo, hi)
-        # law of clip(searchsorted(cdf, u), lo, hi - 1): the end cells hold the mass outside
-        self.p_cell = np.diff(self.marginal_cdf[lo:hi - 1], prepend=0.0, append=1.0)
-        self.phase = coeffs * np.exp(1j * chi * np.arange(k))
-        # Re(a^H M a) = v^T (Re(conj(phase) phase^T) o M) v for a = phase o v and real M
-        P, S = (self.phase.conj()[:, None] * self.phase).real, V[:, lo:hi]
-        neg, every = (np.einsum("nc,nc->c", S, (P * (W @ W.T)) @ S)
-                      for W in (V[:, :self.half], V))
-        self.p_minus_b = np.clip(neg / every, 0.0, 1.0)      # rounding can step past 0 or 1
+        table = joint / joint.sum()              # rows: x_B >= 0, x_B < 0; columns: cells
+        self.joint = table.T                     # joint[cell, s] = P(x_A in cell, sign x_B = s)
+        # A+B+, A+B-, A-B+, A-B-, each summed over contiguous memory (pairwise, to rounding)
+        self.quadrants = np.concatenate([table[:, self.half:].sum(1), table[:, :self.half].sum(1)])
+
+    def cell_counts(self, counts, rng):
+        """Per-cell counts m and m_minus (x_B < 0) given the 2x2 quadrant counts, by their
+        exact conditional law: each quadrant's count spread over its cells in proportion
+        to their joint mass with the quadrant's x_B sign."""
+        signs = np.empty(self.joint.shape, dtype=np.int64)
+        for (a, s), n_q in np.ndenumerate(counts):
+            cells = slice(self.half, None) if a == 0 else slice(self.half)
+            signs[cells, s] = rng.multinomial(n_q, self.joint[cells, s] / self.quadrants[2 * a + s])
+        return signs.sum(axis=1), signs[:, 1]
 
     def invert(self, prev, at, idx, u):
         """Point in cell idx where a CDF rising from prev to at reaches u.
@@ -112,15 +121,14 @@ class _SamplerPlan:
         return np.where(idx < self.half, np.minimum(x, -np.finfo(float).tiny), x)
 
     def raw_pairs(self, m, m_minus, rng):
-        """n = sum(m) shuffled (x_A, x_B) pairs with m[i] in support cell i, m_minus[i]
+        """n = sum(m) shuffled (x_A, x_B) pairs with m[i] in cell i, m_minus[i]
         of them with x_B < 0: x_A uniform in its cell, x_B inside its counted half-line,
         by inverting its cell's conditional CDF first over blocks of _BLOCK grid points,
         then over the points of the one block found: O(drawn cells * blocks * k^2 +
         distinct (cell, block) * _BLOCK * k), where full rows cost O(drawn cells * 2^14 * k)."""
-        lo, hi = self.support
         blocks = np.column_stack([m_minus, m - m_minus]).ravel()
-        ia = np.repeat(np.repeat(np.arange(lo, hi), 2), blocks)       # sorted by cell
-        neg = np.repeat(np.tile([True, False], hi - lo), blocks)
+        ia = np.repeat(np.repeat(np.arange(m.size), 2), blocks)       # sorted by cell
+        neg = np.repeat(np.tile([True, False], m.size), blocks)
         x_a = self.invert(0.0, 1.0, ia, rng.random(ia.size))
         u_b = rng.random(ia.size)
         V = hermite_basis(self.phase.size - 1, self.centers)
@@ -129,7 +137,7 @@ class _SamplerPlan:
         # never < 0, and as exact as point weights where a block holds ~0 (v^T Q_b v is not)
         R = np.linalg.qr(V.T.reshape(nb, _BLOCK, k), mode="r")
         R = np.linalg.qr(np.concatenate([R * self.phase.real, R * self.phase.imag], 1), mode="r")
-        cells = np.flatnonzero(m) + lo
+        cells = np.flatnonzero(m)
         x_b = np.empty(ia.size)
         for i in range(0, cells.size, _ROW_CHUNK):
             chunk = cells[i:i + _ROW_CHUNK]
@@ -157,7 +165,7 @@ class _SamplerPlan:
             keys, g = np.unique(r * nb + b, return_inverse=True)
             kr, kb = np.divmod(keys, nb)
             a, rows = self.phase[:, None] * v[:, kr], np.empty((keys.size, _BLOCK))
-            for blk in np.unique(kb):
+            for blk in np.flatnonzero(np.bincount(kb)):
                 at, pts = kb == blk, V[:, blk * _BLOCK:(blk + 1) * _BLOCK]
                 wp = (a[:, at].real.T @ pts) ** 2 + (a[:, at].imag.T @ pts) ** 2
                 rows[at] = wp[:, ::-1] if blk >= half_b else wp
@@ -172,7 +180,7 @@ class _SamplerPlan:
 
 @lru_cache(maxsize=4)
 def _plan_for(coeff_bytes: bytes, k: int, chi: float) -> _SamplerPlan:
-    coeffs = np.frombuffer(coeff_bytes, dtype=float, count=k)
+    coeffs = np.trim_zeros(np.frombuffer(coeff_bytes, dtype=float, count=k), "b")  # occupied levels
     return _SamplerPlan(coeffs, chi)
 
 
@@ -189,7 +197,7 @@ def _lower_bound_rows(rows: np.ndarray, row_idx: np.ndarray, targets: np.ndarray
 
 def sample_joint(v: CoefficientVector, chi: float, n: int, seed: int,
                  keep_samples: bool = False) -> SampleBatch:
-    """Sign-binned counts of n i.i.d. quadrature pairs, drawn per cell in O(cells).
+    """Sign-binned counts of n i.i.d. quadrature pairs, one 4-category draw in O(1).
 
     Deterministic for a given seed.  The angle pair is recorded as
     (theta, phi) = (chi, 0); only the sum enters the statistics.
@@ -202,12 +210,8 @@ def sample_joint(v: CoefficientVector, chi: float, n: int, seed: int,
         raise ValueError("need at least one sample")
     plan = _plan_for(c.tobytes(), c.size, float(chi))
     rng = np.random.Generator(np.random.Philox(seed))
-    m = rng.multinomial(n, plan.p_cell)
-    m_minus = rng.binomial(m, plan.p_minus_b)
-    signs = np.column_stack([m - m_minus, m_minus])            # per cell: x_B >= 0, x_B < 0
-    split = plan.half - plan.support[0]                        # first cell with x_A >= 0
-    counts = np.array([signs[split:].sum(axis=0), signs[:split].sum(axis=0)])
-    samples = plan.raw_pairs(m, m_minus, rng) if keep_samples else None
+    counts = rng.multinomial(n, plan.quadrants).reshape(2, 2)
+    samples = plan.raw_pairs(*plan.cell_counts(counts, rng), rng) if keep_samples else None
     return SampleBatch(seed=seed, n_samples=n, theta=float(chi), phi=0.0,
                        counts=counts, samples=samples)
 

@@ -111,13 +111,15 @@ def test_bell_on_vacuum_state(tmp_path):
     assert abs(doc["S"] - 0.5) < 1e-9
 
 
-def test_bell_reads_pipeline_report(tmp_path):
+def test_bell_reads_pipeline_report(tmp_path, capsys):
     report = tmp_path / "pipeline.json"
     assert run_cli("pipeline", "--xi", "0.7071", "--out", str(report)) == 0
+    capsys.readouterr()
     out = tmp_path / "bell.json"
     assert run_cli("bell", "--state", str(report), "--out", str(out)) == 0
     assert json.loads(out.read_text())["B"] == pytest.approx(
         json.loads(report.read_text())["bell"]["B"], abs=1e-11)
+    assert capsys.readouterr().err == ""
 
 
 def test_state_file_without_coefficients_is_an_error(tmp_path, capsys):

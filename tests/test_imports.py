@@ -94,3 +94,10 @@ def test_family_search_still_finds_the_circle_optimum(tmp_path):
     r, b = map(float, out.read_text().strip().split("\n")[1].split(","))
     assert abs(r - 1.12) < 0.05
     assert b > 2.0
+
+
+def test_raw_pairs_load_no_numpy_ma():
+    # np.unique imports numpy.ma on first use, 12.5 ms cold in every `sample --dump-xy`
+    names = imported_modules("-c", "from homodyne_bell import sample_joint, tmss; "
+                             "sample_joint(tmss(0.6), 0.7, 2000, seed=1, keep_samples=True)")
+    assert "homodyne_bell.sampler" in names and "numpy.ma" not in names

@@ -10,7 +10,7 @@ from homodyne_bell import (CoefficientVector, PipelineConfig, bell, chsh_B, esti
                            tmss)
 
 CHI = np.pi / 4
-PINNED = [[37696, 12019], [12162, 38123]]   # pipelined state, chi = pi/4, 10^5 pairs, seed 7
+PINNED = [[38012, 12092], [11960, 37936]]   # pipelined state, chi = pi/4, 10^5 pairs, seed 7
 
 
 def test_same_seed_reproduces_counts(pipeline_state):
@@ -92,19 +92,34 @@ def test_estimate_respects_gaussian_bound():
     assert est.b <= 2.0 + 3 * est.stderr
 
 
-def _counted_signs(v, chi, n, seed_):
-    """Per-pair (A, B) signs in dump order, replayed from sample_joint's per-cell draws:
-    the counts, then the in-cell uniforms of x_A and x_B, then the shuffle."""
-    plan = sampler._plan_for(v.coeffs.tobytes(), v.coeffs.size, float(chi))
+def _plan(v, chi):
+    """The cached plan sample_joint draws v's batches at chi from."""
+    return sampler._plan_for(v.coeffs.tobytes(), v.coeffs.size, float(chi))
+
+
+def _replayed_cells(plan, n, seed_):
+    """sample_joint's stream replayed up to the raw pairs: the quadrant counts, then each
+    quadrant's count spread over its cells (A+B+, A+B-, A-B+, A-B-).  Returns the per-cell
+    counts m and m_minus (x_B < 0) and the stream as raw_pairs finds it."""
     rng = np.random.Generator(np.random.Philox(seed_))
-    m = rng.multinomial(n, plan.p_cell)
-    m_minus = rng.binomial(m, plan.p_minus_b)
+    quadrant_counts = rng.multinomial(n, plan.quadrants)
+    signs = np.empty((plan.centers.size, 2), dtype=np.int64)
+    for q, n_q in enumerate(quadrant_counts):
+        rows = slice(plan.half, None) if q < 2 else slice(0, plan.half)
+        signs[rows, q % 2] = rng.multinomial(n_q, plan.joint[rows, q % 2] / plan.quadrants[q])
+    return signs.sum(axis=1), signs[:, 1], rng
+
+
+def _counted_signs(v, chi, n, seed_):
+    """Per-pair (A, B) signs in dump order, replayed from sample_joint's draws: the
+    quadrant and cell counts, then the in-cell uniforms of x_A and x_B, then the shuffle."""
+    plan = _plan(v, chi)
+    m, m_minus, rng = _replayed_cells(plan, n, seed_)
     rng.random(n), rng.random(n)
     order = rng.permutation(n)
-    lo, hi = plan.support
     blocks = np.column_stack([m_minus, m - m_minus]).ravel()
-    plus_a = np.repeat(np.repeat(np.arange(lo, hi) >= plan.half, 2), blocks)
-    plus_b = np.repeat(np.tile([False, True], hi - lo), blocks)
+    plus_a = np.repeat(np.repeat(np.arange(m.size) >= plan.half, 2), blocks)
+    plus_b = np.repeat(np.tile([False, True], m.size), blocks)
     return plus_a[order], plus_b[order]
 
 
@@ -129,32 +144,43 @@ def test_raw_sample_export(pipeline_state):
 
 
 def test_counts_are_pinned(pipeline_state):
-    # recorded with the per-cell multinomial/binomial draws; the per-pair draws they
-    # replace had the same law in another order, and gave [[37934, 12039], [12116, 37911]]
-    # and [[31602, 18425], [18413, 31560]] for these two seeds
+    # recorded with the one quadrant multinomial over the two-node plan
     assert sample_joint(pipeline_state, CHI, 10 ** 5, seed=7).counts.tolist() == PINNED
     assert sample_joint(tmss(0.6), 1.1, 10 ** 5, seed=22).counts.tolist() == \
-        [[31497, 18568], [18318, 31617]]
+        [[31507, 18507], [18472, 31514]]
 
 
-def test_cell_law_is_the_clipped_lookup_law(pipeline_state):
-    c = pipeline_state.coeffs
-    plan = sampler._plan_for(c.tobytes(), c.size, CHI)
-    cdf, (lo, hi) = plan.marginal_cdf, plan.support
-    # clip(searchsorted(cdf, u), lo, hi - 1) = i exactly for u in (cdf[i - 1], cdf[i]],
-    # widened to [0, cdf[lo]] in the first cell and to (cdf[hi - 2], 1) in the last
-    lower = np.insert(cdf[lo:hi - 1], 0, 0.0)
-    upper = np.append(cdf[lo:hi - 1], 1.0)
-    assert np.array_equal(plan.p_cell, upper - lower)
-    assert plan.p_cell.size == hi - lo == 8135 and np.all(plan.p_cell >= 0)
-    assert abs(plan.p_cell.sum() - 1.0) < 1e-15 and plan.p_cell[:-1].sum() <= 1.0
-    # the lookup sends each interval's upper end to its own cell
-    assert np.array_equal(np.clip(np.searchsorted(cdf, upper), lo, hi - 1), np.arange(lo, hi))
-    # the end cells carry the folded out-of-support mass, at most 1e-12 on each side
-    assert 0 < plan.p_cell[0] - (cdf[lo] - cdf[lo - 1]) <= 1e-12
-    assert 0 < plan.p_cell[-1] - (cdf[hi - 1] - cdf[hi - 2]) <= 1e-12
-    p_plus_b = plan.p_cell * (1.0 - plan.p_minus_b)
-    assert abs(p_plus_b[plan.half - lo:].sum() - bell.p_plus_plus(pipeline_state, CHI)) < 1e-7
+def test_counts_are_one_quadrant_multinomial(pipeline_state):
+    for v, chi, n, s in ((pipeline_state, CHI, 10 ** 6, 3), (tmss(0.6), 1.1, 10 ** 17, 4)):
+        plan = _plan(v, chi)
+        replay = np.random.Generator(np.random.Philox(s)).multinomial(n, plan.quadrants)
+        assert sample_joint(v, chi, n, seed=s).counts.tolist() == replay.reshape(2, 2).tolist()
+        # the table's rows are the cells, its columns x_B >= 0 and x_B < 0
+        assert plan.joint.shape == (sampler.GRID_POINTS, 2) and np.all(plan.joint >= 0)
+        assert abs(plan.joint.sum() - 1.0) < 1e-15 and abs(plan.quadrants.sum() - 1.0) < 1e-15
+        # the raw pairs' cell counts add up to the quadrant counts they are drawn under
+        counts = replay.reshape(2, 2)
+        m, m_minus = plan.cell_counts(counts, np.random.Generator(np.random.Philox(s)))
+        assert [[(m - m_minus)[plan.half:].sum(), m_minus[plan.half:].sum()],
+                [(m - m_minus)[:plan.half].sum(), m_minus[:plan.half].sum()]] == counts.tolist()
+
+
+def test_plan_holds_the_occupied_levels_only(pipeline_state):
+    # 32 levels of which the top 24 are exactly 0: the plan is built on the other 8, and
+    # the plan of the trimmed state is the same table
+    assert pipeline_state.coeffs.size == 32 and _plan(pipeline_state, CHI).phase.size == 8
+    trimmed = CoefficientVector(pipeline_state.coeffs[:8], normalized=True)
+    assert np.array_equal(_plan(trimmed, CHI).joint, _plan(pipeline_state, CHI).joint)
+
+
+def test_coverage_at_1e16_and_1e17_pairs(pipeline_state):
+    # midpoint cell integrals bias P++ by about +1.4e-8, which shows here as a mean z of
+    # +8.3 (10^16) and +26 (10^17); the two-node integrals leave rounding only
+    b = chsh_B(pipeline_state, CHI)
+    for n in (10 ** 16, 10 ** 17):
+        z = [(est.b - b) / est.stderr
+             for est in (estimate_B(pipeline_state, CHI, n, seed=s) for s in range(200))]
+        assert abs(np.mean(z)) <= 0.5
 
 
 def test_tight_coverage_at_1e11_pairs(pipeline_state):
@@ -186,28 +212,29 @@ def test_sampler_never_reads_the_overlap_table(pipeline_state, monkeypatch):
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 12), st.floats(-2 * np.pi, 2 * np.pi), st.integers(0, 2 ** 31))
 def test_sign_table_reproduces_closed_form(n_max, chi, seed_int):
+    # the grid's own two-node cell integrals against the overlap table's closed form: two
+    # independent routes, which the midpoint rule parted by about 2e-8
     v = normalize(CoefficientVector(np.random.default_rng(seed_int).standard_normal(n_max + 1)))
-    plan = sampler._SamplerPlan(v.coeffs, chi)
-    lo, hi = plan.support
-    mass = np.diff(plan.marginal_cdf, prepend=0.0)[lo:hi]
-    p_plus_b = mass * (1.0 - plan.p_minus_b)
-    assert abs(p_plus_b[plan.half - lo:].sum() - p_plus_plus(v, chi)) < 1e-7
-    assert abs(p_plus_b.sum() - 0.5) < 1e-7
+    pp, pm, mp, mm = sampler._SamplerPlan(v.coeffs, chi).quadrants
+    assert abs(pp - p_plus_plus(v, chi)) < 1e-13
+    assert abs(mm - p_plus_plus(v, chi)) < 1e-13
+    assert abs(pp + mp - 0.5) < 1e-13 and abs(pp + pm - 0.5) < 1e-13
 
 
 def test_grid_truncation_is_refused():
-    # the +-12 grid misses over a third of levels 80..99; renormalizing gave B = -0.13
+    # the +-12 grid misses over a third of levels 80..99 on each axis (0.53 of the joint
+    # mass); renormalizing gave B = -0.13
     c = np.zeros(100)
     c[80:] = np.sqrt(1.0 / 20.0)
     with pytest.raises(ValueError, match="misses"):
         sample_joint(CoefficientVector(c, normalized=True), CHI, 100, seed=0)
-    # tmss(0.9) cut at 64 levels loses 1.8e-10 on the grid and is sampled
+    # tmss(0.9) cut at 64 levels loses 1.8e-10 per axis, 3.6e-10 of the joint mass on the
+    # grid, and is sampled
     assert sample_joint(tmss(0.9, cutoff=64), CHI, 100, seed=0).n_samples == 100
 
 
 def test_warm_plan_is_small(pipeline_state):
-    c = pipeline_state.coeffs
-    plan = sampler._plan_for(c.tobytes(), c.size, CHI)
+    plan = _plan(pipeline_state, CHI)
     held = sum(a.nbytes for a in vars(plan).values() if isinstance(a, np.ndarray))
     assert held < 2 ** 20
 
@@ -215,14 +242,13 @@ def test_warm_plan_is_small(pipeline_state):
 def _full_row_pairs(plan, m, m_minus, rng):
     """The earlier raw_pairs, kept as an oracle: one full 2^14-point conditional CDF
     row per drawn cell, 256 cells at a time, and one search over the counted half."""
-    lo, hi = plan.support
     blocks = np.column_stack([m_minus, m - m_minus]).ravel()
-    ia = np.repeat(np.repeat(np.arange(lo, hi), 2), blocks)
-    neg = np.repeat(np.tile([True, False], hi - lo), blocks)
+    ia = np.repeat(np.repeat(np.arange(m.size), 2), blocks)
+    neg = np.repeat(np.tile([True, False], m.size), blocks)
     x_a = plan.invert(0.0, 1.0, ia, rng.random(ia.size))
     u_b = rng.random(ia.size)
     V = bell.hermite_basis(plan.phase.size - 1, plan.centers)
-    cells = np.flatnonzero(m) + lo
+    cells = np.flatnonzero(m)
     x_b = np.empty(ia.size)
     for i in range(0, cells.size, 256):
         block = cells[i:i + 256]
@@ -262,8 +288,7 @@ def _replay(plan, m, m_minus, rng):
     from its stream (rng as raw_pairs found it)."""
     n = int(m.sum())
     _, u_b, order = rng.random(n), rng.random(n), rng.permutation(n)
-    lo, hi = plan.support
-    cells = np.repeat(np.repeat(np.arange(lo, hi), 2),
+    cells = np.repeat(np.repeat(np.arange(m.size), 2),
                       np.column_stack([m_minus, m - m_minus]).ravel())
     return cells[order], u_b[order]
 
@@ -287,14 +312,12 @@ def _assert_matches_oracle(plan, m, m_minus, rng, new):
 
 
 def _assert_light_halves_exact(v, chi, plus, minus=(), tol=1e-9):
-    """Two pairs forced onto x_B >= 0 in each support cell `plus` and two onto x_B < 0 in
-    each of `minus`, on top of a drawn batch: each lands on its half, x_B within tol of an
-    exact rational inversion of the same point weights."""
+    """Two pairs forced onto x_B >= 0 in each cell `plus` and two onto x_B < 0 in each of
+    `minus`, on top of a drawn batch: each lands on its half, x_B within tol of an exact
+    rational inversion of the same point weights."""
     plan = sampler._SamplerPlan(v.coeffs, chi)
     plus, minus = np.asarray(plus, dtype=int), np.asarray(minus, dtype=int)
-    rng = np.random.Generator(np.random.Philox(5))
-    m = rng.multinomial(2_000, plan.p_cell)
-    m_minus = rng.binomial(m, plan.p_minus_b)
+    m, m_minus, rng = _replayed_cells(plan, 2_000, 5)
     m[plus] += 2
     m[minus] += 2
     m_minus[minus] += 2
@@ -302,9 +325,8 @@ def _assert_light_halves_exact(v, chi, plus, minus=(), tol=1e-9):
     new = plan.raw_pairs(m, m_minus, rng)
     rng.bit_generator.state = state
     cells, u_b = _replay(plan, m, m_minus, rng)
-    lo = plan.support[0]
-    forced = np.flatnonzero(np.isin(cells, plus + lo) & (new[:, 1] >= 0)
-                            | np.isin(cells, minus + lo) & (new[:, 1] < 0))
+    forced = np.flatnonzero(np.isin(cells, plus) & (new[:, 1] >= 0)
+                            | np.isin(cells, minus) & (new[:, 1] < 0))
     assert forced.size >= 2 * (len(plus) + len(minus))
     for i in forced:
         exact = _exact_x_b(plan, cells[i], new[i, 1] < 0, Fraction(u_b[i]))
@@ -324,28 +346,28 @@ def test_raw_pairs_match_full_row_oracle(pipeline_state, which, chi, seed_int):
         v = normalize(CoefficientVector(c))
     n = 1_000
     new = sample_joint(v, chi, n, seed_int, keep_samples=True).samples
-    # replay sample_joint's stream: the counts, then what raw_pairs draws
-    plan = sampler._plan_for(v.coeffs.tobytes(), v.coeffs.size, float(chi))
-    rng = np.random.Generator(np.random.Philox(seed_int))
-    m = rng.multinomial(n, plan.p_cell)
-    m_minus = rng.binomial(m, plan.p_minus_b)
+    # replay sample_joint's stream: the quadrant and cell counts, then what raw_pairs draws
+    plan = _plan(v, chi)
+    m, m_minus, rng = _replayed_cells(plan, n, seed_int)
     _assert_matches_oracle(plan, m, m_minus, rng, new)
 
 
 def test_raw_pairs_match_oracle_where_a_half_line_holds_nothing():
     # tmss(0.5) at 64 levels: in the outer x_A cells x_B's conditional mass on the far
     # half-line, about 4e-21 of the cell's, is below float64 rounding of the cell's CDF, so
-    # P(x_B < 0 | cell) rounds to exactly 1 (or 0 at chi = pi) and the full-row oracle
-    # meets a flat CDF there (it put x_B mid first cell, up to 0.19 off); summed down from
-    # the grid's top, x_B >= 0 keeps its own relative precision.  At 4e-21 the float64
-    # point weights themselves carry ~1e-16 / sqrt(4e-21) ~ 2e-6 of their value, so the
-    # exact inversion of them pins x_B to about 1e-7 (the block weights are finer)
+    # the joint table's share of it is rounding (~1e-16) and the full-row oracle meets a
+    # flat CDF there (it put x_B mid first cell, up to 0.19 off); summed down from the
+    # grid's top, x_B >= 0 keeps its own relative precision.  At 4e-21 the float64 point
+    # weights themselves carry ~1e-16 / sqrt(4e-21) ~ 2e-6 of their value, so the exact
+    # inversion of them pins x_B to about 1e-7 (the block weights are finer)
     v = tmss(0.5, cutoff=64)
     for chi in (0.0, np.pi):
         plan = sampler._SamplerPlan(v.coeffs, chi)
-        # the eight outermost such cells
-        empty_plus = np.flatnonzero(plan.p_minus_b == 1.0)
-        x_a = plan.centers[plan.support[0] + empty_plus]
+        # the eight outermost such cells among those holding all but 1e-12 of the x_A mass
+        cdf = np.cumsum(plan.joint.sum(axis=1))
+        inner = np.arange(np.searchsorted(cdf, 1e-12), np.searchsorted(cdf, 1.0 - 1e-12) + 1)
+        empty_plus = inner[plan.joint[inner, 0] < 1e-15 * plan.joint[inner].sum(axis=1)]
+        x_a = plan.centers[empty_plus]
         _assert_light_halves_exact(v, chi, empty_plus[np.argsort(-np.abs(x_a))[:8]], tol=2e-7)
 
 
@@ -355,8 +377,9 @@ def test_raw_pairs_keep_precision_on_a_light_half_line():
     # which put x_B 2.7e-5 off the exact inversion in this batch
     v = tmss(0.6)
     plan = sampler._SamplerPlan(v.coeffs, 0.0)
-    plus = np.argsort(np.abs(1.0 - plan.p_minus_b - 2.8e-12))[:8]
-    minus = np.argsort(np.abs(plan.p_minus_b - 2.8e-12))[:8]
+    p_minus_b = plan.joint[:, 1] / plan.joint.sum(axis=1)
+    plus = np.argsort(np.abs(1.0 - p_minus_b - 2.8e-12))[:8]
+    minus = np.argsort(np.abs(p_minus_b - 2.8e-12))[:8]
     _assert_light_halves_exact(v, 0.0, plus, minus)
 
 
