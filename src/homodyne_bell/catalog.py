@@ -23,6 +23,7 @@ import numpy as np
 from .fock_core import TAIL_TOL, CoefficientVector, read_state_file
 
 HARD_CUTOFF_CAP = 64
+WORKING_CUTOFF = 32     # the pipeline's, scans' and family searches' default cutoff
 
 
 class Family(NamedTuple):
@@ -140,7 +141,7 @@ class CatalogSpec:
             return read_state_file(self.path)
         if self.family == "pipeline":
             from .pipeline import PipelineConfig, run_pipeline
-            cutoff = 32 if self.cutoff is None else self.cutoff
+            cutoff = WORKING_CUTOFF if self.cutoff is None else self.cutoff
             return run_pipeline(PipelineConfig(xi=self.parameter, cutoff=cutoff)).final_state
         generator = {"tmss": tmss, "circle": circle, "ps_tmss": ps_tmss, "seed": seed}
         return generator[self.family](self.parameter, self.cutoff)

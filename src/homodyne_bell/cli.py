@@ -56,9 +56,9 @@ def _spec_from_args(args) -> catalog.CatalogSpec:
 def _compare_table(cutoff_rows: int = 12) -> str:
     """Coefficient comparison of the five benchmark families by photon number."""
     columns = [
-        ("tmss_lambda0.6", catalog.tmss(0.6, 32)),
-        ("ps_tmss_lambda0.6", catalog.ps_tmss(0.6, 32)),
-        ("circle_r1.12", catalog.circle(1.12, 32)),
+        ("tmss_lambda0.6", catalog.tmss(0.6, catalog.WORKING_CUTOFF)),
+        ("ps_tmss_lambda0.6", catalog.ps_tmss(0.6, catalog.WORKING_CUTOFF)),
+        ("circle_r1.12", catalog.circle(1.12, catalog.WORKING_CUTOFF)),
         ("pipeline_xi0.71", run_pipeline(PipelineConfig(xi=0.71)).final_state),
         ("optimized_N10", optimizer.optimize_coefficients(10, np.pi / 4)[0]),
     ]
@@ -83,13 +83,16 @@ def cmd_state(args) -> None:
 def cmd_pipeline(args) -> None:
     if args.verify_stage1 != (args.lam is not None):
         raise ValueError("--verify-stage1 and --lambda (the stage-1 squeezing) go together")
+    if args.bs_r is not None and args.subtraction != "beamsplitter":
+        raise ValueError("--bs-r sets the splitter of --subtraction beamsplitter only")
     cfg = PipelineConfig(
         xi=args.xi,
         lam=args.lam,
         iterations=args.iters,
-        cutoff=args.cutoff if args.cutoff is not None else 32,
+        cutoff=catalog.WORKING_CUTOFF if args.cutoff is None else args.cutoff,
         subtraction=args.subtraction,
-        subtraction_reflectivity=args.bs_r,
+        subtraction_reflectivity=(PipelineConfig.subtraction_reflectivity if args.bs_r is None
+                                  else args.bs_r),
     )
     rep = run_pipeline(cfg)
     final = rep.final_state
@@ -124,10 +127,11 @@ def cmd_scan(args) -> None:
     if args.param not in (own, "chi", "iterations"):
         raise ValueError(f"family {args.family!r} scans over {own}, chi or iterations, "
                          f"not {args.param}")
-    cutoff = 32 if args.cutoff is None else args.cutoff
+    cutoff = catalog.WORKING_CUTOFF if args.cutoff is None else args.cutoff
     if args.param == "iterations":
-        rows = overgaussification_scan(args.xi, int(args.to), chi=args.chi, cutoff=cutoff)
-        _emit(_csv(["iterations", "B"], rows), args.out)
+        rows = overgaussification_scan(args.xi, int(args.to), chi=args.chi, cutoff=cutoff,
+                                       metric=metric_fn)
+        _emit(_csv(["iterations", "B" if args.metric == "chsh" else "CH"], rows), args.out)
         return
     values = np.linspace(args.frm, args.to, args.steps)
     if args.param == "chi":
@@ -217,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=3)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--subtraction", choices=("exact", "beamsplitter"), default="exact")
-    p.add_argument("--bs-r", type=float, default=0.01)
+    p.add_argument("--bs-r", type=float, default=None,
+                   help="splitter reflectivity for --subtraction beamsplitter")
     p.add_argument("--chi", type=float, default=np.pi / 4)
     p.add_argument("--verify-stage1", action="store_true")
     p.set_defaults(fn=cmd_pipeline)

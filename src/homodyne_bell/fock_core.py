@@ -66,53 +66,44 @@ class CoefficientVector:
 
 
 @dataclass(frozen=True, eq=False)
-class TwoModeAmplitudeMatrix:
+class _Amplitudes:
+    """Read-only amplitude array of rank `_RANK`, squared norm at most 1."""
+
+    amps: np.ndarray
+    notes: tuple = ()
+
+    def __post_init__(self):
+        a = np.asarray(self.amps)
+        if a.ndim != self._RANK:
+            raise ValueError(f"{type(self).__name__} amplitudes must have rank {self._RANK}")
+        a = a.astype(complex if np.iscomplexobj(a) else float)
+        n2 = float(np.sum(np.abs(a) ** 2))
+        if n2 > 1.0 + NORM_TOL:
+            raise ValueError(f"squared norm {n2!r} exceeds 1 beyond tolerance")
+        object.__setattr__(self, "amps", _readonly(a))
+
+    def norm_squared(self) -> float:
+        return float(np.sum(np.abs(self.amps) ** 2))
+
+
+class TwoModeAmplitudeMatrix(_Amplitudes):
     """Dense amplitude matrix psi[m, n] of a general two-mode pure state.
 
     Sub-normalized matrices (squared Frobenius norm < 1) represent conditional
     states before renormalization.  `notes` carries truncation warnings.
     """
 
-    amps: np.ndarray
-    notes: tuple = ()
-
-    def __post_init__(self):
-        a = np.asarray(self.amps)
-        if a.ndim != 2:
-            raise ValueError("two-mode amplitudes must form a 2-D matrix")
-        a = a.astype(complex if np.iscomplexobj(a) else float)
-        n2 = float(np.sum(np.abs(a) ** 2))
-        if n2 > 1.0 + NORM_TOL:
-            raise ValueError(f"squared norm {n2!r} exceeds 1 beyond tolerance")
-        object.__setattr__(self, "amps", _readonly(a))
+    _RANK = 2
 
     @property
     def cutoffs(self) -> tuple:
         return (self.amps.shape[0] - 1, self.amps.shape[1] - 1)
 
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
 
-
-@dataclass(frozen=True, eq=False)
-class FourModeTensor:
+class FourModeTensor(_Amplitudes):
     """Rank-4 amplitude tensor over modes (a, b, c, d) with small cutoffs."""
 
-    amps: np.ndarray
-    notes: tuple = ()
-
-    def __post_init__(self):
-        a = np.asarray(self.amps)
-        if a.ndim != 4:
-            raise ValueError("four-mode amplitudes must form a rank-4 tensor")
-        a = a.astype(complex if np.iscomplexobj(a) else float)
-        n2 = float(np.sum(np.abs(a) ** 2))
-        if n2 > 1.0 + NORM_TOL:
-            raise ValueError(f"squared norm {n2!r} exceeds 1 beyond tolerance")
-        object.__setattr__(self, "amps", _readonly(a))
-
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
+    _RANK = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,12 +131,9 @@ class ConditionalEnsemble:
 
     def density_matrix(self) -> np.ndarray:
         """Density matrix on the flattened two-mode space."""
-        dim = self.branches[0][1].amps.size
-        rho = np.zeros((dim, dim), dtype=complex)
-        for w, state in self.branches:
-            v = state.amps.reshape(-1)
-            rho += w * np.outer(v, v.conj())
-        return rho
+        w = np.array([b[0] for b in self.branches])
+        V = np.array([state.amps.reshape(-1) for _, state in self.branches], dtype=complex)
+        return (V.T * w) @ V.conj()
 
 
 def norm_squared(v: CoefficientVector) -> float:

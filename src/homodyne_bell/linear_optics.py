@@ -5,18 +5,19 @@ The beam splitter follows the ordered-exponential convention
     U = T^(a+ a) exp(-R* b+ a) exp(R b a+) T^(-b+ b),        |T|^2 + |R|^2 = 1,
 
 which fixes every sign below; a brute-force matrix-exponential oracle in the
-test suite pins the convention.  Expanding the adjoint action U a+ U* = T a+
-- R* b+, U b+ U* = R a+ + T* b+ binomially gives the photon-number matrix
-element as a finite sum with only nonnegative powers of T and R, evaluated
-with log-factorial accumulation so indices up to 64 neither overflow nor lose
-precision to the naive T^(j-n) form.
+test suite pins the convention.  U conserves total photon number, so it is
+held as one unitary block per total N.  The adjoint action U a+ U* = T a+ -
+R* b+, U b+ U* = R a+ + T* b+ builds block N from block N-1 with creation
+operators: no factorials, no cancelling alternating sum, and a 64-photon
+block unitary to rounding.  The stage-1 herald mixes modes (a, c) and (b, d)
+of a four-mode tensor and detects c and d; photon subtraction uses the
+closed-form single-photon element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lgamma
 
 import numpy as np
 
@@ -95,47 +96,66 @@ class DetectorOutcome:
             return range(0, 1)
         if self.kind == "click":
             return range(1, cutoff + 1)
-        return range(self.count, self.count + 1)
+        return range(self.count, min(self.count, cutoff) + 1)      # empty above the cutoff
 
 
 def bs_matrix_element(bs: BeamSplitter, j: int, k: int, m: int, n: int) -> complex:
     """Matrix element <j,k|U|m,n> of the ordered-exponential beam splitter.
 
-    Zero unless j + k = m + n (photon conservation).  The sum runs over the
-    number of photons transmitted from the first input:
-
-        sqrt(j! k! / (m! n!)) * sum_a C(m,a) C(n,j-a)
-            * T^a (-R*)^(m-a) R^(j-a) (T*)^(n-j+a)
+    Zero unless j + k = m + n (photon conservation); otherwise entry [j, m] of
+    the block on total photon number m + n.
     """
     if min(j, k, m, n) < 0:
         raise ValueError("photon-number indices must be nonnegative")
     if j + k != m + n:
         return 0.0 + 0.0j
-    T, R = complex(bs.T), complex(bs.R)
-    pref = 0.5 * (lgamma(j + 1) + lgamma(k + 1) - lgamma(m + 1) - lgamma(n + 1))
-    total = 0.0 + 0.0j
-    for a in range(max(0, j - n), min(m, j) + 1):
-        logmag = (pref
-                  + lgamma(m + 1) - lgamma(a + 1) - lgamma(m - a + 1)
-                  + lgamma(n + 1) - lgamma(j - a + 1) - lgamma(n - j + a + 1))
-        total += (np.exp(logmag) * T ** a * (-np.conj(R)) ** (m - a)
-                  * R ** (j - a) * np.conj(T) ** (n - j + a))
-    return complex(total)
+    return complex(_blocks(complex(bs.T), complex(bs.R), m + n)[m + n][j, m])
+
+
+@lru_cache(maxsize=64)
+def _blocks(T: complex, R: complex, n_max: int) -> tuple:
+    """Read-only blocks B[N][j, m] = <j, N-j|U|m, N-m> for N = 0..n_max.
+
+    Block N follows from block N-1 through N |m,n> = sqrt(m) a+|m-1,n> +
+    sqrt(n) b+|m,n-1> and U a+ = (T a+ - R* b+) U, U b+ = (R a+ + T* b+) U.
+    Either term alone gives column m; their number-weighted average is a map
+    of norm <= 1, so rounding errors do not grow from block to block (the
+    a+ route alone amplifies them by up to sqrt(C(N, m))).
+    """
+    blocks = [np.ones((1, 1), dtype=complex)]
+    for N in range(1, n_max + 1):
+        prev = blocks[-1]
+        j = np.arange(N + 1)[:, None]
+        raised_a = np.sqrt(j) * np.pad(prev, ((1, 0), (0, 0)))       # a+ on each column of prev
+        raised_b = np.sqrt(N - j) * np.pad(prev, ((0, 1), (0, 0)))   # b+ on each column of prev
+        m = np.arange(N)
+        block = np.zeros((N + 1, N + 1), dtype=complex)
+        block[:, 1:] += (T * raised_a - np.conj(R) * raised_b) * np.sqrt(m + 1)
+        block[:, :-1] += (R * raised_a + np.conj(T) * raised_b) * np.sqrt(N - m)
+        blocks.append(block / N)
+    for block in blocks:
+        block.setflags(write=False)
+    return tuple(blocks)
 
 
 @lru_cache(maxsize=64)
 def _unitary_table(T: complex, R: complex, cut_a: int, cut_b: int) -> np.ndarray:
     """Dense W[j,k,m,n] on a (cut_a+1) x (cut_b+1) two-mode space (read-only)."""
-    bs = BeamSplitter(T, R)
-    da, db = cut_a + 1, cut_b + 1
-    W = np.zeros((da, db, da, db), dtype=complex)
-    for m in range(da):
-        for n in range(db):
-            s = m + n
-            for j in range(max(0, s - (db - 1)), min(da - 1, s) + 1):
-                W[j, s - j, m, n] = bs_matrix_element(bs, j, s - j, m, n)
+    W = np.zeros((cut_a + 1, cut_b + 1, cut_a + 1, cut_b + 1), dtype=complex)
+    for N, block in enumerate(_blocks(T, R, cut_a + cut_b)):
+        a = np.arange(max(0, N - cut_b), min(cut_a, N) + 1)    # first-mode counts that fit
+        W[a[:, None], N - a[:, None], a, N - a] = block[np.ix_(a, a)]
     W.setflags(write=False)
     return W
+
+
+def _mix(bs: BeamSplitter, amps: np.ndarray, notes: tuple):
+    """Mix the first two axes of `amps`; returns (mixed amplitudes, notes)."""
+    W = _unitary_table(complex(bs.T), complex(bs.R), amps.shape[0] - 1, amps.shape[1] - 1)
+    top = float(np.sum(np.abs(amps[-1]) ** 2) + np.sum(np.abs(amps[:-1, -1]) ** 2))
+    if top > TAIL_TOL:
+        notes = notes + (f"truncation: top-level input mass {top:.3e} exceeds {TAIL_TOL:g}",)
+    return np.einsum("jkmn,mn...->jk...", W, amps), notes
 
 
 def apply_bs_two_mode(bs: BeamSplitter, s: TwoModeAmplitudeMatrix) -> TwoModeAmplitudeMatrix:
@@ -145,70 +165,44 @@ def apply_bs_two_mode(bs: BeamSplitter, s: TwoModeAmplitudeMatrix) -> TwoModeAmp
     more than the tail tolerance in its top levels, the result carries a
     truncation note.
     """
-    cut_a, cut_b = s.cutoffs
-    W = _unitary_table(complex(bs.T), complex(bs.R), cut_a, cut_b)
-    out = np.einsum("jkmn,mn->jk", W, s.amps.astype(complex))
-    notes = s.notes
-    top = float(np.sum(np.abs(s.amps[-1, :]) ** 2) + np.sum(np.abs(s.amps[:-1, -1]) ** 2))
-    if top > TAIL_TOL:
-        notes = notes + (f"truncation: top-level input mass {top:.3e} exceeds {TAIL_TOL:g}",)
+    out, notes = _mix(bs, s.amps, s.notes)
     if not np.iscomplexobj(s.amps) and np.allclose(out.imag, 0.0, atol=1e-300):
         out = out.real
     return TwoModeAmplitudeMatrix(out, notes=notes)
 
 
-_MODE_AXES = {"a": 0, "b": 1, "c": 2, "d": 3}
-
-
-def apply_bs_pair_on_four_modes(bs: BeamSplitter, t: FourModeTensor,
-                                pairing: tuple = ("ac", "bd")) -> FourModeTensor:
-    """Apply one splitter to each mode pair of a four-mode tensor.
-
-    `pairing` names two disjoint mode pairs, default ("ac", "bd"): the first
-    named mode of each pair enters the splitter's first port.
+def apply_bs_pair_on_four_modes(bs: BeamSplitter, t: FourModeTensor) -> FourModeTensor:
+    """Apply one splitter to modes (a, c) and one to modes (b, d) of a four-mode
+    tensor, a and b entering the first ports.  Truncation is noted per pair,
+    (a, c) first, as in `apply_bs_two_mode`.
     """
-    if sorted("".join(pairing)) != ["a", "b", "c", "d"]:
-        raise ValueError(f"pairing {pairing!r} must cover modes a,b,c,d exactly once")
-    amps = t.amps.astype(complex)
-    notes = t.notes
-    for pair in pairing:
-        ax1, ax2 = _MODE_AXES[pair[0]], _MODE_AXES[pair[1]]
-        moved = np.moveaxis(amps, (ax1, ax2), (0, 1))
-        cut_a, cut_b = moved.shape[0] - 1, moved.shape[1] - 1
-        W = _unitary_table(complex(bs.T), complex(bs.R), cut_a, cut_b)
-        top = (np.sum(np.abs(moved[-1, ...]) ** 2)
-               + np.sum(np.abs(moved[:-1, -1, ...]) ** 2))
-        if top > TAIL_TOL:
-            notes = notes + (f"truncation: pair {pair} top-level mass {top:.3e}",)
-        moved = np.einsum("jkmn,mn...->jk...", W, moved)
-        amps = np.moveaxis(moved, (0, 1), (ax1, ax2))
-    return FourModeTensor(amps, notes=notes)
+    acbd, notes = _mix(bs, t.amps.transpose(0, 2, 1, 3), t.notes)
+    bdac, notes = _mix(bs, acbd.transpose(2, 3, 0, 1), notes)
+    return FourModeTensor(bdac.transpose(2, 0, 3, 1), notes=notes)
 
 
-def condition_on_outcome(t: FourModeTensor, modes: tuple = ("c", "d"),
+def condition_on_outcome(t: FourModeTensor,
                          outcomes: tuple = (DetectorOutcome.click(), DetectorOutcome.click()),
                          ) -> ConditionalEnsemble:
-    """Project two modes of a normalized four-mode state on detector outcomes.
+    """Project modes c and d of a normalized four-mode state on detector outcomes.
 
     A click outcome contributes one branch per photon count k >= 1, weighted
     by the branch probability; vacuum and exact counts give a single count.
-    The returned ensemble renormalizes weights and stores the total outcome
-    probability.  Zero total probability raises ValueError.  The norm gate
-    leaves room for documented truncation leakage, which shrinks the norm by
-    the input's top-shell mass at worst.
+    The returned ensemble on (a, b) renormalizes weights and stores the total
+    outcome probability.  Zero total probability raises ValueError.  The norm
+    gate leaves room for documented truncation leakage, which shrinks the norm
+    by the input's top-shell mass at worst.
     """
     if abs(t.norm_squared() - 1.0) > NORM_GATE:
         raise ValueError("conditioning expects a normalized four-mode state")
-    if len(modes) != 2 or len(outcomes) != 2:
-        raise ValueError("exactly two detected modes and outcomes are required")
-    ax1, ax2 = (_MODE_AXES[m] for m in modes)
-    moved = np.moveaxis(t.amps, (ax1, ax2), (2, 3))
-    cut1, cut2 = moved.shape[2] - 1, moved.shape[3] - 1
+    if len(outcomes) != 2:
+        raise ValueError("exactly two detector outcomes (modes c, d) are required")
+    cut_c, cut_d = t.amps.shape[2] - 1, t.amps.shape[3] - 1
     branches = []
     total = 0.0
-    for k in outcomes[0].allowed_counts(cut1):
-        for l in outcomes[1].allowed_counts(cut2):
-            phi = moved[:, :, k, l]
+    for k in outcomes[0].allowed_counts(cut_c):
+        for l in outcomes[1].allowed_counts(cut_d):
+            phi = t.amps[:, :, k, l]
             w = float(np.sum(np.abs(phi) ** 2))
             total += w
             if w > 0.0:
@@ -249,13 +243,11 @@ def photon_subtract_beamsplitter(v: CoefficientVector, r: float):
     c = v.coeffs
     if c.size < 2 or not np.any(c[1:]):
         raise ValueError("photon subtraction needs support above n = 0")
-    bs = BeamSplitter.from_transmissivity(np.sqrt(1.0 - r * r))
-    # Conditioning both ancillas on one photon keeps the |n,n> diagonal:
-    # each mode contributes <n-1, 1|U|n, 0>, squared across the two modes.
-    amp = np.array([
-        c[n] * (bs_matrix_element(bs, n - 1, 1, n, 0) ** 2).real
-        for n in range(1, c.size)
-    ])
+    # Conditioning both ancillas on one photon keeps the |n,n> diagonal: each
+    # mode contributes <n-1, 1|U|n, 0> = -sqrt(n) t^(n-1) r for t^2 = 1 - r^2,
+    # squared across the two modes.
+    n = np.arange(1, c.size)
+    amp = c[1:] * n * (1.0 - r * r) ** (n - 1) * (r * r)
     success = float(np.sum(amp ** 2))
     if success <= 0.0:
         raise ValueError("subtraction conditioning has zero probability")

@@ -158,7 +158,7 @@ def _bounded_brent(f, lo: float, hi: float, xatol: float, maxfun: int = 500):
 
 
 def optimize_family_parameter(family: str, chi: float, objective: str = "chsh",
-                              bounds: tuple | None = None, cutoff: int = 32):
+                              bounds: tuple | None = None, cutoff: int = catalog.WORKING_CUTOFF):
     """Bounded 1-D maximization of the functional over one family parameter
     (by default over its interval in `catalog.FAMILIES`).
 

@@ -23,7 +23,7 @@ from math import lgamma, log
 import numpy as np
 
 from . import bell
-from .catalog import seed, seed_transmissivity, tmss
+from .catalog import WORKING_CUTOFF, seed, seed_transmissivity, tmss
 from .fock_core import (
     TAIL_TOL,
     CoefficientVector,
@@ -35,7 +35,6 @@ from .fock_core import (
 from .linear_optics import (
     NORM_GATE,
     BeamSplitter,
-    DetectorOutcome,
     apply_bs_pair_on_four_modes,
     condition_on_outcome,
     photon_subtract_beamsplitter,
@@ -135,23 +134,18 @@ def stage1_verify(xi: float, lam: float, cutoff: int = 4) -> Stage1Report:
         raise ValueError("stage-1 verification needs cutoff >= 4")
     src = tmss(lam, cutoff)
     c = src.coeffs / np.sqrt(float(np.dot(src.coeffs, src.coeffs)))
-    d = cutoff + 1
-    amps = np.zeros((d, d, d, d))
-    for m in range(d):
-        for n in range(d):
-            amps[m, n, n, m] = c[m] * c[n]
+    amps = np.zeros((cutoff + 1,) * 4)
+    m, n = np.indices((cutoff + 1, cutoff + 1))
+    amps[m, n, n, m] = np.outer(c, c)
     tensor = FourModeTensor(amps)
     t_used = stage1_transmissivity(xi, lam)
     splitter = BeamSplitter(t_used, -np.sqrt(1.0 - t_used * t_used))
-    mixed = apply_bs_pair_on_four_modes(splitter, tensor, ("ac", "bd"))
+    mixed = apply_bs_pair_on_four_modes(splitter, tensor)
     lost = 1.0 - mixed.norm_squared()
     if abs(lost) > NORM_GATE:
         raise ValueError(f"stage 1 at lambda={lam:g} leaks {lost:.3e} of the norm past cutoff "
                          f"{cutoff} ({'; '.join(mixed.notes)}); use a smaller lambda")
-    ensemble = condition_on_outcome(
-        mixed, modes=("c", "d"),
-        outcomes=(DetectorOutcome.click(), DetectorOutcome.click()),
-    )
+    ensemble = condition_on_outcome(mixed)
     target = seed(xi, cutoff)
     dist = trace_distance_pure_vs_ensemble(target, ensemble)
     return Stage1Report(
@@ -170,7 +164,7 @@ class PipelineConfig:
     xi: float
     lam: float | None = None          # set to verify stage 1 alongside
     iterations: int = 3
-    cutoff: int = 32
+    cutoff: int = WORKING_CUTOFF
     subtraction: str = "exact"        # "exact" or "beamsplitter"
     subtraction_reflectivity: float = 0.01
 
@@ -237,12 +231,12 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
 
 
 def overgaussification_scan(xi: float, max_iterations: int, chi: float = np.pi / 4,
-                            cutoff: int = 32) -> list:
-    """CHSH value of the subtracted state for each iteration count 0..max."""
+                            cutoff: int = WORKING_CUTOFF, metric=bell.chsh_B) -> list:
+    """Bell value (CHSH by default) of the subtracted state for each iteration count 0..max."""
     if max_iterations < 4:
         raise ValueError("scan should extend past the operating point; use >= 4")
     rows = []
     for i in range(max_iterations + 1):
         rep = run_pipeline(PipelineConfig(xi=xi, iterations=i, cutoff=cutoff))
-        rows.append((i, bell.chsh_B(rep.final_state, chi)))
+        rows.append((i, metric(rep.final_state, chi)))
     return rows

@@ -100,6 +100,19 @@ def test_pipeline_refuses_stage1_leaking_past_its_cutoff(tmp_path, capsys, lam):
     assert f"stage 1 at lambda={lam} leaks" in err and "past cutoff 4" in err
 
 
+def test_pipeline_bs_r_needs_beamsplitter_subtraction(tmp_path, capsys):
+    out = tmp_path / "p.json"
+    assert run_cli("pipeline", "--xi", "0.7071", "--bs-r", "0.02", "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: --bs-r")
+    assert not out.exists()
+    probs = []
+    for r in ("0.01", "0.02"):
+        assert run_cli("pipeline", "--xi", "0.7071", "--subtraction", "beamsplitter",
+                       "--bs-r", r, "--out", str(out)) == 0
+        probs.append(json.loads(out.read_text())["subtraction_probability"])
+    assert abs(probs[1] / probs[0] - 16.0) < 0.02 * 16.0      # success ~ r^4
+
+
 def test_bell_on_vacuum_state(tmp_path):
     state = tmp_path / "vacuum.json"
     write_state_file(seed(0.0, cutoff=4), state)
@@ -168,6 +181,14 @@ def test_scan_iterations(tmp_path):
     )
     assert rows[3] == max(rows.values())
     assert rows[3] > rows[4] > rows[5] > rows[6]
+    ch = tmp_path / "iters_ch.csv"
+    run_cli("scan", "--param", "iterations", "--to", "6", "--xi", "0.7071", "--metric", "ch",
+            "--out", str(ch))
+    lines = ch.read_text().strip().split("\n")
+    assert lines[0] == "iterations,CH"
+    for line in lines[1:]:
+        i, s = line.split(",")
+        assert abs(float(s) - (rows[int(i)] / 4 + 0.5)) < 1e-11
 
 
 def test_sample_summary_and_reproducibility(tmp_path, pipeline_state):

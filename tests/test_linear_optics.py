@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from homodyne_bell import (
     run_pipeline,
     tmss,
 )
+from homodyne_bell.linear_optics import _unitary_table
 from homodyne_bell.pipeline import PipelineConfig
 
 
@@ -79,14 +82,16 @@ def test_negative_index_rejected():
 
 
 def test_large_indices_stay_finite_and_unitary():
-    # 64 photons: log-factorial accumulation must not overflow, and the
-    # row norm survives the oscillatory cancellation to ~1e-6
+    # 64 photons: the block recurrence has no factorial to overflow and no
+    # alternating sum to cancel, so the whole 65 x 65 block is unitary to rounding
     for t in (0.3, 1 / np.sqrt(2), 0.9):
         bs = BeamSplitter.from_transmissivity(t)
-        row = [bs_matrix_element(bs, j, 64 - j, 32, 32) for j in range(65)]
-        assert all(np.isfinite(e) for e in row)
-        assert max(abs(e) for e in row) <= 1.0
-        assert abs(sum(abs(e) ** 2 for e in row) - 1.0) < 1e-6
+        block = np.array([[bs_matrix_element(bs, j, 64 - j, m, 64 - m) for m in range(65)]
+                          for j in range(65)])
+        assert np.all(np.isfinite(block))
+        assert np.max(np.abs(block)) <= 1.0
+        assert abs(np.sum(np.abs(block[:, 32]) ** 2) - 1.0) < 1e-12    # the row <., .|U|32, 32>
+        assert np.max(np.abs(block.conj().T @ block - np.eye(65))) < 1e-12
 
 
 def test_brute_force_equivalence_20_random_splitters():
@@ -104,6 +109,10 @@ def test_brute_force_equivalence_20_random_splitters():
                     k = m + n - j
                     worst = max(worst, abs(bs_matrix_element(bs, j, k, m, n) - U[j, k, m, n]))
         assert worst < 1e-10
+        # the dense table, on every input the truncated oracle holds exactly
+        W = _unitary_table(complex(bs.T), complex(bs.R), cutoff, cutoff)
+        exact = np.add.outer(np.arange(cutoff + 1), np.arange(cutoff + 1)) <= cutoff
+        assert np.max(np.abs(W - U)[..., exact]) < 1e-10
 
 
 @settings(max_examples=15, deadline=None)
@@ -198,6 +207,14 @@ def test_condition_on_vacuum_click_is_impossible():
                              outcomes=(DetectorOutcome.click(), DetectorOutcome.click()))
 
 
+def test_exact_count_above_the_cutoff_is_impossible():
+    four = np.zeros((3, 3, 3, 3))
+    four[0, 0, 1, 1] = 1.0
+    with pytest.raises(ValueError, match="zero probability"):
+        condition_on_outcome(FourModeTensor(four),
+                             outcomes=(DetectorOutcome.exact_count(5), DetectorOutcome.click()))
+
+
 def test_condition_certain_click():
     four = np.zeros((2, 2, 2, 2))
     four[0, 0, 1, 1] = 1.0  # one photon in each detected mode
@@ -280,6 +297,17 @@ def test_subtract_beamsplitter_success_scaling(stage2_state):
     _, p1 = photon_subtract_beamsplitter(stage2_state, 0.005)
     _, p2 = photon_subtract_beamsplitter(stage2_state, 0.01)
     assert abs(p2 / p1 - 16.0) < 0.02 * 16.0
+
+
+@pytest.mark.parametrize("r", [1e-2, 1e-3, 1e-4, 1e-5])
+def test_subtract_beamsplitter_success_is_exact(stage2_state, r):
+    # P = sum_n (c_n <n-1,1|U|n,0>^2)^2 with <n-1,1|U|n,0>^2 = n (1 - r^2)^(n-1) r^2,
+    # in exact rational arithmetic on the same floats
+    r2 = Fraction(r) ** 2
+    exact = sum((Fraction(float(c)) * n * (1 - r2) ** (n - 1) * r2) ** 2
+                for n, c in enumerate(stage2_state.coeffs) if n > 0)
+    _, success = photon_subtract_beamsplitter(stage2_state, r)
+    assert abs(Fraction(success) / exact - 1) < 1e-14
 
 
 def test_subtract_beamsplitter_rejects_vacuum_and_large_r():
