@@ -39,6 +39,7 @@ from numpy.polynomial.legendre import leggauss
 from .fock_core import CoefficientVector
 
 _EVAL_NORM_TOL = 1e-8
+_ORACLE_POINTS = 400
 
 
 def hermite_wavefunction(n: int, x):
@@ -180,9 +181,7 @@ def ch_ratio_literal(v: CoefficientVector, angles: BellAngles = BellAngles()) ->
     return num / den
 
 
-def p_plus_plus_quadrature_oracle(v: CoefficientVector, chi: float,
-                                  x_max: float | None = None, points: int = 400,
-                                  scale: float = 1.0) -> float:
+def p_plus_plus_quadrature_oracle(v: CoefficientVector, chi: float, scale: float = 1.0) -> float:
     """Direct 2-D quadrature of |sum_n c_n e^(i n chi) psi_n(x) psi_n(y)|^2
     over the positive quadrant.
 
@@ -194,9 +193,8 @@ def p_plus_plus_quadrature_oracle(v: CoefficientVector, chi: float,
     if scale <= 0.0:
         raise ValueError("scale must be positive")
     n_max = c.size - 1
-    if x_max is None:
-        x_max = max(12.0, np.sqrt(2.0 * n_max + 1.0) + 6.0) / scale
-    x, w = _legendre_rule(points)     # Gauss-Legendre on [0, x_max]
+    x_max = max(12.0, np.sqrt(2.0 * n_max + 1.0) + 6.0) / scale
+    x, w = _legendre_rule(_ORACLE_POINTS)     # Gauss-Legendre on [0, x_max]
     xs, ws = 0.5 * x_max * (x + 1.0), 0.5 * x_max * w
     V = np.sqrt(scale) * hermite_basis(n_max, scale * xs)
     phases = c * np.exp(1j * chi * np.arange(c.size))
@@ -257,11 +255,11 @@ class BellReport:
         return header + "\n" + ",".join(vals) + "\n"
 
 
-def bell_report(v: CoefficientVector, chi: float, provenance: str | None = None) -> BellReport:
+def bell_report(v: CoefficientVector, chi: float) -> BellReport:
     """Evaluate P++, E, B and S for one state from P++ at chi and 3 chi."""
     p = _p_plus_plus_of(v)
     p1, p3 = p(chi), p(3.0 * chi)
     s = 3.0 * p1 - p3
     return BellReport(chi=chi, p_pp_chi=p1, p_pp_3chi=p3, E_chi=4.0 * p1 - 1.0,
                       E_3chi=4.0 * p3 - 1.0, B=4.0 * s - 2.0, S=s, cutoff=v.cutoff,
-                      provenance=v.provenance if provenance is None else provenance)
+                      provenance=v.provenance)

@@ -1,21 +1,22 @@
 """Closed-form coefficient generators for the named state families.
 
-Tmss, ps_tmss and circle are power series c_n = alpha_n t^n / norm, the
-amplitudes of sum_n c_n |n,n>, each stated once by t and alpha_n / alpha_(n-1)
-with alpha_0 = 1: tmss (lambda, 1), ps_tmss (lambda, (n+1)/n), circle (r^2, 1/n).
-The norm is taken once over the kept levels; the printed prefactors
-sqrt(1 - lambda^2), sqrt((1-lambda^2)^3 / (1+lambda^2)) and I0(2 r^2)^(-1/2) are
-its limits.  Without a cutoff the levels run to the first N >= 1 with
-(alpha_N t^N)^2 < TAIL_TOL = 1e-12, at most HARD_CUTOFF_CAP = 64.  The norm is
-at least alpha_0 = 1, so only a capped state can keep c_N^2 at or above the
-tolerance, and such a state is refused.  An explicit cutoff truncates as asked
-and the vector reports `converged = False`.  The two-term seed
-(|0,0> + xi |1,1>) / sqrt(1 + xi^2) has its own generator.
+Tmss, ps_tmss, circle and pipelined are power series c_n = alpha_n t^n / norm,
+the amplitudes of sum_n c_n |n,n>, each stated once by t and alpha_n / alpha_(n-1)
+with alpha_0 = 1: tmss (lambda, 1), ps_tmss (lambda, (n+1)/n), circle (r^2, 1/n),
+pipelined (xi, (n+1)/n max(1 - n/2^k, 0)).  The norm is taken once over the kept
+levels; the printed prefactors sqrt(1 - lambda^2), sqrt((1-lambda^2)^3 / (1+lambda^2))
+and I0(2 r^2)^(-1/2) are its limits.  Without a cutoff the levels run to the first
+N >= 1 with (alpha_N t^N)^2 < TAIL_TOL = 1e-12, at most HARD_CUTOFF_CAP = 64.  The
+norm is at least alpha_0 = 1, so only a capped state can keep c_N^2 at or above the
+tolerance, and such a state is refused.  An explicit cutoff truncates as asked and
+the vector reports `converged = False`.  The two-term seed
+(|0,0> + xi |1,1>) / sqrt(1 + xi^2) has its own generator.  The catalog holds
+states only: the distillation protocol that prepares `pipelined` lives in `pipeline`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -103,6 +104,25 @@ def seed(xi: float, cutoff: int | None = None) -> CoefficientVector:
     return CoefficientVector(c, normalized=True, provenance=f"seed({xi:g})")
 
 
+def pipelined(xi: float, cutoff: int | None = None, iterations: int = 3) -> CoefficientVector:
+    """The state `pipeline` distils, on levels 0..cutoff-1 (the seed's cutoff, by default
+    WORKING_CUTOFF, less the subtracted level).  k vacuum-heralded 50:50 steps map
+    F(z) = sum c_n z^n / n! to F(z/2)^2 each, so the seed 1 + xi z gives (1 + xi z/2^k)^(2^k)
+    (Eisert et al., Ann. Phys. 311, 431 (2004)); subtracting a photon per mode leaves
+    c_n ~ (n + 1) (2^k)! / (2^k - n - 1)! (xi/2^k)^n, tending to ps_tmss(xi) as k grows."""
+    if xi <= 0.0:
+        raise ValueError("pipeline requires xi > 0")
+    if iterations < 0:
+        raise ValueError("iterations must be nonnegative")
+    cutoff = WORKING_CUTOFF if cutoff is None else cutoff
+    if cutoff < 1:
+        raise ValueError("seed needs cutoff >= 1 to hold the |1,1> term")
+    step = 2.0 ** -iterations
+    v = _series("pipeline", xi, xi, lambda n: (n + 1.0) / n * np.maximum(1.0 - n * step, 0.0),
+                cutoff - 1)
+    return replace(v, provenance=f"pipeline(xi={xi:g}, iters={iterations})")
+
+
 def seed_transmissivity(xi: float, lam: float) -> float:
     """|T(lambda)| = |xi - sqrt(xi^2 + 8 lambda^2)| / (4 lambda).
 
@@ -136,12 +156,9 @@ class CatalogSpec:
             raise ValueError(f"family {fam!r} requires a parameter")
 
     def build(self) -> CoefficientVector:
-        """The family's state; `pipeline` runs the preparation at xi = parameter."""
+        """The family's state at its parameter."""
         if self.family == "custom":
             return read_state_file(self.path)
-        if self.family == "pipeline":
-            from .pipeline import PipelineConfig, run_pipeline
-            cutoff = WORKING_CUTOFF if self.cutoff is None else self.cutoff
-            return run_pipeline(PipelineConfig(xi=self.parameter, cutoff=cutoff)).final_state
-        generator = {"tmss": tmss, "circle": circle, "ps_tmss": ps_tmss, "seed": seed}
+        generator = {"tmss": tmss, "circle": circle, "ps_tmss": ps_tmss, "seed": seed,
+                     "pipeline": pipelined}
         return generator[self.family](self.parameter, self.cutoff)

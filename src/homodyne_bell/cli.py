@@ -44,39 +44,34 @@ def _state_csv(v: CoefficientVector) -> str:
     return _csv(["n", "c_n"], [(n, float(c)) for n, c in enumerate(v.coeffs)])
 
 
-def _spec_from_args(args) -> catalog.CatalogSpec:
-    name = catalog.FAMILIES[args.family].parameter
-    param = None if name is None else getattr(args, "lam" if name == "lambda" else name)
-    if name is not None and param is None:
-        raise SystemExit(f"error: family {args.family!r} needs its parameter flag")
-    return catalog.CatalogSpec(args.family, param, path=getattr(args, "file", None),
-                               cutoff=args.cutoff)
-
-
-def _compare_table(cutoff_rows: int = 12) -> str:
-    """Coefficient comparison of the five benchmark families by photon number."""
-    columns = [
-        ("tmss_lambda0.6", catalog.tmss(0.6, catalog.WORKING_CUTOFF)),
-        ("ps_tmss_lambda0.6", catalog.ps_tmss(0.6, catalog.WORKING_CUTOFF)),
-        ("circle_r1.12", catalog.circle(1.12, catalog.WORKING_CUTOFF)),
-        ("pipeline_xi0.71", run_pipeline(PipelineConfig(xi=0.71)).final_state),
-        ("optimized_N10", optimizer.optimize_coefficients(10, np.pi / 4)[0]),
-    ]
-    header = ["n"] + [name for name, _ in columns]
-    rows = []
-    for n in range(cutoff_rows + 1):
-        row = [n]
-        for _, v in columns:
-            row.append(float(v.coeffs[n]) if n < v.coeffs.size else 0.0)
-        rows.append(tuple(row))
-    return _csv(header, rows)
+def _compare_table() -> str:
+    """Coefficients of the five benchmark families by photon number, n = 0..12."""
+    columns = {
+        "tmss_lambda0.6": catalog.tmss(0.6, catalog.WORKING_CUTOFF),
+        "ps_tmss_lambda0.6": catalog.ps_tmss(0.6, catalog.WORKING_CUTOFF),
+        "circle_r1.12": catalog.circle(1.12, catalog.WORKING_CUTOFF),
+        "pipeline_xi0.71": catalog.pipelined(0.71),
+        "optimized_N10": optimizer.optimize_coefficients(10, np.pi / 4)[0],
+    }
+    rows = [(n, *(float(v.coeffs[n]) if n < v.coeffs.size else 0.0 for v in columns.values()))
+            for n in range(13)]
+    return _csv(["n", *columns], rows)
 
 
 def cmd_state(args) -> None:
+    family = args.family or "tmss"
+    own = catalog.FAMILIES[family].parameter
+    used = () if args.compare else ("family", "format") + ((own, "cutoff") if own else ("file",))
+    unused = [f"--{f}" for f in ("family", "format", "cutoff", "lambda", "r", "xi", "file")
+              if f not in used and getattr(args, f) is not None]
+    if unused:
+        where = "--compare" if args.compare else f"family {family!r}"
+        raise ValueError(f"{where} takes no {', '.join(unused)}")
     if args.compare:
         _emit(_compare_table(), args.out)
         return
-    v = _spec_from_args(args).build()
+    v = catalog.CatalogSpec(family, own and getattr(args, own), path=args.file,
+                            cutoff=args.cutoff).build()
     _emit(_state_csv(v) if args.format == "csv" else state_file_text(v), args.out)
 
 
@@ -203,10 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("state", help="emit a catalog state file")
     common(p)
     p.add_argument("--cutoff", type=int, default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--family", default="tmss", type=catalog.family_name,
-                   choices=catalog.FAMILIES)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--format", choices=("json", "csv"), default=None, help="default: json")
+    p.add_argument("--family", default=None, type=catalog.family_name,
+                   choices=catalog.FAMILIES, help="default: tmss")
+    p.add_argument("--lambda", type=float, default=None)
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--xi", type=float, default=None)
     p.add_argument("--file", default=None, help="state file for --family custom")

@@ -157,21 +157,21 @@ def _bounded_brent(f, lo: float, hi: float, xatol: float, maxfun: int = 500):
     return x, fx, evals
 
 
-def optimize_family_parameter(family: str, chi: float, objective: str = "chsh",
-                              bounds: tuple | None = None, cutoff: int = catalog.WORKING_CUTOFF):
-    """Bounded 1-D maximization of the functional over one family parameter
-    (by default over its interval in `catalog.FAMILIES`).
+def optimize_family_parameter(family: str, chi: float, objective: str = "chsh"):
+    """Bounded 1-D maximization of the functional over one family parameter, over
+    its interval in `catalog.FAMILIES`, at cutoff `catalog.WORKING_CUTOFF`.
 
     Returns (best parameter, best value).
     """
     report = _reported(objective)
     family = catalog.family_name(family)
-    bounds = bounds or catalog.FAMILIES.get(family, catalog.Family(None, None)).bounds
+    bounds = catalog.FAMILIES.get(family, catalog.Family(None, None)).bounds
     if bounds is None:
         raise ValueError(f"no default bounds for family {family!r}")
 
     def negated_s(p):
-        return -bell.ch_S(catalog.CatalogSpec(family, p, cutoff=cutoff).build(), chi)
+        spec = catalog.CatalogSpec(family, p, cutoff=catalog.WORKING_CUTOFF)
+        return -bell.ch_S(spec.build(), chi)
 
     x, fun, _ = _bounded_brent(negated_s, *bounds, xatol=1e-8)
     return float(x), report(-float(fun))

@@ -9,9 +9,10 @@ combination of two state copies, whose coefficient recursion is
 
 a map with geometric sequences as fixed points (three iterations is the
 operating point; more Gaussifies the nonlocality away).  Stage 3 subtracts one
-photon from each mode.  The default pipeline runs the coefficient recursion
-from the ideal two-term seed; the four-mode operator simulation exists to
-verify stage 1 and the recursion.
+photon from each mode.  `run_pipeline` runs this protocol, with its heralding
+probabilities, by the coefficient recursion from the ideal two-term seed; the
+four-mode operator simulation verifies stage 1 and the recursion.  The state it
+distils is the closed-form row `catalog.pipelined`, which searches and scans read.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from math import lgamma, log
 import numpy as np
 
 from . import bell
-from .catalog import WORKING_CUTOFF, seed, seed_transmissivity, tmss
+from .catalog import WORKING_CUTOFF, pipelined, seed, seed_transmissivity, tmss
 from .fock_core import (
     TAIL_TOL,
     CoefficientVector,
@@ -132,15 +133,13 @@ def stage1_verify(xi: float, lam: float, cutoff: int = 4) -> Stage1Report:
     """
     if cutoff < 4:
         raise ValueError("stage-1 verification needs cutoff >= 4")
-    src = tmss(lam, cutoff)
-    c = src.coeffs / np.sqrt(float(np.dot(src.coeffs, src.coeffs)))
+    c = tmss(lam, cutoff).coeffs
     amps = np.zeros((cutoff + 1,) * 4)
     m, n = np.indices((cutoff + 1, cutoff + 1))
     amps[m, n, n, m] = np.outer(c, c)
     tensor = FourModeTensor(amps)
     t_used = stage1_transmissivity(xi, lam)
-    splitter = BeamSplitter(t_used, -np.sqrt(1.0 - t_used * t_used))
-    mixed = apply_bs_pair_on_four_modes(splitter, tensor)
+    mixed = apply_bs_pair_on_four_modes(BeamSplitter.from_transmissivity(t_used, -1), tensor)
     lost = 1.0 - mixed.norm_squared()
     if abs(lost) > NORM_GATE:
         raise ValueError(f"stage 1 at lambda={lam:g} leaks {lost:.3e} of the norm past cutoff "
@@ -232,11 +231,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
 
 def overgaussification_scan(xi: float, max_iterations: int, chi: float = np.pi / 4,
                             cutoff: int = WORKING_CUTOFF, metric=bell.chsh_B) -> list:
-    """Bell value (CHSH by default) of the subtracted state for each iteration count 0..max."""
+    """Bell value (CHSH by default) of the distilled state for each iteration count 0..max."""
     if max_iterations < 4:
         raise ValueError("scan should extend past the operating point; use >= 4")
-    rows = []
-    for i in range(max_iterations + 1):
-        rep = run_pipeline(PipelineConfig(xi=xi, iterations=i, cutoff=cutoff))
-        rows.append((i, metric(rep.final_state, chi)))
-    return rows
+    return [(i, metric(pipelined(xi, cutoff, i), chi)) for i in range(max_iterations + 1)]

@@ -43,15 +43,14 @@ _BLOCK = 128              # grid points per block of that inversion's first leve
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """Sign-binned counts of one seeded batch at one angle pair."""
+    """Sign-binned counts of one seeded batch at one angle sum chi."""
 
     seed: int
     n_samples: int
-    theta: float
-    phi: float
+    chi: float
     counts: np.ndarray            # 2x2, rows = A sign (+,-), cols = B sign (+,-)
-    generator: str = GENERATOR_NAME
     samples: np.ndarray | None = None   # optional raw (x_A, x_B) pairs
+    generator = GENERATOR_NAME          # the engine of every batch
 
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=np.int64)
@@ -59,10 +58,6 @@ class SampleBatch:
             raise ValueError("counts must form a 2x2 table summing to n_samples")
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
-
-    @property
-    def chi(self) -> float:
-        return self.theta + self.phi
 
     def correlation(self) -> float:
         c = self.counts
@@ -75,13 +70,12 @@ class SampleBatch:
 class _SamplerPlan:
     """Joint law of (x_A cell, sign x_B) and its four quadrant masses for one (state, chi)."""
 
-    def __init__(self, coeffs: np.ndarray, chi: float,
-                 grid_points: int = GRID_POINTS, half_width: float = GRID_HALF_WIDTH):
+    def __init__(self, coeffs: np.ndarray, chi: float):
         k = coeffs.size
-        self.edges = np.linspace(-half_width, half_width, grid_points + 1)
+        self.edges = np.linspace(-GRID_HALF_WIDTH, GRID_HALF_WIDTH, GRID_POINTS + 1)
         self.dx = self.edges[1] - self.edges[0]
         self.centers = 0.5 * (self.edges[:-1] + self.edges[1:])
-        self.half = grid_points // 2                  # first cell of x >= 0
+        self.half = GRID_POINTS // 2                  # first cell of x >= 0
         # two Gauss-Legendre nodes per cell, at its centre -+ dx / (2 sqrt 3), weight dx / 2 each:
         # cell i's in columns 2i, 2i + 1
         nodes = (self.centers[:, None] + np.array([-0.5, 0.5]) * self.dx / np.sqrt(3.0)).ravel()
@@ -94,8 +88,9 @@ class _SamplerPlan:
         joint = np.clip(joint.reshape(2, -1, 2).sum(2), 0.0, None)  # rounding can step below 0
         lost = 1.0 - joint.sum() / np.dot(coeffs, coeffs)
         if lost > _MASS_TOL:
-            raise ValueError(f"the sampling grid [-{half_width:g}, {half_width:g}] misses "
-                             f"{lost:.3g} of the state's quadrature mass (limit {_MASS_TOL:g})")
+            raise ValueError(f"the sampling grid [-{GRID_HALF_WIDTH:g}, {GRID_HALF_WIDTH:g}] "
+                             f"misses {lost:.3g} of the state's quadrature mass "
+                             f"(limit {_MASS_TOL:g})")
         table = joint / joint.sum()              # rows: x_B >= 0, x_B < 0; columns: cells
         self.joint = table.T                     # joint[cell, s] = P(x_A in cell, sign x_B = s)
         # A+B+, A+B-, A-B+, A-B-, each summed over contiguous memory (pairwise, to rounding)
@@ -199,8 +194,7 @@ def sample_joint(v: CoefficientVector, chi: float, n: int, seed: int,
                  keep_samples: bool = False) -> SampleBatch:
     """Sign-binned counts of n i.i.d. quadrature pairs, one 4-category draw in O(1).
 
-    Deterministic for a given seed.  The angle pair is recorded as
-    (theta, phi) = (chi, 0); only the sum enters the statistics.
+    Deterministic for a given seed; only the angle sum chi enters the statistics.
     """
     c = v.coeffs
     n2 = float(np.dot(c, c))
@@ -212,8 +206,8 @@ def sample_joint(v: CoefficientVector, chi: float, n: int, seed: int,
     rng = np.random.Generator(np.random.Philox(seed))
     counts = rng.multinomial(n, plan.quadrants).reshape(2, 2)
     samples = plan.raw_pairs(*plan.cell_counts(counts, rng), rng) if keep_samples else None
-    return SampleBatch(seed=seed, n_samples=n, theta=float(chi), phi=0.0,
-                       counts=counts, samples=samples)
+    return SampleBatch(seed=seed, n_samples=n, chi=float(chi), counts=counts,
+                       samples=samples)
 
 
 @dataclass(frozen=True)

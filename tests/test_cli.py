@@ -280,6 +280,23 @@ def test_flags_a_subcommand_does_not_honour_are_rejected(argv):
     assert exc.value.code != 0
 
 
+@pytest.mark.parametrize("flags", [
+    ["--family", "tmss", "--lambda", "0.5", "--r", "1"],
+    ["--family", "circle", "--r", "1.12", "--xi", "0.7"],
+    ["--family", "tmss", "--lambda", "0.5", "--file", "s.json"],
+    ["--family", "custom", "--file", "s.json", "--cutoff", "4"],
+    ["--compare", "--family", "circle"],
+    ["--compare", "--r", "1.12"],
+    ["--compare", "--format", "csv"],
+])
+def test_state_rejects_flags_that_take_no_effect(tmp_path, capsys, monkeypatch, flags):
+    monkeypatch.chdir(tmp_path)
+    write_state_file(circle(1.12, 8), tmp_path / "s.json")
+    assert run_cli("state", *flags, "--out", "out.txt") == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out.txt").exists()
+
+
 def test_scan_rejects_a_parameter_of_another_family(tmp_path):
     out = tmp_path / "scan.csv"
     assert run_cli("scan", "--family", "tmss", "--param", "r", "--from", "0.1", "--to", "0.5",

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.chebyshev import chebinterpolate, chebroots
 
 from homodyne_bell import (
     CoefficientVector,
@@ -288,3 +289,43 @@ def test_bounded_brent_edge_cases_are_scipys(f, maxfun):
     _assert_brent_is_scipys(f, 1e-6, np.pi / 2, 1e-10, maxfun)
     with pytest.raises(ValueError):
         optimizer._bounded_brent(f, 1.0, 0.0, 1e-8)
+
+
+def _certified_family_optimum(family, chi):
+    """(p*, B*) over a family's bounds at cutoff 32, from every stationary point.
+
+    Each state is alpha_n t^n / norm with t = p or p^2, so dS/dp is a positive
+    multiple of the residual (n o c)^T (M - S I) c, whose part along c vanishes.
+    The residual, evaluated pointwise, is interpolated at 4k Chebyshev points of
+    the bounds; every near-real root of the interpolant (`chebroots`, a colleague
+    matrix) and both bounds are candidates, and the best of them is the maximum.
+    """
+    lo, hi = catalog.FAMILIES[family].bounds
+
+    def state(p):
+        return catalog.CatalogSpec(family, float(p), cutoff=32).build().coeffs
+
+    def at(x):
+        return lo + 0.5 * (hi - lo) * (x + 1.0)
+
+    k = state(hi).size
+    M, n = 3.0 * bell.kernel(k, chi) - bell.kernel(k, 3.0 * chi), np.arange(k)
+
+    def residual(xs):
+        cs = [state(at(x)) for x in xs]
+        return np.array([(n * c) @ (M @ c - (c @ M @ c) * c) for c in cs])
+
+    coef = chebinterpolate(residual, 4 * k - 1)
+    assert np.max(np.abs(coef[-8:])) < 1e-12 * np.max(np.abs(coef))   # resolved
+    roots = chebroots(coef)
+    candidates = np.concatenate(([lo, hi], at(np.clip(roots[abs(roots.imag) < 1e-3].real, -1, 1))))
+    s = [state(p) @ M @ state(p) for p in candidates]
+    return candidates[int(np.argmax(s))], 4.0 * max(s) - 2.0
+
+
+@pytest.mark.parametrize("family", ["tmss", "ps_tmss", "circle", "pipeline"])
+def test_family_search_finds_the_certified_global_optimum(family):
+    p_cert, b_cert = _certified_family_optimum(family, CHI)
+    p_star, b_star = optimize_family_parameter(family, CHI)
+    assert abs(b_star - b_cert) <= 1e-14
+    assert abs(p_star - p_cert) <= 5e-8

@@ -23,7 +23,7 @@ from homodyne_bell import (
     stage1_transmissivity,
     stage1_verify,
 )
-from homodyne_bell import pipeline
+from homodyne_bell import catalog, pipeline
 from homodyne_bell.pipeline import PipelineConfig
 
 XI = 1 / np.sqrt(2)
@@ -257,3 +257,29 @@ def test_overgaussification_scan():
 def test_overgaussification_scan_needs_room():
     with pytest.raises(ValueError):
         overgaussification_scan(XI, 3)
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_pipelined_row_is_the_protocols_final_state(k):
+    for xi in (0.2, 0.5, XI, 1.0, 1.5):
+        for cutoff in (3, 4, 8, 32):
+            row = catalog.pipelined(xi, cutoff, k)
+            final = run_pipeline(PipelineConfig(xi=xi, iterations=k, cutoff=cutoff)).final_state
+            assert row.coeffs.size == final.coeffs.size and row.provenance == final.provenance
+            assert np.max(np.abs(row.coeffs - final.coeffs)) <= 1e-14
+
+
+def test_family_state_and_scan_run_no_protocol(monkeypatch):
+    want = [(i, chsh_B(run_pipeline(PipelineConfig(xi=XI, iterations=i)).final_state, np.pi / 4))
+            for i in range(7)]
+    built = run_pipeline(PipelineConfig(xi=XI, cutoff=24)).final_state
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the protocol ran")
+
+    monkeypatch.setattr(pipeline, "run_pipeline", refuse)
+    monkeypatch.setattr(pipeline, "gaussify_step", refuse)
+    v = catalog.CatalogSpec("pipeline", XI, cutoff=24).build()
+    assert np.max(np.abs(v.coeffs - built.coeffs)) <= 1e-14
+    for (i, b), (j, b_want) in zip(overgaussification_scan(XI, 6), want, strict=True):
+        assert i == j and abs(b - b_want) <= 1e-14
