@@ -181,26 +181,32 @@ def ch_ratio_literal(v: CoefficientVector, angles: BellAngles = BellAngles()) ->
     return num / den
 
 
-def p_plus_plus_quadrature_oracle(v: CoefficientVector, chi: float, scale: float = 1.0) -> float:
-    """Direct 2-D quadrature of |sum_n c_n e^(i n chi) psi_n(x) psi_n(y)|^2
-    over the positive quadrant.
-
-    `scale` rescales the quadrature convention (psi_n(x) -> sqrt(s) psi_n(s x))
-    to exhibit the scale invariance of sign binning.  Independent of the
-    closed-form reduction; used as its oracle.
-    """
-    c = _checked_coeffs(v)
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
-    n_max = c.size - 1
+@lru_cache(maxsize=64)
+def _quadrature_gram(n_max: int, scale: float) -> np.ndarray:
+    """Read-only oracle Gram matrix W_nm = sum_i w_i psi_n(x_i) psi_m(x_i); cached."""
     x_max = max(12.0, np.sqrt(2.0 * n_max + 1.0) + 6.0) / scale
     x, w = _legendre_rule(_ORACLE_POINTS)     # Gauss-Legendre on [0, x_max]
     xs, ws = 0.5 * x_max * (x + 1.0), 0.5 * x_max * w
     V = np.sqrt(scale) * hermite_basis(n_max, scale * xs)
-    phases = c * np.exp(1j * chi * np.arange(c.size))
-    amp = (V * phases[:, None]).T @ V    # amp[i, j] = sum_n c_n e^{in chi} psi_n(x_i) psi_n(y_j)
-    dens = np.abs(amp) ** 2
-    return float(ws @ dens @ ws)
+    W = (V * ws) @ V.T
+    W.setflags(write=False)
+    return W
+
+
+def p_plus_plus_quadrature_oracle(v: CoefficientVector, chi: float, scale: float = 1.0) -> float:
+    """2-D Gauss-Legendre quadrature of |sum_n p_n psi_n(x) psi_n(y)|^2, p_n = c_n e^(i n chi),
+    over the positive quadrant: the tensor-product sum factorizes exactly as p^H (W o W) p.
+
+    `scale` rescales the quadrature convention (psi_n(x) -> sqrt(s) psi_n(s x))
+    to exhibit the scale invariance of sign binning.  Never reads G; used as
+    the closed form's oracle.
+    """
+    c = _checked_coeffs(v)
+    if scale <= 0.0:
+        raise ValueError("scale must be positive")
+    W = _quadrature_gram(c.size - 1, float(scale))
+    p = c * np.exp(1j * chi * np.arange(c.size))
+    return float(np.vdot(p, (W * W) @ p).real)
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,8 @@ def _series(family: str, param: float, t: float, ratio, cutoff: int | None) -> C
     n_max = HARD_CUTOFF_CAP if cutoff is None else cutoff
     c = np.ones(n_max + 1)
     c[1:] = ratio(np.arange(1.0, n_max + 1))
-    c = np.cumprod(c) * t ** np.arange(n_max + 1)
+    c = np.cumprod(c)
+    c[c != 0] *= t ** np.flatnonzero(c)      # t^n only where alpha_n != 0: a large t cannot overflow
     if cutoff is None:
         small = np.flatnonzero(c[1:] ** 2 < TAIL_TOL)
         c = c[:small[0] + 2] if small.size else c

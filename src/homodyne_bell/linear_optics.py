@@ -122,16 +122,16 @@ def _blocks(T: complex, R: complex, n_max: int) -> tuple:
     of norm <= 1, so rounding errors do not grow from block to block (the
     a+ route alone amplifies them by up to sqrt(C(N, m))).
     """
+    root = np.sqrt(np.arange(n_max + 1.0))
+    raised_a, raised_b = np.zeros((2, n_max + 1, n_max), dtype=complex)   # a+, b+ on prev's columns
     blocks = [np.ones((1, 1), dtype=complex)]
     for N in range(1, n_max + 1):
-        prev = blocks[-1]
-        j = np.arange(N + 1)[:, None]
-        raised_a = np.sqrt(j) * np.pad(prev, ((1, 0), (0, 0)))       # a+ on each column of prev
-        raised_b = np.sqrt(N - j) * np.pad(prev, ((0, 1), (0, 0)))   # b+ on each column of prev
-        m = np.arange(N)
+        up, down = root[1:N + 1], root[N:0:-1]                 # sqrt(m + 1), sqrt(N - m)
+        a, b = raised_a[:N + 1, :N], raised_b[:N + 1, :N]      # rows 0 of a and N of b stay 0
+        a[1:], b[:-1] = up[:, None] * blocks[-1], down[:, None] * blocks[-1]
         block = np.zeros((N + 1, N + 1), dtype=complex)
-        block[:, 1:] += (T * raised_a - np.conj(R) * raised_b) * np.sqrt(m + 1)
-        block[:, :-1] += (R * raised_a + np.conj(T) * raised_b) * np.sqrt(N - m)
+        block[:, 1:] = (T * a - R.conjugate() * b) * up
+        block[:, :-1] += (R * a + T.conjugate() * b) * down
         blocks.append(block / N)
     for block in blocks:
         block.setflags(write=False)
@@ -139,12 +139,22 @@ def _blocks(T: complex, R: complex, n_max: int) -> tuple:
 
 
 @lru_cache(maxsize=64)
+def _table_index(cut_a: int, cut_b: int) -> np.ndarray:
+    """Read-only index of each W[j, k, m, n] into the concatenated blocks: entry [j, m] of
+    B[j + k] where j + k = m + n, else the zero that follows the blocks; cached."""
+    j, k, m, n = np.indices((cut_a + 1, cut_b + 1) * 2)
+    N, end = j + k, cut_a + cut_b + 1               # B[N] follows N^2 + ... + 1^2 entries
+    index = np.where(N == m + n, N * (N + 1) * (2 * N + 1) // 6 + j * (N + 1) + m,
+                     end * (end + 1) * (2 * end + 1) // 6)
+    index.setflags(write=False)
+    return index
+
+
+@lru_cache(maxsize=64)
 def _unitary_table(T: complex, R: complex, cut_a: int, cut_b: int) -> np.ndarray:
     """Dense W[j,k,m,n] on a (cut_a+1) x (cut_b+1) two-mode space (read-only)."""
-    W = np.zeros((cut_a + 1, cut_b + 1, cut_a + 1, cut_b + 1), dtype=complex)
-    for N, block in enumerate(_blocks(T, R, cut_a + cut_b)):
-        a = np.arange(max(0, N - cut_b), min(cut_a, N) + 1)    # first-mode counts that fit
-        W[a[:, None], N - a[:, None], a, N - a] = block[np.ix_(a, a)]
+    flat = np.concatenate([b.ravel() for b in _blocks(T, R, cut_a + cut_b)] + [[0.0]])
+    W = flat[_table_index(cut_a, cut_b)]
     W.setflags(write=False)
     return W
 
@@ -155,7 +165,8 @@ def _mix(bs: BeamSplitter, amps: np.ndarray, notes: tuple):
     top = float(np.sum(np.abs(amps[-1]) ** 2) + np.sum(np.abs(amps[:-1, -1]) ** 2))
     if top > TAIL_TOL:
         notes = notes + (f"truncation: top-level input mass {top:.3e} exceeds {TAIL_TOL:g}",)
-    return np.einsum("jkmn,mn...->jk...", W, amps), notes
+    pair = amps.shape[0] * amps.shape[1]
+    return (W.reshape(pair, pair) @ amps.reshape(pair, -1)).reshape(amps.shape), notes
 
 
 def apply_bs_two_mode(bs: BeamSplitter, s: TwoModeAmplitudeMatrix) -> TwoModeAmplitudeMatrix:
@@ -188,32 +199,25 @@ def condition_on_outcome(t: FourModeTensor,
 
     A click outcome contributes one branch per photon count k >= 1, weighted
     by the branch probability; vacuum and exact counts give a single count.
-    The returned ensemble on (a, b) renormalizes weights and stores the total
-    outcome probability.  Zero total probability raises ValueError.  The norm
-    gate leaves room for documented truncation leakage, which shrinks the norm
-    by the input's top-shell mass at worst.
+    The ensemble on (a, b) renormalizes weights and stores the total outcome
+    probability, summed in branch order: a small trace distance to the ensemble
+    moves with its last bit.  Zero total probability raises ValueError.  The norm
+    gate admits documented truncation leakage, the input's top-shell mass at worst.
     """
     if abs(t.norm_squared() - 1.0) > NORM_GATE:
         raise ValueError("conditioning expects a normalized four-mode state")
     if len(outcomes) != 2:
         raise ValueError("exactly two detector outcomes (modes c, d) are required")
-    cut_c, cut_d = t.amps.shape[2] - 1, t.amps.shape[3] - 1
-    branches = []
-    total = 0.0
-    for k in outcomes[0].allowed_counts(cut_c):
-        for l in outcomes[1].allowed_counts(cut_d):
-            phi = t.amps[:, :, k, l]
-            w = float(np.sum(np.abs(phi) ** 2))
-            total += w
-            if w > 0.0:
-                branches.append((w, phi))
+    k, l = (np.fromiter(o.allowed_counts(n - 1), int) for o, n in zip(outcomes, t.amps.shape[2:]))
+    phis = t.amps.transpose(2, 3, 0, 1)[k[:, None], l]    # phis[k, l] = amps[:, :, k, l]
+    weights = np.sum(np.abs(phis) ** 2, axis=(2, 3))
+    total = float(np.cumsum(weights)[-1]) if weights.size else 0.0
     if total <= 0.0:
         raise ValueError(
             f"conditioning on {tuple(o.kind for o in outcomes)} has zero probability"
         )
-    ensemble = tuple(
-        (w / total, TwoModeAmplitudeMatrix(phi / np.sqrt(w))) for w, phi in branches
-    )
+    ensemble = tuple((float(w) / total, TwoModeAmplitudeMatrix(phis[kl] / np.sqrt(w)))
+                     for kl, w in np.ndenumerate(weights) if w > 0.0)
     return ConditionalEnsemble(ensemble, success_probability=total)
 
 

@@ -201,6 +201,29 @@ def test_quadrature_oracle_agrees_on_catalog_states(pipeline_state):
             assert abs(closed - p_plus_plus_quadrature_oracle(v, chi)) < 1e-8
 
 
+def literal_quadrature_sum(v, chi, scale=1.0):
+    """The oracle as first written: the 400 x 400 amplitude grid, |amp|^2, ws @ dens @ ws."""
+    c = v.coeffs / np.linalg.norm(v.coeffs)
+    n_max = c.size - 1
+    x_max = max(12.0, np.sqrt(2.0 * n_max + 1.0) + 6.0) / scale
+    x, w = leggauss(400)
+    xs, ws = 0.5 * x_max * (x + 1.0), 0.5 * x_max * w
+    V = np.sqrt(scale) * bell.hermite_basis(n_max, scale * xs)
+    amp = (V * (c * np.exp(1j * chi * np.arange(c.size)))[:, None]).T @ V
+    return float(ws @ (np.abs(amp) ** 2) @ ws)
+
+
+@pytest.mark.parametrize("scale", [1.0, np.sqrt(2.0)])
+def test_quadrature_oracle_is_the_literal_tensor_sum(pipeline_state, scale):
+    states = [tmss(0.6), circle(1.12), ps_tmss(0.6), seed(1 / np.sqrt(2), cutoff=8),
+              pipeline_state, tmss(0.9, 64), circle(3.0)]
+    rng = np.random.default_rng(16)
+    for v in states:
+        for chi in rng.uniform(-np.pi, np.pi, 10):
+            got = p_plus_plus_quadrature_oracle(v, chi, scale=scale)
+            assert abs(got - literal_quadrature_sum(v, chi, scale)) <= 1e-15
+
+
 def test_quadrature_oracle_simple_values():
     assert abs(p_plus_plus_quadrature_oracle(seed(0.0, cutoff=4), 0.9) - 0.25) < 1e-10
     v = seed(1.0, cutoff=8)

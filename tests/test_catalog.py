@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -10,10 +11,12 @@ from homodyne_bell import (
     catalog,
     circle,
     ps_tmss,
+    run_pipeline,
     seed,
     seed_transmissivity,
     tmss,
 )
+from homodyne_bell.pipeline import PipelineConfig
 
 
 def test_tmss_zero_squeezing_is_vacuum():
@@ -237,3 +240,43 @@ def test_pipelined_row_refuses_what_the_protocol_refuses():
                   lambda: catalog.pipelined(0.7, iterations=-1)):
         with pytest.raises(ValueError):
             build()
+
+
+def unguarded_series(t, ratio, cutoff):
+    """The series rows as first written: t^n raised on every level, zero or not."""
+    n_max = catalog.HARD_CUTOFF_CAP if cutoff is None else cutoff
+    c = np.ones(n_max + 1)
+    c[1:] = ratio(np.arange(1.0, n_max + 1))
+    c = np.cumprod(c) * t ** np.arange(n_max + 1)
+    if cutoff is None:
+        small = np.flatnonzero(c[1:] ** 2 < catalog.TAIL_TOL)
+        c = c[:small[0] + 2] if small.size else c
+    return c / np.sqrt(c @ c)
+
+
+def test_series_rows_are_byte_identical_to_the_unguarded_formula():
+    cases = []
+    for cutoff in (None, 4, 32, 64):
+        cases += [(tmss(lam, cutoff), lam, lambda n: 1.0, cutoff) for lam in (0.0, 0.2, 0.6, 0.8)]
+        cases += [(ps_tmss(lam, cutoff), lam, lambda n: (n + 1.0) / n, cutoff)
+                  for lam in (0.0, 0.3, 0.6, 0.7)]
+        cases += [(circle(r, cutoff), r * r, lambda n: 1.0 / n, cutoff)
+                  for r in (0.0, 0.5, 1.12, 2.0, 3.0)]
+    for xi in (0.2, 1 / np.sqrt(2), 1.5, 3.0):
+        for cutoff in (3, 8, 32):
+            for k in range(6):
+                ratio = lambda n, k=k: (n + 1.0) / n * np.maximum(1.0 - n * 2.0 ** -k, 0.0)
+                cases.append((catalog.pipelined(xi, cutoff, k), xi, ratio, cutoff - 1))
+    for v, t, ratio, cutoff in cases:
+        assert v.coeffs.tobytes() == unguarded_series(t, ratio, cutoff).tobytes(), v.provenance
+
+
+@pytest.mark.parametrize("xi", [1e10, 1e12])
+def test_pipelined_row_with_large_xi_raises_no_zero_level(xi):
+    # levels past 2^k hold exactly 0; raising xi there overflowed to inf * 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = catalog.pipelined(xi)
+        final = run_pipeline(PipelineConfig(xi=xi)).final_state
+    assert row.coeffs.size == final.coeffs.size and np.count_nonzero(row.coeffs) == 8
+    assert np.max(np.abs(row.coeffs - final.coeffs)) <= 1e-14

@@ -22,7 +22,7 @@ from homodyne_bell import (
     run_pipeline,
     tmss,
 )
-from homodyne_bell.linear_optics import _unitary_table
+from homodyne_bell.linear_optics import _blocks, _unitary_table
 from homodyne_bell.pipeline import PipelineConfig
 
 
@@ -315,3 +315,113 @@ def test_subtract_beamsplitter_rejects_vacuum_and_large_r():
         photon_subtract_beamsplitter(CoefficientVector(np.array([1.0, 0.0])), 0.01)
     with pytest.raises(ValueError):
         photon_subtract_beamsplitter(CoefficientVector(np.array([0.0, 1.0])), 0.5)
+
+
+# --- per-block references: the dense table, the mixer and conditioning as first written ---
+
+def reference_blocks(T, R, n_max):
+    """Blocks of the beam-splitter recurrence, each raised column built by np.pad."""
+    blocks = [np.ones((1, 1), dtype=complex)]
+    for N in range(1, n_max + 1):
+        prev = blocks[-1]
+        j = np.arange(N + 1)[:, None]
+        raised_a = np.sqrt(j) * np.pad(prev, ((1, 0), (0, 0)))
+        raised_b = np.sqrt(N - j) * np.pad(prev, ((0, 1), (0, 0)))
+        m = np.arange(N)
+        block = np.zeros((N + 1, N + 1), dtype=complex)
+        block[:, 1:] += (T * raised_a - np.conj(R) * raised_b) * np.sqrt(m + 1)
+        block[:, :-1] += (R * raised_a + np.conj(T) * raised_b) * np.sqrt(N - m)
+        blocks.append(block / N)
+    return blocks
+
+
+def reference_table(T, R, cut_a, cut_b):
+    """The dense table by one np.ix_ assignment per block."""
+    W = np.zeros((cut_a + 1, cut_b + 1, cut_a + 1, cut_b + 1), dtype=complex)
+    for N, block in enumerate(reference_blocks(T, R, cut_a + cut_b)):
+        a = np.arange(max(0, N - cut_b), min(cut_a, N) + 1)
+        W[a[:, None], N - a[:, None], a, N - a] = block[np.ix_(a, a)]
+    return W
+
+
+def reference_mix(bs, amps):
+    """Mix the first two axes of `amps` by a 4-index einsum over the reference table."""
+    W = reference_table(complex(bs.T), complex(bs.R), amps.shape[0] - 1, amps.shape[1] - 1)
+    return np.einsum("jkmn,mn...->jk...", W, amps)
+
+
+def reference_condition(amps, outcomes):
+    """(success probability, [(weight, normalized branch)]) by a loop over count pairs."""
+    branches, total = [], 0.0
+    for k in outcomes[0].allowed_counts(amps.shape[2] - 1):
+        for l in outcomes[1].allowed_counts(amps.shape[3] - 1):
+            phi = amps[:, :, k, l]
+            w = float(np.sum(np.abs(phi) ** 2))
+            total += w
+            if w > 0.0:
+                branches.append((w, phi))
+    return total, [(w / total, phi / np.sqrt(w)) for w, phi in branches]
+
+
+SPLITTERS = [BeamSplitter(0.6, -0.8), BeamSplitter.balanced(),
+             BeamSplitter(0.6 * np.exp(0.3j), 0.8 * np.exp(-0.7j)),
+             random_splitter(np.random.default_rng(77))]
+
+
+@pytest.mark.parametrize("bs", SPLITTERS)
+@pytest.mark.parametrize("cuts", [(4, 4), (3, 5), (8, 2)])
+def test_unitary_table_matches_per_block_assignment(bs, cuts):
+    T, R = complex(bs.T), complex(bs.R)
+    W = _unitary_table(T, R, *cuts)
+    assert W.shape == (cuts[0] + 1, cuts[1] + 1) * 2 and not W.flags.writeable
+    assert np.max(np.abs(W - reference_table(T, R, *cuts))) <= 1e-15
+    for got, want in zip(_blocks(T, R, sum(cuts)), reference_blocks(T, R, sum(cuts))):
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("bs", SPLITTERS)
+def test_mixers_match_einsum_reference(bs):
+    rng = np.random.default_rng(11)
+    amps = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+    amps /= np.linalg.norm(amps)
+    out = apply_bs_two_mode(bs, TwoModeAmplitudeMatrix(amps)).amps
+    assert np.max(np.abs(out - reference_mix(bs, amps))) <= 1e-15
+    four = rng.standard_normal((4,) * 4) + 1j * rng.standard_normal((4,) * 4)
+    four /= np.linalg.norm(four)
+    want = reference_mix(bs, four.transpose(0, 2, 1, 3))
+    want = reference_mix(bs, want.transpose(2, 3, 0, 1)).transpose(2, 0, 3, 1)
+    got = apply_bs_pair_on_four_modes(bs, FourModeTensor(four)).amps
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+VAC, CLICK = DetectorOutcome.vacuum(), DetectorOutcome.click()
+
+
+@pytest.mark.parametrize("outcomes", [
+    (CLICK, CLICK), (VAC, CLICK), (CLICK, VAC),
+    (DetectorOutcome.exact_count(1), DetectorOutcome.exact_count(2)),
+    (DetectorOutcome.exact_count(3), CLICK),
+])
+@pytest.mark.parametrize("which", ["random", "sparse"])
+def test_conditioning_matches_loop_reference(outcomes, which):
+    rng = np.random.default_rng(3)
+    four = rng.standard_normal((3, 4, 5, 4)) + 1j * rng.standard_normal((3, 4, 5, 4))
+    if which == "sparse":     # branches with k = 2 or l = 1 weigh exactly 0 and are dropped
+        four[:, :, 2] = four[..., 1] = 0.0
+    four /= np.linalg.norm(four)
+    ens = condition_on_outcome(FourModeTensor(four), outcomes)
+    total, branches = reference_condition(four, outcomes)
+    assert abs(ens.success_probability / total - 1.0) <= 1e-15
+    assert len(ens.branches) == len(branches)
+    for (w, state), (w_ref, phi_ref) in zip(ens.branches, branches):
+        assert abs(w - w_ref) <= 1e-15
+        assert np.max(np.abs(state.amps - phi_ref)) <= 1e-15
+
+
+def test_exact_count_above_the_second_cutoff_is_impossible():
+    four = np.zeros((3, 3, 3, 3))
+    four[0, 0, 1, 1] = 1.0
+    outcomes = (CLICK, DetectorOutcome.exact_count(3))
+    assert reference_condition(four, outcomes)[0] == 0.0
+    with pytest.raises(ValueError, match="zero probability"):
+        condition_on_outcome(FourModeTensor(four), outcomes)

@@ -159,6 +159,26 @@ def test_stage1_closeness_at_reference_point():
     assert 0.0 < rep.success_probability < 1e-6
 
 
+# (success probability, trace distance) of stage1_verify(1/sqrt 2, lambda) as recorded from
+# the einsum mixer and the per-branch conditioning loop; the small distances are
+# ill-conditioned (about 1e-16 absolute), so this pins the order of every sum
+STAGE1_RECORDED = {
+    0.004: (7.679180929738218e-10, 6.399513661020073e-05),
+    0.01: (2.9980019778026256e-08, 0.00039981014885200603),
+    0.05: (1.84450257505834e-05, 0.009883521767152341),
+    0.2: (0.003873566790046955, 0.13649090895937932),
+}
+
+
+@pytest.mark.parametrize("lam", sorted(STAGE1_RECORDED))
+def test_stage1_matches_recorded_values(lam):
+    rep = stage1_verify(XI, lam)
+    p, dist = STAGE1_RECORDED[lam]
+    assert abs(rep.success_probability / p - 1.0) <= 1e-15
+    assert abs(rep.trace_distance / dist - 1.0) <= 1e-15
+    assert len(rep.ensemble.branches) == 16
+
+
 def test_stage1_distance_grows_with_squeezing():
     dists = [stage1_verify(XI, lam).trace_distance for lam in (0.01, 0.05, 0.1)]
     assert dists[0] < dists[1] < dists[2]
