@@ -4,15 +4,10 @@ quadrature-homodyne Bell tests in truncated Fock space."""
 from types import ModuleType as _ModuleType
 
 from .bell import (
-    BellAngles,
     BellReport,
     bell_report,
     ch_S,
-    ch_ratio_literal,
     chsh_B,
-    correlation_E,
-    hermite_wavefunction,
-    marginal_plus,
     overlap_table,
     p_plus_plus,
     p_plus_plus_quadrature_oracle,
@@ -23,9 +18,6 @@ from .fock_core import (
     ConditionalEnsemble,
     FourModeTensor,
     TwoModeAmplitudeMatrix,
-    diagonal_coefficients,
-    embed_diagonal,
-    norm_squared,
     normalize,
     read_state_file,
     trace_distance_pure_vs_ensemble,

@@ -20,11 +20,10 @@ G gives K(chi) + K(chi + pi) = I/2, so P+-(chi) = P++(chi + pi) = 1/2 - P++(chi)
 Every Bell quantity therefore follows from P++ at chi and 3 chi: the correlation
 E = 2 (P++ - P+-) = 4 P++ - 1, the CH combination S = 3 P++(chi) - P++(3 chi) and
 the CHSH combination B = 3 E(chi) - E(3 chi) = 4 S - 2.  Searches maximize S.
-Only the marginal P+ = P++ + P+- and the literal four-angle CH ratio evaluate
-P++ at chi + pi, as their definitions read.  With G_nn = 1/2 and only odd n - m
-off the diagonal, P++(chi) = |c|^2 / 4 + sum_(d odd) a_d cos(d chi) where
-a_d = 2 sum_(n - m = d) c_n c_m G_nm^2: each state forms its a_d once, then an
-angle costs O(N).  The matrix K is formed only for the optimizer's eigenproblem.
+With G_nn = 1/2 and only odd n - m off the diagonal, P++(chi) = |c|^2 / 4 +
+sum_(d odd) a_d cos(d chi) where a_d = 2 sum_(n - m = d) c_n c_m G_nm^2: each
+state forms its a_d once, then an angle costs O(N).  The matrix K is formed only
+for the optimizer's eigenproblem.
 """
 
 from __future__ import annotations
@@ -40,20 +39,6 @@ from .fock_core import CoefficientVector
 
 _EVAL_NORM_TOL = 1e-8
 _ORACLE_POINTS = 400
-
-
-def hermite_wavefunction(n: int, x):
-    """Orthonormal oscillator wavefunction psi_n(x) = H_n(x) e^(-x^2/2) / sqrt(2^n n! sqrt(pi)).
-
-    Evaluated by the stable three-term recurrence on the normalized functions;
-    accepts scalars or arrays.
-    """
-    if n < 0:
-        raise ValueError("wavefunction index must be nonnegative")
-    xs = np.asarray(x, dtype=float)
-    basis = hermite_basis(n, np.atleast_1d(xs))
-    out = basis[n]
-    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 def hermite_basis(n_max: int, xs: np.ndarray) -> np.ndarray:
@@ -87,16 +72,6 @@ def overlap_table(n_max: int) -> np.ndarray:
     np.fill_diagonal(G, 0.5)
     G.setflags(write=False)
     return G
-
-
-@dataclass(frozen=True)
-class BellAngles:
-    """Local-oscillator phase settings (theta_1, theta_2) for A, (phi_1, phi_2) for B."""
-
-    theta1: float = 0.0
-    theta2: float = np.pi / 2
-    phi1: float = -np.pi / 4
-    phi2: float = np.pi / 4
 
 
 def _checked_coeffs(v: CoefficientVector) -> np.ndarray:
@@ -142,20 +117,6 @@ def p_plus_plus(v: CoefficientVector, chi: float) -> float:
     return _p_plus_plus_of(v)(chi)
 
 
-def marginal_plus(v: CoefficientVector, theta: float) -> float:
-    """Single-party sign probability P+(theta) = P++(theta) + P+-(theta).
-
-    Equals 1/2 for every photon-number-correlated state, independent of angle.
-    """
-    p = _p_plus_plus_of(v)
-    return p(theta) + p(theta + np.pi)
-
-
-def correlation_E(v: CoefficientVector, chi: float) -> float:
-    """Correlation E = P++ + P-- - P+- - P-+ = 4 P++ - 1 at angle sum chi (module docstring)."""
-    return 4.0 * p_plus_plus(v, chi) - 1.0
-
-
 def chsh_B(v: CoefficientVector, chi: float) -> float:
     """CHSH combination B = 3 E(chi) - E(3 chi) = 4 S - 2; |B| <= 2 for local models."""
     return 4.0 * ch_S(v, chi) - 2.0
@@ -165,20 +126,6 @@ def ch_S(v: CoefficientVector, chi: float) -> float:
     """CH combination S = 3 P++(chi) - P++(3 chi); |S| <= 1 for local realism."""
     p = _p_plus_plus_of(v)
     return 3.0 * p(chi) - p(3.0 * chi)
-
-
-def ch_ratio_literal(v: CoefficientVector, angles: BellAngles = BellAngles()) -> float:
-    """The four-angle CH ratio evaluated literally from the angle list.
-
-    [P++(t1+f1) - P++(t1+f2) + P++(t2+f1) + P++(t2+f2)] / [P+(t2) + P+(f1)].
-    For the default angle list this is P++(pi/4) + P++(3 pi/4), which differs
-    from the simplified ch_S; the gap is diagnostic, not an error.
-    """
-    p = _p_plus_plus_of(v)
-    num = (p(angles.theta1 + angles.phi1) - p(angles.theta1 + angles.phi2)
-           + p(angles.theta2 + angles.phi1) + p(angles.theta2 + angles.phi2))
-    den = marginal_plus(v, angles.theta2) + marginal_plus(v, angles.phi1)
-    return num / den
 
 
 @lru_cache(maxsize=64)

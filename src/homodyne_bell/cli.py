@@ -170,16 +170,26 @@ def cmd_sample(args) -> None:
 
 
 def cmd_optimize(args) -> None:
+    if args.angle != (args.state is not None):
+        raise ValueError("--angle and --state (the state whose chi it optimizes) go together")
+    used = () if args.angle else ("family", "chi") if args.family else ("n", "chi")
+    unused = [f"--{f}" for f in ("n", "chi", "family")
+              if f not in used and getattr(args, f) is not None]
+    if unused:
+        where = ("--angle" if args.angle else f"--family {args.family}" if args.family
+                 else "the coefficient search")
+        raise ValueError(f"{where} takes no {', '.join(unused)}")
+    chi = np.pi / 4 if args.chi is None else args.chi
     if args.angle:
         v = read_state_file(args.state)
         chi_star, val = optimizer.optimize_angle(v, objective=args.objective)
         _emit(_csv(["chi_star", args.objective.upper()], [(chi_star, val)]), args.out)
     elif args.family:
-        p_star, val = optimizer.optimize_family_parameter(args.family, args.chi,
+        p_star, val = optimizer.optimize_family_parameter(args.family, chi,
                                                           objective=args.objective)
         _emit(_csv(["parameter", args.objective.upper()], [(p_star, val)]), args.out)
     else:
-        vec, val, _ = optimizer.optimize_coefficients(args.n, args.chi,
+        vec, val, _ = optimizer.optimize_coefficients(10 if args.n is None else args.n, chi,
                                                       objective=args.objective)
         sys.stderr.write(f"best {args.objective.upper()} = {val:.9f}\n")
         _emit(state_file_text(vec), args.out)
@@ -259,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="maximize a Bell functional")
     common(p)
     p.add_argument("--objective", choices=("chsh", "ch"), default="chsh")
-    p.add_argument("--n", type=int, default=10, help="coefficient cutoff N")
-    p.add_argument("--chi", type=float, default=np.pi / 4)
+    p.add_argument("--n", type=int, default=None, help="coefficient cutoff N (default 10)")
+    p.add_argument("--chi", type=float, default=None, help="default: pi/4")
     p.add_argument("--seed", type=int, default=0, help="ignored: the optimum is exact")
     p.add_argument("--family", default=None,
                    help="optimize a family parameter instead of raw coefficients")

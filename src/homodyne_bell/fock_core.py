@@ -5,8 +5,8 @@ CoefficientVector holding the real amplitudes c_0..c_N.  Beam-splitter action
 breaks the |n,n> correlation mid-computation, so a general two-mode pure state
 is kept as a dense TwoModeAmplitudeMatrix, and the four-mode heralding
 verification uses a rank-4 FourModeTensor.  Conditioning on an on/off detector
-produces a ConditionalEnsemble: a weighted list of post-measurement pure
-states plus the total success probability.
+produces a ConditionalEnsemble: a weight array, the stack of post-measurement
+pure states it weighs, and the total success probability.
 
 All containers are immutable after construction; arrays are stored with the
 write flag cleared so values can be shared freely between workers.
@@ -95,10 +95,6 @@ class TwoModeAmplitudeMatrix(_Amplitudes):
 
     _RANK = 2
 
-    @property
-    def cutoffs(self) -> tuple:
-        return (self.amps.shape[0] - 1, self.amps.shape[1] - 1)
-
 
 class FourModeTensor(_Amplitudes):
     """Rank-4 amplitude tensor over modes (a, b, c, d) with small cutoffs."""
@@ -110,36 +106,37 @@ class FourModeTensor(_Amplitudes):
 class ConditionalEnsemble:
     """Weighted post-measurement pure states plus heralding probability.
 
-    Weights are renormalized to sum to one; `success_probability` keeps the
+    `weights` (K,) sum to one and weigh the K two-mode amplitude matrices
+    stacked in `states` (K, m, n); `success_probability` keeps the
     pre-normalization mass of the conditioned branches.
     """
 
-    branches: tuple
+    weights: np.ndarray
+    states: np.ndarray
     success_probability: float
 
     def __post_init__(self):
-        if not self.branches:
+        w, s = np.asarray(self.weights, dtype=float), np.asarray(self.states)
+        if w.ndim != 1 or w.size == 0:
             raise ValueError("ensemble must contain at least one branch")
-        w = np.array([b[0] for b in self.branches], dtype=float)
+        if s.ndim != 3 or s.shape[0] != w.size:
+            raise ValueError(f"states {s.shape} must stack one matrix per weight ({w.size})")
+        n2 = float(np.max(np.sum(np.abs(s) ** 2, axis=(1, 2))))
+        if n2 > 1.0 + NORM_TOL:
+            raise ValueError(f"branch squared norm {n2!r} exceeds 1 beyond tolerance")
         if np.any(w < -NORM_TOL):
             raise ValueError("branch weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > NORM_TOL:
             raise ValueError(f"branch weights sum to {w.sum()!r}, expected 1")
         if not -NORM_TOL <= self.success_probability <= 1.0 + NORM_TOL:
             raise ValueError("success probability out of [0, 1]")
-        object.__setattr__(self, "branches", tuple(self.branches))
+        object.__setattr__(self, "weights", _readonly(w))
+        object.__setattr__(self, "states", _readonly(s))
 
     def density_matrix(self) -> np.ndarray:
         """Density matrix on the flattened two-mode space."""
-        w = np.array([b[0] for b in self.branches])
-        V = np.array([state.amps.reshape(-1) for _, state in self.branches], dtype=complex)
-        return (V.T * w) @ V.conj()
-
-
-def norm_squared(v: CoefficientVector) -> float:
-    """Sum of squared coefficients, exact for the stored truncation."""
-    c = v.coeffs
-    return float(np.dot(c, c))
+        V = self.states.reshape(self.weights.size, -1).astype(complex)
+        return (V.T * self.weights) @ V.conj()
 
 
 def normalize(v: CoefficientVector) -> CoefficientVector:
@@ -158,24 +155,16 @@ def normalize(v: CoefficientVector) -> CoefficientVector:
     return CoefficientVector(c, normalized=True, provenance=v.provenance)
 
 
-def embed_diagonal(v: CoefficientVector) -> TwoModeAmplitudeMatrix:
-    """Embed c_n as the diagonal psi[n, n] of a two-mode amplitude matrix."""
-    return TwoModeAmplitudeMatrix(np.diag(v.coeffs))
-
-
-def diagonal_coefficients(m: TwoModeAmplitudeMatrix) -> np.ndarray:
-    """Read the photon-number-correlated diagonal back out of a matrix."""
-    return np.array(np.diagonal(m.amps))
-
-
 def trace_distance_pure_vs_ensemble(target: CoefficientVector,
                                     e: ConditionalEnsemble) -> float:
     """Trace distance (1/2)||rho_e - |t><t|||_1 between ensemble and pure target.
 
     The target embeds diagonally; branch matrices must share its cutoff on
-    both modes, otherwise a ValueError is raised.
+    both modes, otherwise a ValueError is raised.  The O(1) entries of rho_e -
+    |t><t| leave about 1e-16 absolute rounding: a small distance moves in its
+    last digits with any reordering of the sums that build rho_e.
     """
-    shape = e.branches[0][1].amps.shape
+    shape = e.states.shape[1:]
     if shape != (target.cutoff + 1, target.cutoff + 1):
         raise ValueError(
             f"cutoff mismatch: ensemble branches are {shape}, "

@@ -50,16 +50,6 @@ class BeamSplitter:
         """Real splitter with |T| = t and R = sign * sqrt(1 - t^2)."""
         return cls(t, reflection_sign * np.sqrt(1.0 - t * t))
 
-    @classmethod
-    def balanced(cls) -> "BeamSplitter":
-        """The 50:50 splitter T = R = 1/sqrt(2)."""
-        s = 1.0 / np.sqrt(2.0)
-        return cls(s, s)
-
-    @classmethod
-    def identity(cls) -> "BeamSplitter":
-        return cls(1.0, 0.0)
-
 
 @dataclass(frozen=True)
 class DetectorOutcome:
@@ -199,10 +189,11 @@ def condition_on_outcome(t: FourModeTensor,
 
     A click outcome contributes one branch per photon count k >= 1, weighted
     by the branch probability; vacuum and exact counts give a single count.
-    The ensemble on (a, b) renormalizes weights and stores the total outcome
-    probability, summed in branch order: a small trace distance to the ensemble
-    moves with its last bit.  Zero total probability raises ValueError.  The norm
-    gate admits documented truncation leakage, the input's top-shell mass at worst.
+    The ensemble on (a, b) keeps the branches of nonzero weight in count order,
+    renormalizes their weights and stores the total outcome probability, summed
+    in branch order: a small trace distance to the ensemble moves with its last
+    bit.  Zero total probability raises ValueError.  The norm gate admits
+    documented truncation leakage, the input's top-shell mass at worst.
     """
     if abs(t.norm_squared() - 1.0) > NORM_GATE:
         raise ValueError("conditioning expects a normalized four-mode state")
@@ -216,9 +207,10 @@ def condition_on_outcome(t: FourModeTensor,
         raise ValueError(
             f"conditioning on {tuple(o.kind for o in outcomes)} has zero probability"
         )
-    ensemble = tuple((float(w) / total, TwoModeAmplitudeMatrix(phis[kl] / np.sqrt(w)))
-                     for kl, w in np.ndenumerate(weights) if w > 0.0)
-    return ConditionalEnsemble(ensemble, success_probability=total)
+    kept = weights > 0.0
+    w = weights[kept]
+    return ConditionalEnsemble(w / total, phis[kept] / np.sqrt(w)[:, None, None],
+                               success_probability=total)
 
 
 def photon_subtract_exact(v: CoefficientVector) -> CoefficientVector:

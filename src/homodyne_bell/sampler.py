@@ -1,6 +1,6 @@
 """Monte Carlo emulation of the two-party homodyne record.
 
-Pairs (x_A, x_B) follow the Born density
+Pairs (x_A, x_B) come from the Born density
 |sum_n c_n e^(i n chi) psi_n(x_A) psi_n(x_B)|^2 on a grid symmetric about 0.
 Only signs enter the Bell functionals.  Per (state, chi) the sampler keeps the
 joint table P(x_A in cell, sign x_B) = integral over the cell of Re(a^H G_s a),
@@ -16,8 +16,10 @@ inside its cell, x_B inside the half-line of its counted sign by a two-level
 inversion of its conditional CDF at the cell's midpoint (128-point blocks, then
 one block's points; the x_B >= 0 half from its upper end, so a half with little
 mass keeps its precision), then shuffled; drawn after the counts, they never
-change them.  The sampler never reuses the closed-form overlap table, so it
-stays an independent check on it.
+change them.  The counts, per quadrant and per x_A cell, follow the exact law;
+a raw pair inside its cells does not follow the Born density (x_A uniform, x_B
+from point weights at the cell midpoints).  The sampler never reuses the
+closed-form overlap table, so it stays an independent check on it.
 
 Randomness comes from numpy's counter-based Philox engine; the algorithm name
 is recorded in each batch, and a batch is a pure function of its seed.
@@ -62,9 +64,6 @@ class SampleBatch:
     def correlation(self) -> float:
         c = self.counts
         return float(c[0, 0] + c[1, 1] - c[0, 1] - c[1, 0]) / self.n_samples
-
-    def p_plus_plus(self) -> float:
-        return float(self.counts[0, 0]) / self.n_samples
 
 
 class _SamplerPlan:

@@ -4,16 +4,11 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from homodyne_bell import (
-    BellAngles,
     CoefficientVector,
     bell_report,
     ch_S,
-    ch_ratio_literal,
     chsh_B,
     circle,
-    correlation_E,
-    hermite_wavefunction,
-    marginal_plus,
     normalize,
     optimize_angle,
     optimize_family_parameter,
@@ -25,18 +20,19 @@ from homodyne_bell import (
     tmss,
 )
 from homodyne_bell import bell
-from homodyne_bell.bell import kernel
+from homodyne_bell.bell import hermite_basis, kernel
 
 CHI = np.pi / 4
+ORIGIN = np.zeros(1)
 
 
 def test_ground_state_value_at_origin():
-    assert abs(hermite_wavefunction(0, 0.0) - np.pi ** -0.25) < 1e-14
-    assert abs(hermite_wavefunction(0, 0.0) - 0.7511255) < 1e-7
+    assert abs(hermite_basis(0, ORIGIN)[0, 0] - np.pi ** -0.25) < 1e-14
+    assert abs(hermite_basis(0, ORIGIN)[0, 0] - 0.7511255) < 1e-7
 
 
 def test_first_excited_vanishes_at_origin():
-    assert hermite_wavefunction(1, 0.0) == 0.0
+    assert hermite_basis(1, ORIGIN)[1, 0] == 0.0
 
 
 def test_wavefunctions_are_normalized_up_to_n_32():
@@ -44,7 +40,7 @@ def test_wavefunctions_are_normalized_up_to_n_32():
     x_max = 14.5
     xs, ws = x_max * x, x_max * w  # full line [-x_max, x_max]
     for n in range(0, 33, 4):
-        psi = hermite_wavefunction(n, xs)
+        psi = hermite_basis(n, xs)[n]
         assert abs(float((psi * psi) @ ws) - 1.0) < 1e-10
 
 
@@ -76,7 +72,7 @@ def test_overlap_table_matches_half_line_quadrature(n_max):
     left = np.arange(0.0, np.sqrt(2.0 * n_max + 1.0) + 8.0, 0.5)
     xs = (left[:, None] + 0.25 * (x + 1.0)).ravel()
     ws = np.tile(0.25 * w, left.size)
-    V = np.array([hermite_wavefunction(n, xs) for n in range(n_max + 1)])
+    V = hermite_basis(n_max, xs)
     assert np.max(np.abs(overlap_table(n_max) - (V * ws) @ V.T)) < 1e-14
 
 
@@ -120,8 +116,9 @@ def test_kernel_invariants_on_random_states(chi, n_max, seed_int):
     assert abs(ch_S(v, chi) - c @ (3.0 * K - K3) @ c) < 1e-15
     assert abs(bell_report(v, chi).p_pp_3chi - c @ K3 @ c) < 1e-15
     assert abs(ch_S(v, chi) - (chsh_B(v, chi) / 4.0 + 0.5)) < 1e-10
-    assert abs(marginal_plus(v, chi) - 0.5) < 1e-12
-    assert abs(correlation_E(v, chi)) <= 1.0 + 1e-12
+    # the marginal P+ = P++ + P+- = P++(chi) + P++(chi + pi) is 1/2; E = 4 P++ - 1
+    assert abs(p_plus_plus(v, chi) + p_plus_plus(v, chi + np.pi) - 0.5) < 1e-12
+    assert abs(4.0 * p_plus_plus(v, chi) - 1.0) <= 1.0 + 1e-12
 
 
 def test_functionals_never_build_a_kernel(pipeline_state, monkeypatch):
@@ -131,8 +128,7 @@ def test_functionals_never_build_a_kernel(pipeline_state, monkeypatch):
 
     monkeypatch.setattr(bell, "kernel", refuse)
     v = pipeline_state
-    values = [p_plus_plus(v, CHI), ch_S(v, CHI), chsh_B(v, CHI), correlation_E(v, CHI),
-              marginal_plus(v, CHI), bell_report(v, CHI).B, ch_ratio_literal(v)]
+    values = [p_plus_plus(v, CHI), ch_S(v, CHI), chsh_B(v, CHI), bell_report(v, CHI).B]
     assert np.all(np.isfinite(values))
     assert abs(optimize_angle(v)[0] - CHI) < 1e-7
     r_star, b_star = optimize_family_parameter("circle", CHI)
@@ -140,16 +136,18 @@ def test_functionals_never_build_a_kernel(pipeline_state, monkeypatch):
 
 
 def test_marginal_is_half_for_all_angles(pipeline_state):
-    assert abs(marginal_plus(seed(0.0, cutoff=4), 0.7) - 0.5) < 1e-12
-    assert abs(marginal_plus(pipeline_state, 0.3) - 0.5) < 1e-10
-    assert abs(marginal_plus(seed(1 / np.sqrt(2), cutoff=8), -np.pi / 4) - 0.5) < 1e-10
+    # P+(theta) = P++(theta) + P+-(theta), and flipping B's sign shifts chi by pi
+    for v, theta, tol in ((seed(0.0, cutoff=4), 0.7, 1e-12), (pipeline_state, 0.3, 1e-10),
+                          (seed(1 / np.sqrt(2), cutoff=8), -np.pi / 4, 1e-10)):
+        assert abs(p_plus_plus(v, theta) + p_plus_plus(v, theta + np.pi) - 0.5) < tol
 
 
 def test_correlation_examples():
+    # E = P++ + P-- - P+- - P-+ = 4 P++ - 1
     vac = seed(0.0, cutoff=4)
-    assert abs(correlation_E(vac, 1.1)) < 1e-12
+    assert abs(4.0 * p_plus_plus(vac, 1.1) - 1.0) < 1e-12
     v = seed(1.0, cutoff=8)
-    assert abs(correlation_E(v, 0.0) - 2.0 / np.pi) < 1e-10
+    assert abs(4.0 * p_plus_plus(v, 0.0) - 1.0 - 2.0 / np.pi) < 1e-10
 
 
 def test_correlation_reduces_to_quadrant_form():
@@ -159,9 +157,10 @@ def test_correlation_reduces_to_quadrant_form():
         chi = rng.uniform(-3, 3)
         # literal quadrant form: P-- = P++ and P-+ = P+- = P++(chi + pi)
         quadrant = 2.0 * (p_plus_plus(v, chi) - p_plus_plus(v, chi + np.pi))
-        assert abs(correlation_E(v, chi) - quadrant) < 1e-12
-        assert abs(correlation_E(v, chi) - correlation_E(v, -chi)) < 1e-12
-        assert abs(correlation_E(v, chi)) <= 1.0 + 1e-12
+        e, e_minus = 4.0 * p_plus_plus(v, chi) - 1.0, 4.0 * p_plus_plus(v, -chi) - 1.0
+        assert abs(e - quadrant) < 1e-12
+        assert abs(e - e_minus) < 1e-12
+        assert abs(e) <= 1.0 + 1e-12
 
 
 def test_chsh_vacuum_and_gaussian_bound(pipeline_state):
@@ -185,7 +184,14 @@ def test_ch_chsh_identity_on_catalog(pipeline_state):
 
 
 def test_literal_ch_ratio_matches_documented_angle_reduction(pipeline_state):
-    lit = ch_ratio_literal(pipeline_state, BellAngles())
+    # [P++(t1+f1) - P++(t1+f2) + P++(t2+f1) + P++(t2+f2)] / [P+(t2) + P+(f1)], literally,
+    # at (t1, t2, f1, f2) = (0, pi/2, -pi/4, pi/4), with P+(a) = P++(a) + P++(a + pi)
+    def p(chi):
+        return p_plus_plus(pipeline_state, chi)
+
+    t1, t2, f1, f2 = 0.0, np.pi / 2, -np.pi / 4, np.pi / 4
+    lit = ((p(t1 + f1) - p(t1 + f2) + p(t2 + f1) + p(t2 + f2))
+           / (p(t2) + p(t2 + np.pi) + p(f1) + p(f1 + np.pi)))
     expected = p_plus_plus(pipeline_state, CHI) + p_plus_plus(pipeline_state, 3 * CHI)
     assert abs(lit - expected) < 1e-10
 

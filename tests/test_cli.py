@@ -262,6 +262,32 @@ def test_optimize_angle_cli(tmp_path, pipeline_state):
     assert abs(float(row[0]) - np.pi / 4) < 0.02
 
 
+@pytest.mark.parametrize("flags", [
+    ["--angle"],
+    ["--angle", "--state", "s.json", "--family", "circle"],
+    ["--angle", "--state", "s.json", "--chi", "0.5"],
+    ["--angle", "--state", "s.json", "--n", "12"],
+    ["--family", "circle", "--n", "12"],
+    ["--family", "circle", "--state", "s.json"],
+    ["--n", "12", "--state", "s.json"],
+    ["--state", "s.json"],
+])
+def test_optimize_rejects_flags_that_take_no_effect(tmp_path, capsys, monkeypatch, flags):
+    monkeypatch.chdir(tmp_path)
+    write_state_file(circle(1.12, 8), tmp_path / "s.json")
+    assert run_cli("optimize", *flags, "--out", "out.txt") == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_optimize_accepts_the_flags_each_mode_uses(tmp_path):
+    write_state_file(circle(1.12, 8), tmp_path / "s.json")
+    for flags in (["--n", "6", "--chi", "0.7", "--seed", "3"],
+                  ["--family", "circle", "--chi", "0.7", "--objective", "ch"],
+                  ["--angle", "--state", str(tmp_path / "s.json"), "--seed", "3"]):
+        assert run_cli("optimize", *flags, "--out", str(tmp_path / "out.txt")) == 0, flags
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["state", "--family", "quartic"])

@@ -6,16 +6,13 @@ from homodyne_bell import (
     CoefficientVector,
     ConditionalEnsemble,
     TwoModeAmplitudeMatrix,
-    diagonal_coefficients,
-    embed_diagonal,
-    norm_squared,
     normalize,
     read_state_file,
     tmss,
     trace_distance_pure_vs_ensemble,
     write_state_file,
 )
-from homodyne_bell.fock_core import state_file_text
+from homodyne_bell.fock_core import NORM_TOL, state_file_text
 
 
 def vec(*coeffs):
@@ -23,15 +20,18 @@ def vec(*coeffs):
 
 
 def test_norm_squared_vacuum():
-    assert norm_squared(vec(1.0, 0.0, 0.0)) == 1.0
+    c = vec(1.0, 0.0, 0.0).coeffs
+    assert c @ c == 1.0
 
 
 def test_norm_squared_arithmetic():
-    assert abs(norm_squared(vec(1.0, 1.0 / np.sqrt(2.0))) - 1.5) < 1e-15
+    c = vec(1.0, 1.0 / np.sqrt(2.0)).coeffs
+    assert abs(c @ c - 1.5) < 1e-15
 
 
 def test_norm_squared_tmss_geometric_series():
-    assert abs(norm_squared(tmss(0.6, cutoff=40)) - 1.0) < 1e-8
+    c = tmss(0.6, cutoff=40).coeffs
+    assert abs(c @ c - 1.0) < 1e-8
 
 
 def test_normalize_scaling():
@@ -79,46 +79,76 @@ def test_tail_mass_and_convergence():
     assert v.tail_mass < 1e-12
 
 
-def test_embed_diagonal_roundtrip():
-    v = normalize(vec(1.0, 0.5, 0.25))
-    m = embed_diagonal(v)
-    assert np.allclose(diagonal_coefficients(m), v.coeffs)
-    off = np.array(m.amps)
-    np.fill_diagonal(off, 0.0)
-    assert np.all(off == 0.0)
-
-
 def test_two_mode_matrix_rejects_super_normalized():
     with pytest.raises(ValueError):
         TwoModeAmplitudeMatrix(np.full((3, 3), 1.0))
 
 
 def test_ensemble_weights_must_sum_to_one():
-    m = TwoModeAmplitudeMatrix(np.eye(2) / np.sqrt(2.0))
+    m = np.eye(2) / np.sqrt(2.0)
     with pytest.raises(ValueError):
-        ConditionalEnsemble(((0.5, m), (0.4, m)), success_probability=0.1)
+        ConditionalEnsemble([0.5, 0.4], [m, m], success_probability=0.1)
+
+
+HALF = np.eye(2) / np.sqrt(2.0)      # a unit-norm branch
+
+
+@pytest.mark.parametrize("weights, states, p, match", [
+    ([], np.zeros((0, 2, 2)), 0.5, "at least one branch"),
+    ([0.5, 0.5], [HALF], 0.5, "one matrix per weight"),
+    ([1.0], HALF, 0.5, "one matrix per weight"),
+    ([1.0], [[HALF]], 0.5, "one matrix per weight"),
+    ([0.5, 0.5], [HALF, HALF * np.sqrt(1.0 + 10 * NORM_TOL)], 0.5, "exceeds 1"),
+    ([1.5, -0.5], [HALF, HALF], 0.5, "nonnegative"),
+    ([1.0], [HALF], 1.5, r"out of \[0, 1\]"),
+    ([1.0], [HALF], -0.5, r"out of \[0, 1\]"),
+])
+def test_ensemble_refuses_what_a_branch_container_refused(weights, states, p, match):
+    with pytest.raises(ValueError, match=match):
+        ConditionalEnsemble(weights, states, success_probability=p)
+
+
+def test_ensemble_arrays_are_read_only_copies():
+    w, states = np.array([0.25, 0.75]), np.stack([HALF, HALF * 1j])
+    e = ConditionalEnsemble(w, states, success_probability=0.5)
+    w[0], states[0, 0, 0] = 9.0, 9.0
+    assert e.weights.shape == (2,) and e.states.shape == (2, 2, 2)
+    assert e.weights[0] == 0.25 and e.states[0, 0, 0] == HALF[0, 0]
+    assert not e.weights.flags.writeable and not e.states.flags.writeable
+    # a global phase leaves a branch's projector unchanged
+    assert np.allclose(e.density_matrix(), np.outer(HALF, HALF), atol=1e-15)
 
 
 def single_branch_ensemble(matrix, p=0.5):
-    return ConditionalEnsemble(((1.0, matrix),), success_probability=p)
+    return ConditionalEnsemble([1.0], [matrix], success_probability=p)
+
+
+def test_embed_diagonal_roundtrip():
+    # the embedding psi[n, n] = c_n that the trace distance gives its target, kept exactly
+    v = normalize(vec(1.0, 0.5, 0.25))
+    branch = single_branch_ensemble(np.diag(v.coeffs)).states[0]
+    assert np.array_equal(np.diagonal(branch), v.coeffs)
+    off = np.array(branch)
+    np.fill_diagonal(off, 0.0)
+    assert np.all(off == 0.0)
 
 
 def test_trace_distance_identical_state():
     v = normalize(vec(1.0, 0.7, 0.2))
-    e = single_branch_ensemble(embed_diagonal(v))
+    e = single_branch_ensemble(np.diag(v.coeffs))
     assert abs(trace_distance_pure_vs_ensemble(v, e)) < 1e-12
 
 
 def test_trace_distance_orthogonal_state():
     target = normalize(vec(1.0, 0.0))
-    other = embed_diagonal(normalize(vec(0.0, 1.0)))
+    other = np.diag(normalize(vec(0.0, 1.0)).coeffs)
     d = trace_distance_pure_vs_ensemble(target, single_branch_ensemble(other))
     assert abs(d - 1.0) < 1e-12
 
 
 def test_trace_distance_cutoff_mismatch():
     target = normalize(vec(1.0, 0.0, 0.0))
-    other = embed_diagonal(normalize(vec(1.0, 0.0)))
+    other = np.diag(normalize(vec(1.0, 0.0)).coeffs)
     with pytest.raises(ValueError):
         trace_distance_pure_vs_ensemble(target, single_branch_ensemble(other))
 
@@ -127,14 +157,11 @@ def test_trace_distance_bounds_on_random_ensembles():
     rng = np.random.default_rng(11)
     for _ in range(10):
         target = normalize(CoefficientVector(rng.standard_normal(4)))
-        branches = []
         weights = rng.random(3)
         weights /= weights.sum()
-        for w in weights:
-            amps = rng.standard_normal((4, 4))
-            amps /= np.linalg.norm(amps)
-            branches.append((float(w), TwoModeAmplitudeMatrix(amps)))
-        e = ConditionalEnsemble(tuple(branches), success_probability=0.3)
+        amps = rng.standard_normal((3, 4, 4))
+        amps /= np.linalg.norm(amps, axis=(1, 2), keepdims=True)
+        e = ConditionalEnsemble(weights, amps, success_probability=0.3)
         d = trace_distance_pure_vs_ensemble(target, e)
         assert -1e-12 <= d <= 1.0 + 1e-12
 

@@ -63,6 +63,27 @@ def test_public_api_is_every_imported_class_and_function():
         assert getattr(homodyne_bell, name).__module__.startswith("homodyne_bell."), name
 
 
+PUBLIC_API = [
+    "BEstimate", "BeamSplitter", "BellReport", "CatalogSpec", "CoefficientVector",
+    "ConditionalEnsemble", "DetectorOutcome", "FourModeTensor", "PipelineConfig",
+    "PipelineReport", "SampleBatch", "Stage1Report", "TwoModeAmplitudeMatrix",
+    "apply_bs_pair_on_four_modes", "apply_bs_two_mode", "bell_report", "bs_matrix_element",
+    "ch_S", "chsh_B", "circle", "condition_on_outcome", "estimate_B", "gaussify_coefficients",
+    "gaussify_step", "normalize", "optimize_angle", "optimize_coefficients",
+    "optimize_family_parameter", "overgaussification_scan", "overlap_table", "p_plus_plus",
+    "p_plus_plus_quadrature_oracle", "photon_subtract_beamsplitter", "photon_subtract_exact",
+    "pipelined", "ps_tmss", "read_state_file", "run_pipeline", "sample_joint", "seed",
+    "seed_transmissivity", "stage1_transmissivity", "stage1_verify", "tmss",
+    "trace_distance_pure_vs_ensemble", "write_state_file",
+]
+
+
+def test_public_api_is_pinned():
+    # a name joins the public API only by being added here: no helper that only tests call
+    assert len(PUBLIC_API) == 46 and PUBLIC_API == sorted(PUBLIC_API)
+    assert homodyne_bell.__all__ == PUBLIC_API
+
+
 def test_optimizer_minimize_is_scipys():
     import scipy.optimize
     assert optimizer.minimize is scipy.optimize.minimize

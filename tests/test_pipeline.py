@@ -12,7 +12,6 @@ from homodyne_bell import (
     apply_bs_pair_on_four_modes,
     chsh_B,
     condition_on_outcome,
-    diagonal_coefficients,
     gaussify_coefficients,
     gaussify_step,
     normalize,
@@ -109,13 +108,14 @@ def operator_gaussify(c, cutoff):
     for m in range(min(len(c), d)):
         for n in range(min(len(c), d)):
             amps[m, m, n, n] = c[m] * c[n]
-    mixed = apply_bs_pair_on_four_modes(BeamSplitter.balanced(), FourModeTensor(amps))
+    s = 1.0 / np.sqrt(2.0)
+    mixed = apply_bs_pair_on_four_modes(BeamSplitter(s, s), FourModeTensor(amps))
     ens = condition_on_outcome(
         mixed, outcomes=(DetectorOutcome.vacuum(), DetectorOutcome.vacuum()))
-    assert len(ens.branches) == 1
-    kept = ens.branches[0][1]
-    diag = diagonal_coefficients(kept).real * np.sqrt(ens.success_probability)
-    off = np.abs(kept.amps - np.diag(np.diagonal(kept.amps)))
+    assert ens.weights.shape == (1,)
+    kept = ens.states[0]
+    diag = np.diagonal(kept).real * np.sqrt(ens.success_probability)
+    off = np.abs(kept - np.diag(np.diagonal(kept)))
     assert np.max(off) < 1e-12  # herald keeps the photon-number correlation
     return diag, ens.success_probability
 
@@ -176,7 +176,7 @@ def test_stage1_matches_recorded_values(lam):
     p, dist = STAGE1_RECORDED[lam]
     assert abs(rep.success_probability / p - 1.0) <= 1e-15
     assert abs(rep.trace_distance / dist - 1.0) <= 1e-15
-    assert len(rep.ensemble.branches) == 16
+    assert rep.ensemble.weights.size == 16
 
 
 def test_stage1_distance_grows_with_squeezing():

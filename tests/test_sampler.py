@@ -53,7 +53,7 @@ def test_empirical_quadrant_tracks_analytic(pipeline_state):
     batch = sample_joint(pipeline_state, CHI, n, seed=42)
     p = p_plus_plus(pipeline_state, CHI)
     sigma = np.sqrt(p * (1 - p) / n)
-    assert abs(batch.p_plus_plus() - p) < 3 * sigma
+    assert abs(batch.counts[0, 0] / n - p) < 3 * sigma
 
 
 def test_sampling_requires_normalized_state():
@@ -68,7 +68,7 @@ def test_convergence_rate_over_seeded_runs(pipeline_state):
     p = p_plus_plus(pipeline_state, CHI)
     sigma = np.sqrt(p * (1 - p) / n)
     hits = sum(
-        abs(sample_joint(pipeline_state, CHI, n, seed=1000 + i).p_plus_plus() - p) < 3 * sigma
+        abs(sample_joint(pipeline_state, CHI, n, seed=1000 + i).counts[0, 0] / n - p) < 3 * sigma
         for i in range(100)
     )
     assert hits >= 99
