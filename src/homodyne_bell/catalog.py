@@ -17,7 +17,7 @@ states only: the distillation protocol that prepares `pipelined` lives in `pipel
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,16 +30,7 @@ WORKING_CUTOFF = 32     # the pipeline's, scans' and family searches' default cu
 class Family(NamedTuple):
     parameter: str | None       # None: the family reads a state file
     bounds: tuple | None        # default interval of a search over the parameter
-
-
-FAMILIES = {
-    "tmss": Family("lambda", (0.0, 0.95)),
-    "ps_tmss": Family("lambda", (0.0, 0.95)),
-    "circle": Family("r", (0.05, 3.0)),
-    "seed": Family("xi", (0.0, 3.0)),
-    "pipeline": Family("xi", (0.2, 1.5)),
-    "custom": Family(None, None),
-}
+    build: Callable | None      # generator(parameter, cutoff); None: the state file
 
 
 def family_name(name: str) -> str:
@@ -124,6 +115,16 @@ def pipelined(xi: float, cutoff: int | None = None, iterations: int = 3) -> Coef
     return replace(v, provenance=f"pipeline(xi={xi:g}, iters={iterations})")
 
 
+FAMILIES = {
+    "tmss": Family("lambda", (0.0, 0.95), tmss),
+    "ps_tmss": Family("lambda", (0.0, 0.95), ps_tmss),
+    "circle": Family("r", (0.05, 3.0), circle),
+    "seed": Family("xi", (0.0, 3.0), seed),
+    "pipeline": Family("xi", (0.2, 1.5), pipelined),
+    "custom": Family(None, None, None),
+}
+
+
 def seed_transmissivity(xi: float, lam: float) -> float:
     """|T(lambda)| = |xi - sqrt(xi^2 + 8 lambda^2)| / (4 lambda).
 
@@ -158,8 +159,5 @@ class CatalogSpec:
 
     def build(self) -> CoefficientVector:
         """The family's state at its parameter."""
-        if self.family == "custom":
-            return read_state_file(self.path)
-        generator = {"tmss": tmss, "circle": circle, "ps_tmss": ps_tmss, "seed": seed,
-                     "pipeline": pipelined}
-        return generator[self.family](self.parameter, self.cutoff)
+        build = FAMILIES[self.family].build
+        return read_state_file(self.path) if build is None else build(self.parameter, self.cutoff)

@@ -3,6 +3,10 @@
 Subcommands: state, pipeline, bell, scan, sample, optimize.  Identical flags
 and seeds produce byte-identical primary outputs; numeric CSV fields carry 12
 significant digits, state files 17.
+
+Each mode of `state`, `pipeline`, `scan` and `optimize` rejects a flag it does not
+read (`_read_flags`), except `optimize --seed`, accepted and ignored in every mode:
+the optimum is exact, and the benchmark's `cli_cold` workload passes it.
 """
 
 from __future__ import annotations
@@ -14,15 +18,28 @@ import sys
 import numpy as np
 
 from . import bell, catalog, optimizer, sampler
-from .fock_core import CoefficientVector, read_state_file, state_file_text
+from .fock_core import read_state_file, state_file_text
 from .pipeline import PipelineConfig, overgaussification_scan, run_pipeline
 
 _FMT = "%.12g"
 _DUMP_ROWS = 2 ** 16      # raw pairs formatted per block by sample --dump-xy
+_XI = 1.0 / np.sqrt(2.0)
+_SEARCHABLE = tuple(f for f, family in catalog.FAMILIES.items() if family.parameter)
 
 
-def _num(x) -> str:
-    return _FMT % x
+def _read_flags(args, where: str, reads: dict) -> None:
+    """The mode `where` reads the flags in `reads`, each unset one taking its default
+    there; any other flag given is an error that names it.  The parser defaults are
+    None (False for a switch), so a given flag is told from an unset one."""
+    unused = [{"frm": "--from", "lam": "--lambda"}.get(f, "--" + f.replace("_", "-"))
+              for f, v in vars(args).items() if v is not None and v is not False
+              and f not in reads and f not in ("command", "fn", "out")]
+    if unused:
+        raise ValueError(f"{', '.join(unused)} take{'s' * (len(unused) == 1)} no effect "
+                         f"with {where}")
+    for f, default in reads.items():
+        if getattr(args, f) is None:
+            setattr(args, f, default)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -36,12 +53,8 @@ def _emit(text: str, out: str | None) -> None:
 def _csv(header: list, rows: list) -> str:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_num(x) if isinstance(x, float) else str(x) for x in row))
+        lines.append(",".join(_FMT % x if isinstance(x, float) else str(x) for x in row))
     return "\n".join(lines) + "\n"
-
-
-def _state_csv(v: CoefficientVector) -> str:
-    return _csv(["n", "c_n"], [(n, float(c)) for n, c in enumerate(v.coeffs)])
 
 
 def _compare_table() -> str:
@@ -59,54 +72,44 @@ def _compare_table() -> str:
 
 
 def cmd_state(args) -> None:
-    family = args.family or "tmss"
-    own = catalog.FAMILIES[family].parameter
-    used = () if args.compare else ("family", "format") + ((own, "cutoff") if own else ("file",))
-    unused = [f"--{f}" for f in ("family", "format", "cutoff", "lambda", "r", "xi", "file")
-              if f not in used and getattr(args, f) is not None]
-    if unused:
-        where = "--compare" if args.compare else f"family {family!r}"
-        raise ValueError(f"{where} takes no {', '.join(unused)}")
     if args.compare:
+        _read_flags(args, "--compare", {"compare": True})
         _emit(_compare_table(), args.out)
         return
+    family = args.family or "tmss"
+    own = catalog.FAMILIES[family].parameter
+    _read_flags(args, f"--family {family}", {"family": family, "format": "json", **(
+        {own: None, "cutoff": None} if own else {"file": None})})
     v = catalog.CatalogSpec(family, own and getattr(args, own), path=args.file,
                             cutoff=args.cutoff).build()
-    _emit(_state_csv(v) if args.format == "csv" else state_file_text(v), args.out)
+    _emit(_csv(["n", "c_n"], [(n, float(c)) for n, c in enumerate(v.coeffs)])
+          if args.format == "csv" else state_file_text(v), args.out)
 
 
 def cmd_pipeline(args) -> None:
     if args.verify_stage1 != (args.lam is not None):
         raise ValueError("--verify-stage1 and --lambda (the stage-1 squeezing) go together")
-    if args.bs_r is not None and args.subtraction != "beamsplitter":
-        raise ValueError("--bs-r sets the splitter of --subtraction beamsplitter only")
-    cfg = PipelineConfig(
-        xi=args.xi,
-        lam=args.lam,
-        iterations=args.iters,
-        cutoff=catalog.WORKING_CUTOFF if args.cutoff is None else args.cutoff,
-        subtraction=args.subtraction,
-        subtraction_reflectivity=(PipelineConfig.subtraction_reflectivity if args.bs_r is None
-                                  else args.bs_r),
-    )
-    rep = run_pipeline(cfg)
-    final = rep.final_state
-    report = bell.bell_report(final, args.chi)
-    bell_block = {k: float(_num(getattr(report, k))) for k in ("chi", "B", "S")}
+    mode = args.subtraction or "exact"
+    reads = {"xi": None, "iters": 3, "lam": None, "verify_stage1": False, "subtraction": mode,
+             "chi": np.pi / 4, "cutoff": catalog.WORKING_CUTOFF}
+    if mode == "beamsplitter":
+        reads["bs_r"] = PipelineConfig.subtraction_reflectivity
+    _read_flags(args, f"--subtraction {mode}", reads)
+    rep = run_pipeline(PipelineConfig(
+        xi=args.xi, lam=args.lam, iterations=args.iters, cutoff=args.cutoff, subtraction=mode,
+        subtraction_reflectivity=(args.bs_r if mode == "beamsplitter"
+                                  else PipelineConfig.subtraction_reflectivity)))
+    report = bell.bell_report(rep.final_state, args.chi)
     doc = {
-        "state": json.loads(state_file_text(final)),
-        "gaussify_success_probabilities": [float(_num(p)) for p in rep.gaussify_probabilities],
+        "state": json.loads(state_file_text(rep.final_state)),
+        "gaussify_success_probabilities": [float(_FMT % p) for p in rep.gaussify_probabilities],
         "subtraction_probability": rep.subtraction_probability,
         "truncation_warnings": list(rep.truncation_warnings),
-        "bell": bell_block,
+        "bell": {k: float(_FMT % getattr(report, k)) for k in ("chi", "B", "S")},
     }
     if rep.stage1 is not None:
-        doc["stage1"] = {
-            "trace_distance": rep.stage1.trace_distance,
-            "success_probability": rep.stage1.success_probability,
-            "transmissivity": rep.stage1.transmissivity,
-            "printed_transmissivity": rep.stage1.printed_transmissivity,
-        }
+        doc["stage1"] = {k: getattr(rep.stage1, k) for k in (
+            "trace_distance", "success_probability", "transmissivity", "printed_transmissivity")}
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
 
 
@@ -117,42 +120,52 @@ def cmd_bell(args) -> None:
 
 
 def cmd_scan(args) -> None:
-    metric_fn = bell.chsh_B if args.metric == "chsh" else bell.ch_S
-    own = catalog.FAMILIES[args.family].parameter
-    if args.param not in (own, "chi", "iterations"):
-        raise ValueError(f"family {args.family!r} scans over {own}, chi or iterations, "
-                         f"not {args.param}")
-    cutoff = catalog.WORKING_CUTOFF if args.cutoff is None else args.cutoff
-    if args.param == "iterations":
-        rows = overgaussification_scan(args.xi, int(args.to), chi=args.chi, cutoff=cutoff,
-                                       metric=metric_fn)
+    param, family = args.param or "r", args.family or "circle"
+    own = catalog.FAMILIES[family].parameter
+    sweep = {"param": param, "to": 2.0, "metric": "chsh", "cutoff": catalog.WORKING_CUTOFF}
+    grid = {**sweep, "family": family, "frm": 0.5, "steps": 61}
+    if param == "iterations":
+        _read_flags(args, "--param iterations", {**sweep, "xi": _XI, "chi": np.pi / 4})
+    elif param == own:
+        _read_flags(args, f"--param {param}", {**grid, "chi": np.pi / 4})
+    elif param == "chi":    # the seed and pipeline families take xi from --xi unless --value
+        by = "xi" if own == "xi" and args.value is None else "value"
+        _read_flags(args, f"--param chi on family {family!r} (its {own} from --{by})",
+                    {**grid, by: _XI if by == "xi" else None})
+    else:
+        raise ValueError(f"family {family!r} scans over {own}, chi or iterations, not {param}")
+    metric = bell.chsh_B if args.metric == "chsh" else bell.ch_S
+    if param == "iterations":
+        if not args.to.is_integer():
+            raise ValueError(f"--to takes a whole number of iterations, not {args.to:g}")
+        rows = overgaussification_scan(args.xi, int(args.to), chi=args.chi, cutoff=args.cutoff,
+                                       metric=metric)
         _emit(_csv(["iterations", "B" if args.metric == "chsh" else "CH"], rows), args.out)
         return
     values = np.linspace(args.frm, args.to, args.steps)
-    if args.param == "chi":
-        param = args.xi if args.value is None and own == "xi" else args.value
-        if param is None:
-            raise ValueError(f"scan over chi needs --value for family {args.family!r}")
-        v = catalog.CatalogSpec(args.family, param, cutoff=cutoff).build()
-        rows = [(float(ch), metric_fn(v, float(ch))) for ch in values]
+    if param == "chi":
+        value = args.xi if args.value is None else args.value
+        if value is None:
+            raise ValueError(f"scan over chi needs --value for family {family!r}")
+        v = catalog.CatalogSpec(family, value, cutoff=args.cutoff).build()
+        rows = [(float(ch), metric(v, float(ch))) for ch in values]
     else:
-        specs = (catalog.CatalogSpec(args.family, float(p), cutoff=cutoff) for p in values)
-        rows = [(spec.parameter, metric_fn(spec.build(), args.chi)) for spec in specs]
-    _emit(_csv([args.param, args.metric.upper()], rows), args.out)
+        specs = (catalog.CatalogSpec(family, float(p), cutoff=args.cutoff) for p in values)
+        rows = [(spec.parameter, metric(spec.build(), args.chi)) for spec in specs]
+    _emit(_csv([param, args.metric.upper()], rows), args.out)
 
 
 def cmd_sample(args) -> None:
     v = read_state_file(args.state)
     est = sampler.estimate_B(v, args.chi, args.n, args.seed)
-    analytic = bell.chsh_B(v, args.chi)
     doc = {
         "n_samples": args.n,
         "seed": args.seed,
         "generator": sampler.GENERATOR_NAME,
-        "chi": float(_num(args.chi)),
-        "b_hat": float(_num(est.b)),
-        "stderr": float(_num(est.stderr)),
-        "analytic_B": float(_num(analytic)),
+        "chi": float(_FMT % args.chi),
+        "b_hat": float(_FMT % est.b),
+        "stderr": float(_FMT % est.stderr),
+        "analytic_B": float(_FMT % bell.chsh_B(v, args.chi)),
         "counts_chi": est.batch_chi.counts.tolist(),
         "counts_3chi": est.batch_3chi.counts.tolist(),
     }
@@ -172,25 +185,20 @@ def cmd_sample(args) -> None:
 def cmd_optimize(args) -> None:
     if args.angle != (args.state is not None):
         raise ValueError("--angle and --state (the state whose chi it optimizes) go together")
-    used = () if args.angle else ("family", "chi") if args.family else ("n", "chi")
-    unused = [f"--{f}" for f in ("n", "chi", "family")
-              if f not in used and getattr(args, f) is not None]
-    if unused:
-        where = ("--angle" if args.angle else f"--family {args.family}" if args.family
-                 else "the coefficient search")
-        raise ValueError(f"{where} takes no {', '.join(unused)}")
-    chi = np.pi / 4 if args.chi is None else args.chi
+    reads = {"objective": "chsh", "seed": 0}     # --seed: see the module docstring
     if args.angle:
-        v = read_state_file(args.state)
-        chi_star, val = optimizer.optimize_angle(v, objective=args.objective)
+        _read_flags(args, "--angle", {**reads, "angle": True, "state": None})
+        chi_star, val = optimizer.optimize_angle(read_state_file(args.state),
+                                                 objective=args.objective)
         _emit(_csv(["chi_star", args.objective.upper()], [(chi_star, val)]), args.out)
     elif args.family:
-        p_star, val = optimizer.optimize_family_parameter(args.family, chi,
+        _read_flags(args, f"--family {args.family}", {**reads, "family": None, "chi": np.pi / 4})
+        p_star, val = optimizer.optimize_family_parameter(args.family, args.chi,
                                                           objective=args.objective)
         _emit(_csv(["parameter", args.objective.upper()], [(p_star, val)]), args.out)
     else:
-        vec, val, _ = optimizer.optimize_coefficients(10 if args.n is None else args.n, chi,
-                                                      objective=args.objective)
+        _read_flags(args, "the coefficient search", {**reads, "n": 10, "chi": np.pi / 4})
+        vec, val, _ = optimizer.optimize_coefficients(args.n, args.chi, objective=args.objective)
         sys.stderr.write(f"best {args.objective.upper()} = {val:.9f}\n")
         _emit(state_file_text(vec), args.out)
 
@@ -201,82 +209,74 @@ def build_parser() -> argparse.ArgumentParser:
         description="Correlated photon-number state preparation and homodyne Bell tests.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output file (default: stdout)")
 
-    def common(p):
-        p.add_argument("--out", default=None, help="output file (default: stdout)")
+    def command(fn, summary):
+        p = sub.add_parser(fn.__name__.removeprefix("cmd_"), parents=[out], help=summary)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("state", help="emit a catalog state file")
-    common(p)
-    p.add_argument("--cutoff", type=int, default=None)
-    p.add_argument("--format", choices=("json", "csv"), default=None, help="default: json")
-    p.add_argument("--family", default=None, type=catalog.family_name,
-                   choices=catalog.FAMILIES, help="default: tmss")
-    p.add_argument("--lambda", type=float, default=None)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--xi", type=float, default=None)
-    p.add_argument("--file", default=None, help="state file for --family custom")
+    # state, pipeline, scan and optimize keep their defaults in their modes' _read_flags
+    p = command(cmd_state, "emit a catalog state file")
+    p.add_argument("--cutoff", type=int)
+    p.add_argument("--format", choices=("json", "csv"), help="default: json")
+    p.add_argument("--family", type=catalog.family_name, choices=catalog.FAMILIES,
+                   help="default: tmss")
+    p.add_argument("--lambda", type=float)
+    p.add_argument("--r", type=float)
+    p.add_argument("--xi", type=float)
+    p.add_argument("--file", help="state file for --family custom")
     p.add_argument("--compare", action="store_true",
                    help="emit the five-family coefficient comparison CSV")
-    p.set_defaults(fn=cmd_state)
 
-    p = sub.add_parser("pipeline", help="run the conditional preparation")
-    common(p)
-    p.add_argument("--cutoff", type=int, default=None)
+    p = command(cmd_pipeline, "run the conditional preparation")
+    p.add_argument("--cutoff", type=int, help="default: 32")
     p.add_argument("--xi", type=float, required=True)
-    p.add_argument("--iters", type=int, default=3)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--subtraction", choices=("exact", "beamsplitter"), default="exact")
-    p.add_argument("--bs-r", type=float, default=None,
-                   help="splitter reflectivity for --subtraction beamsplitter")
-    p.add_argument("--chi", type=float, default=np.pi / 4)
+    p.add_argument("--iters", type=int, help="default: 3")
+    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--subtraction", choices=("exact", "beamsplitter"), help="default: exact")
+    p.add_argument("--bs-r", type=float,
+                   help="splitter reflectivity for --subtraction beamsplitter (default 0.01)")
+    p.add_argument("--chi", type=float, help="default: pi/4")
     p.add_argument("--verify-stage1", action="store_true")
-    p.set_defaults(fn=cmd_pipeline)
 
-    p = sub.add_parser("bell", help="evaluate the Bell functionals on a state file")
-    common(p)
+    p = command(cmd_bell, "evaluate the Bell functionals on a state file")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--state", required=True)
     p.add_argument("--chi", type=float, default=np.pi / 4)
-    p.set_defaults(fn=cmd_bell)
 
-    p = sub.add_parser("scan", help="sweep a family parameter or iteration count")
-    common(p)
-    p.add_argument("--cutoff", type=int, default=None)
-    p.add_argument("--family", default="circle", type=catalog.family_name,
-                   choices=catalog.FAMILIES)
-    p.add_argument("--param", default="r",
-                   choices=("lambda", "r", "xi", "chi", "iterations"))
-    p.add_argument("--from", dest="frm", type=float, default=0.5)
-    p.add_argument("--to", type=float, default=2.0)
-    p.add_argument("--steps", type=int, default=61)
-    p.add_argument("--metric", choices=("chsh", "ch"), default="chsh")
-    p.add_argument("--chi", type=float, default=np.pi / 4)
-    p.add_argument("--xi", type=float, default=1.0 / np.sqrt(2.0))
-    p.add_argument("--value", type=float, default=None,
-                   help="family parameter when sweeping chi")
-    p.set_defaults(fn=cmd_scan)
+    p = command(cmd_scan, "sweep a family parameter or iteration count")
+    p.add_argument("--cutoff", type=int, help="default: 32")
+    p.add_argument("--family", type=catalog.family_name, choices=_SEARCHABLE,
+                   help="default: circle")
+    p.add_argument("--param", choices=("lambda", "r", "xi", "chi", "iterations"),
+                   help="default: r")
+    p.add_argument("--from", dest="frm", type=float, help="default: 0.5")
+    p.add_argument("--to", type=float, help="default: 2")
+    p.add_argument("--steps", type=int, help="default: 61")
+    p.add_argument("--metric", choices=("chsh", "ch"), help="default: chsh")
+    p.add_argument("--chi", type=float, help="default: pi/4")
+    p.add_argument("--xi", type=float, help="default: 1/sqrt(2)")
+    p.add_argument("--value", type=float, help="family parameter when sweeping chi")
 
-    p = sub.add_parser("sample", help="Monte Carlo homodyne estimate of B")
-    common(p)
+    p = command(cmd_sample, "Monte Carlo homodyne estimate of B")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--state", required=True)
     p.add_argument("--chi", type=float, default=np.pi / 4)
     p.add_argument("--n", type=int, default=10 ** 5)
     p.add_argument("--dump-xy", default=None,
                    help="also write raw (x_A, x_B, sign_A, sign_B) CSV to this path")
-    p.set_defaults(fn=cmd_sample)
 
-    p = sub.add_parser("optimize", help="maximize a Bell functional")
-    common(p)
-    p.add_argument("--objective", choices=("chsh", "ch"), default="chsh")
-    p.add_argument("--n", type=int, default=None, help="coefficient cutoff N (default 10)")
-    p.add_argument("--chi", type=float, default=None, help="default: pi/4")
-    p.add_argument("--seed", type=int, default=0, help="ignored: the optimum is exact")
-    p.add_argument("--family", default=None,
+    p = command(cmd_optimize, "maximize a Bell functional")
+    p.add_argument("--objective", choices=("chsh", "ch"), help="default: chsh")
+    p.add_argument("--n", type=int, help="coefficient cutoff N (default 10)")
+    p.add_argument("--chi", type=float, help="default: pi/4")
+    p.add_argument("--seed", type=int, help="ignored: the optimum is exact")
+    p.add_argument("--family", type=catalog.family_name, choices=_SEARCHABLE,
                    help="optimize a family parameter instead of raw coefficients")
     p.add_argument("--angle", action="store_true", help="optimize chi for --state")
-    p.add_argument("--state", default=None)
-    p.set_defaults(fn=cmd_optimize)
+    p.add_argument("--state")
     return ap
 
 

@@ -165,7 +165,9 @@ def optimize_family_parameter(family: str, chi: float, objective: str = "chsh"):
     """
     report = _reported(objective)
     family = catalog.family_name(family)
-    bounds = catalog.FAMILIES.get(family, catalog.Family(None, None)).bounds
+    if family not in catalog.FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    bounds = catalog.FAMILIES[family].bounds
     if bounds is None:
         raise ValueError(f"no default bounds for family {family!r}")
 

@@ -195,9 +195,9 @@ def test_circle_past_the_cap_is_refused():
 def test_family_table_names_every_family():
     assert set(catalog.FAMILIES) == {"tmss", "ps_tmss", "circle", "seed", "pipeline", "custom"}
     assert catalog.family_name("ps-tmss") == "ps_tmss"
-    for family, (parameter, bounds) in catalog.FAMILIES.items():
+    for family, (parameter, bounds, build) in catalog.FAMILIES.items():
         if family == "custom":
-            assert parameter is None and bounds is None
+            assert parameter is None and bounds is None and build is None
         else:
             assert CatalogSpec(family, bounds[1], cutoff=16).build().normalized
 

@@ -369,3 +369,42 @@ def test_readme_command_block_runs_in_order(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for line in lines:
         assert main(shlex.split(line)[1:]) == 0, line
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--family", "circle", "--param", "r", "--value", "3"], ["--value"]),
+    (["--param", "iterations", "--to", "6", "--steps", "5", "--from", "9"],
+     ["--from", "--steps"]),
+    (["--param", "iterations", "--to", "6", "--family", "tmss"], ["--family"]),
+    (["--family", "circle", "--param", "r", "--xi", "0.3"], ["--xi"]),
+    (["--family", "circle", "--param", "chi", "--value", "1.12", "--chi", "0.3"], ["--chi"]),
+    (["--family", "pipeline", "--param", "chi", "--value", "0.7", "--xi", "0.3"],
+     ["--value", "--xi"]),
+    (["--family", "pipeline", "--param", "chi", "--xi", "0.7", "--value", "0.7"],
+     ["--value", "--xi"]),
+    (["--param", "iterations", "--to", "6.9"], ["--to"]),
+])
+def test_scan_rejects_flags_that_take_no_effect(tmp_path, capsys, flags, named):
+    out = tmp_path / "scan.csv"
+    assert run_cli("scan", *flags, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --") and all(flag in err for flag in named), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--family", "custom"],
+    ["optimize", "--family", "quartic"],
+    ["scan", "--family", "custom", "--param", "chi", "--value", "1"],
+])
+def test_family_without_a_parameter_is_a_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_searches_and_scans_take_either_family_spelling(tmp_path):
+    for argv in (["optimize", "--family", "ps-tmss"],
+                 ["scan", "--family", "ps-tmss", "--param", "lambda", "--from", "0.1",
+                  "--to", "0.5", "--steps", "3"]):
+        assert run_cli(*argv, "--out", str(tmp_path / "out.csv")) == 0, argv

@@ -229,6 +229,13 @@ def test_pipeline_family_optimum():
     assert abs(xi_star - 1 / np.sqrt(2)) < 0.05
 
 
+def test_family_search_names_an_unknown_or_unsearchable_family():
+    with pytest.raises(ValueError, match="unknown family 'quartic'"):
+        optimize_family_parameter("quartic", CHI)
+    with pytest.raises(ValueError, match="no default bounds for family 'custom'"):
+        optimize_family_parameter("custom", CHI)
+
+
 def test_angle_optimum_for_pipeline(pipeline_state):
     chi_star, b_star = optimize_angle(pipeline_state)
     assert abs(chi_star - np.pi / 4) < 0.02
