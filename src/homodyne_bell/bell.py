@@ -22,8 +22,8 @@ E = 2 (P++ - P+-) = 4 P++ - 1, the CH combination S = 3 P++(chi) - P++(3 chi) an
 the CHSH combination B = 3 E(chi) - E(3 chi) = 4 S - 2.  Searches maximize S.
 With G_nn = 1/2 and only odd n - m off the diagonal, P++(chi) = |c|^2 / 4 +
 sum_(d odd) a_d cos(d chi) where a_d = 2 sum_(n - m = d) c_n c_m G_nm^2: each
-state forms its a_d once, then an angle costs O(N).  The matrix K is formed only
-for the optimizer's eigenproblem.
+state forms its a_d once (a cache of 16 keyed on the coefficient bytes), then an
+angle costs O(N).  The matrix K is formed only for the optimizer's eigenproblem.
 """
 
 from __future__ import annotations
@@ -74,8 +74,7 @@ def overlap_table(n_max: int) -> np.ndarray:
     return G
 
 
-def _checked_coeffs(v: CoefficientVector) -> np.ndarray:
-    c = v.coeffs
+def _checked_coeffs(c: np.ndarray) -> np.ndarray:
     n2 = float(np.dot(c, c))
     if abs(n2 - 1.0) > _EVAL_NORM_TOL:
         raise ValueError(f"Bell evaluation needs a normalized state (norm^2 = {n2!r})")
@@ -103,9 +102,11 @@ def _odd_pairs(k: int):
     return table
 
 
-def _p_plus_plus_of(v: CoefficientVector):
-    """P++ as a function of chi, by the cosine polynomial of the module docstring."""
-    c = _checked_coeffs(v)
+@lru_cache(maxsize=16)
+def _p_plus_plus_of(coeff_bytes: bytes):
+    """P++ as a function of chi for the state with these coefficient bytes, by the cosine
+    polynomial of the module docstring; cached, checking the norm inside on every miss."""
+    c = _checked_coeffs(np.frombuffer(coeff_bytes))
     n, m, half, w = _odd_pairs(c.size)
     a = np.bincount(half, weights=w * c[n] * c[m], minlength=c.size // 2)
     odd, base = np.arange(1, 2 * a.size, 2), 0.25 * float(c @ c)
@@ -114,7 +115,7 @@ def _p_plus_plus_of(v: CoefficientVector):
 
 def p_plus_plus(v: CoefficientVector, chi: float) -> float:
     """Joint probability that both homodyne outcomes are nonnegative, at angle sum chi."""
-    return _p_plus_plus_of(v)(chi)
+    return _p_plus_plus_of(v.coeffs.tobytes())(chi)
 
 
 def chsh_B(v: CoefficientVector, chi: float) -> float:
@@ -124,7 +125,7 @@ def chsh_B(v: CoefficientVector, chi: float) -> float:
 
 def ch_S(v: CoefficientVector, chi: float) -> float:
     """CH combination S = 3 P++(chi) - P++(3 chi); |S| <= 1 for local realism."""
-    p = _p_plus_plus_of(v)
+    p = _p_plus_plus_of(v.coeffs.tobytes())
     return 3.0 * p(chi) - p(3.0 * chi)
 
 
@@ -148,7 +149,7 @@ def p_plus_plus_quadrature_oracle(v: CoefficientVector, chi: float, scale: float
     to exhibit the scale invariance of sign binning.  Never reads G; used as
     the closed form's oracle.
     """
-    c = _checked_coeffs(v)
+    c = _checked_coeffs(v.coeffs)
     if scale <= 0.0:
         raise ValueError("scale must be positive")
     W = _quadrature_gram(c.size - 1, float(scale))
@@ -210,7 +211,7 @@ class BellReport:
 
 def bell_report(v: CoefficientVector, chi: float) -> BellReport:
     """Evaluate P++, E, B and S for one state from P++ at chi and 3 chi."""
-    p = _p_plus_plus_of(v)
+    p = _p_plus_plus_of(v.coeffs.tobytes())
     p1, p3 = p(chi), p(3.0 * chi)
     s = 3.0 * p1 - p3
     return BellReport(chi=chi, p_pp_chi=p1, p_pp_3chi=p3, E_chi=4.0 * p1 - 1.0,

@@ -12,11 +12,15 @@ tolerance, and such a state is refused.  An explicit cutoff truncates as asked a
 the vector reports `converged = False`.  The two-term seed
 (|0,0> + xi |1,1>) / sqrt(1 + xi^2) has its own generator.  The catalog holds
 states only: the distillation protocol that prepares `pipelined` lives in `pipeline`.
+Rows are immutable, so the generators share one cache of 32 rows keyed on (family,
+parameter and its sign bit, cutoff, iterations); `generator.__wrapped__` builds afresh.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import lru_cache, wraps
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -60,6 +64,18 @@ def _series(family: str, param: float, t: float, ratio, cutoff: int | None) -> C
     return CoefficientVector(c, normalized=True, provenance=f"{family}({param:g})")
 
 
+@lru_cache(maxsize=32, typed=True)
+def _cached_row(generator, param, sign, *args, **kwargs) -> CoefficientVector:
+    return generator(param, *args, **kwargs)
+
+
+def _row_cache(generator):
+    """`generator` served from `_cached_row`, as a plain function (the tracer wraps those)."""
+    return wraps(generator)(lambda param, *args, **kwargs: _cached_row(
+        generator, param, math.copysign(1.0, param), *args, **kwargs))
+
+
+@_row_cache
 def tmss(lam: float, cutoff: int | None = None) -> CoefficientVector:
     """Two-mode squeezed state with lambda = tanh(squeezing), 0 <= lambda < 1."""
     if not 0.0 <= lam < 1.0:
@@ -67,6 +83,7 @@ def tmss(lam: float, cutoff: int | None = None) -> CoefficientVector:
     return _series("tmss", lam, lam, lambda n: 1.0, cutoff)
 
 
+@_row_cache
 def circle(r: float, cutoff: int | None = None) -> CoefficientVector:
     """Circle state, c_n ~ r^(2n) / n!."""
     if r < 0:
@@ -74,6 +91,7 @@ def circle(r: float, cutoff: int | None = None) -> CoefficientVector:
     return _series("circle", r, r * r, lambda n: 1.0 / n, cutoff)
 
 
+@_row_cache
 def ps_tmss(lam: float, cutoff: int | None = None) -> CoefficientVector:
     """Photon-subtracted two-mode squeezed state, c_n ~ (n+1) lambda^n."""
     if not 0.0 <= lam < 1.0:
@@ -81,6 +99,7 @@ def ps_tmss(lam: float, cutoff: int | None = None) -> CoefficientVector:
     return _series("ps_tmss", lam, lam, lambda n: (n + 1.0) / n, cutoff)
 
 
+@_row_cache
 def seed(xi: float, cutoff: int | None = None) -> CoefficientVector:
     """Normalized two-term state (1, xi)/sqrt(1 + xi^2), zero-padded."""
     if xi < 0:
@@ -96,6 +115,7 @@ def seed(xi: float, cutoff: int | None = None) -> CoefficientVector:
     return CoefficientVector(c, normalized=True, provenance=f"seed({xi:g})")
 
 
+@_row_cache
 def pipelined(xi: float, cutoff: int | None = None, iterations: int = 3) -> CoefficientVector:
     """The state `pipeline` distils, on levels 0..cutoff-1 (the seed's cutoff, by default
     WORKING_CUTOFF, less the subtracted level).  k vacuum-heralded 50:50 steps map

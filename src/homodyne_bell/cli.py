@@ -125,7 +125,7 @@ def cmd_scan(args) -> None:
     sweep = {"param": param, "to": 2.0, "metric": "chsh", "cutoff": catalog.WORKING_CUTOFF}
     grid = {**sweep, "family": family, "frm": 0.5, "steps": 61}
     if param == "iterations":
-        _read_flags(args, "--param iterations", {**sweep, "xi": _XI, "chi": np.pi / 4})
+        _read_flags(args, "--param iterations", {**sweep, "to": 6.0, "xi": _XI, "chi": np.pi / 4})
     elif param == own:
         _read_flags(args, f"--param {param}", {**grid, "chi": np.pi / 4})
     elif param == "chi":    # the seed and pipeline families take xi from --xi unless --value
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", choices=("lambda", "r", "xi", "chi", "iterations"),
                    help="default: r")
     p.add_argument("--from", dest="frm", type=float, help="default: 0.5")
-    p.add_argument("--to", type=float, help="default: 2")
+    p.add_argument("--to", type=float, help="default: 2; 6 with --param iterations")
     p.add_argument("--steps", type=int, help="default: 61")
     p.add_argument("--metric", choices=("chsh", "ch"), help="default: chsh")
     p.add_argument("--chi", type=float, help="default: pi/4")

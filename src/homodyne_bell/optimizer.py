@@ -2,9 +2,9 @@
 
 Every search maximizes the CH value S = 3 P++(chi) - P++(3 chi).  The CHSH value
 B = 4 S - 2 is an increasing affine function of S, so it has the same maximizer;
-the objective only chooses which of the two is reported.  At fixed chi, S is
-the Rayleigh quotient of M = 3 K(chi) - K(3 chi), so the free coefficient
-optimum is the top eigenpair of M: S* = lambda_max, B* = 4 lambda_max - 2.
+the objective only chooses which of the two is reported, and both read one cache
+of the maximizers.  At fixed chi, S is the Rayleigh quotient of M = 3 K(chi) -
+K(3 chi), so the free optimum is its top eigenpair: S* = lambda_max, B* = 4 S* - 2.
 Family-parameter and angle searches are bounded 1-D maximizations by
 `_bounded_brent`, a step-for-step port of the bounded Brent search that
 `scipy.optimize.minimize_scalar(method="bounded")` runs, so they need numpy
@@ -20,6 +20,7 @@ it, such as the benchmark tracer; nothing in the package calls it.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -102,15 +103,22 @@ def optimize_coefficients(n_max: int, chi: float, objective: str = "chsh",
         raise ValueError("n_max must be nonnegative")
     if nonnegative and not 0.0 < chi <= np.pi / 2:
         raise ValueError(f"nonnegative optimum needs chi in (0, pi/2], not chi = {chi!r}")
+    c, s = _unit_maximizer(n_max, chi, nonnegative)
+    label = f"optimized({objective.upper()}, N={n_max}, chi={chi!r})"
+    return CoefficientVector(c, normalized=True, provenance=label), report(s), (report(s),)
+
+
+@lru_cache(maxsize=4)
+def _unit_maximizer(n_max: int, chi: float, nonnegative: bool):
+    """Read-only unit maximizer c of S = c^T M c (first nonzero entry positive) and S."""
     k = n_max + 1
     M = 3.0 * bell.kernel(k, chi) - bell.kernel(k, 3.0 * chi)
     w, V = np.linalg.eigh(M)
     c = _nonnegative_top(M, w[0], V[:, -1], chi) if nonnegative else V[:, -1]
     c = c / np.linalg.norm(c)
     c = c * np.sign(c[np.flatnonzero(np.abs(c) > 1e-12)[0]])
-    value = report(float(c @ M @ c))
-    label = f"optimized({objective.upper()}, N={n_max}, chi={chi!r})"
-    return CoefficientVector(c, normalized=True, provenance=label), value, (value,)
+    c.setflags(write=False)
+    return c, float(c @ M @ c)
 
 
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))

@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 
-from homodyne_bell import PipelineConfig, run_pipeline
+from homodyne_bell import PipelineConfig, bell, catalog, optimizer, run_pipeline
 
 XI_STAR = 1.0 / np.sqrt(2.0)
 CHI_STAR = np.pi / 4.0
+
+
+@pytest.fixture(autouse=True)
+def empty_result_caches():
+    """Each test starts with the per-state result caches empty, so no row, Bell series or
+    coefficient optimum computed by an earlier test answers it, and a test that patches a
+    module constant (such as the ascent's step cap) reaches the code it patches."""
+    for cached in (bell._p_plus_plus_of, catalog._cached_row, optimizer._unit_maximizer):
+        cached.cache_clear()
 
 
 @pytest.fixture(scope="session")

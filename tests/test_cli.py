@@ -191,6 +191,16 @@ def test_scan_iterations(tmp_path):
         assert abs(float(s) - (rows[int(i)] / 4 + 0.5)) < 1e-11
 
 
+def test_scan_iterations_defaults_to_six(tmp_path):
+    # the bare mode scans iterations 0..6; the old shared default of 2 always exited 1
+    bare, six = tmp_path / "bare.csv", tmp_path / "six.csv"
+    assert run_cli("scan", "--param", "iterations", "--out", str(bare)) == 0
+    assert run_cli("scan", "--param", "iterations", "--to", "6", "--out", str(six)) == 0
+    assert bare.read_bytes() == six.read_bytes()
+    assert [line.split(",")[0] for line in bare.read_text().splitlines()[1:]] \
+        == [str(i) for i in range(7)]
+
+
 def test_sample_summary_and_reproducibility(tmp_path, pipeline_state):
     state = tmp_path / "source.json"
     write_state_file(pipeline_state, state)
