@@ -211,6 +211,8 @@ class BellReport:
 
 def bell_report(v: CoefficientVector, chi: float) -> BellReport:
     """Evaluate P++, E, B and S for one state from P++ at chi and 3 chi."""
+    if not np.isfinite(chi):
+        raise ValueError(f"chi = {chi} is not finite")
     p = _p_plus_plus_of(v.coeffs.tobytes())
     p1, p3 = p(chi), p(3.0 * chi)
     s = 3.0 * p1 - p3

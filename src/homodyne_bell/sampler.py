@@ -3,23 +3,24 @@
 Pairs (x_A, x_B) come from the Born density
 |sum_n c_n e^(i n chi) psi_n(x_A) psi_n(x_B)|^2 on a grid symmetric about 0.
 Only signs enter the Bell functionals.  Per (state, chi) the sampler keeps the
-joint table P(x_A in cell, sign x_B) = integral over the cell of Re(a^H G_s a),
-with a = c o e^(i n chi) o psi(x_A) and G_s the Gram matrix of the basis over
-x_B's half-line s, every integral taken by two Gauss-Legendre nodes per cell
-(error O(dx^4), so the table's quadrant sums match the closed form P++ to
-rounding); a state the grid holds less than 1 - 1e-9 of is refused.  The sign
-counts of n i.i.d. pairs are then exactly Multinomial(n, four quadrant masses):
-one 4-category draw, whatever n is.  Raw pairs, made only on request, start
-from per-cell counts drawn given those counts (each quadrant's count spread
-over its cells by a multinomial, their exact conditional law): x_A uniform
-inside its cell, x_B inside the half-line of its counted sign by a two-level
-inversion of its conditional CDF at the cell's midpoint (128-point blocks, then
-one block's points; the x_B >= 0 half from its upper end, so a half with little
-mass keeps its precision), then shuffled; drawn after the counts, they never
-change them.  The counts, per quadrant and per x_A cell, follow the exact law;
-a raw pair inside its cells does not follow the Born density (x_A uniform, x_B
-from point weights at the cell midpoints).  The sampler never reuses the
-closed-form overlap table, so it stays an independent check on it.
+four quadrant masses Re(p^H (W_sA o W_sB) p), p = c o e^(i n chi), from W+, the
+Gram matrix of the basis over x >= 0, and W-_nm = (-1)^(n+m) W+_nm by parity,
+every integral taken by two Gauss-Legendre nodes per cell (error O(dx^4): the
+masses match the closed form P++ to about 1e-15); a state the grid holds less
+than 1 - 1e-9 of is refused.  The sign counts of n i.i.d. pairs are then
+exactly Multinomial(n, quadrant masses), one 4-category draw for any n.  Raw
+pairs, made only on request, read the table P(x_A in cell, sign x_B), built
+then from the Gram matrices over x_B's two half-lines, and start from per-cell
+counts drawn given the counts (each quadrant's count spread over its cells by
+a multinomial, their exact conditional law): x_A uniform inside its cell, x_B
+inside the half-line of its counted sign by a two-level inversion of its
+conditional CDF at the cell's midpoint (128-point blocks, then one block's
+points; the x_B >= 0 half from its upper end, so a half with little mass keeps
+its precision), then shuffled; drawn after the counts, they never change them.
+The counts, per quadrant and per x_A cell, follow the exact law; a raw pair
+inside its cells does not follow the Born density (x_A uniform, x_B from point
+weights at the cell midpoints).  The sampler never reuses the closed-form
+overlap table, so it stays an independent check on it.
 
 Randomness comes from numpy's counter-based Philox engine; the algorithm name
 is recorded in each batch, and a batch is a pure function of its seed.
@@ -28,7 +29,7 @@ is recorded in each batch, and a batch is a pure function of its seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -41,6 +42,7 @@ GRID_HALF_WIDTH = 12.0
 _MASS_TOL = 1e-9          # largest share of the state's mass the grid may miss
 _ROW_CHUNK = 256          # drawn cells whose x_B are inverted at once when making raw pairs
 _BLOCK = 128              # grid points per block of that inversion's first level
+_GRAM_BLOCKS = 8          # blocks of x >= 0 nodes (2048 each) W+ is summed over
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,34 +68,48 @@ class SampleBatch:
         return float(c[0, 0] + c[1, 1] - c[0, 1] - c[1, 0]) / self.n_samples
 
 
+@lru_cache(maxsize=1)
+def _grid():
+    """Cell edges, width and centres, and two Gauss-Legendre nodes per cell, for every plan."""
+    edges = np.linspace(-GRID_HALF_WIDTH, GRID_HALF_WIDTH, GRID_POINTS + 1)
+    dx, centers = edges[1] - edges[0], 0.5 * (edges[:-1] + edges[1:])
+    nodes = centers[:, None] + np.array([-0.5, 0.5]) * dx / np.sqrt(3.0)   # weight dx / 2 each
+    return edges, dx, centers, nodes.ravel()                              # cell i's at 2i, 2i + 1
+
+
 class _SamplerPlan:
-    """Joint law of (x_A cell, sign x_B) and its four quadrant masses for one (state, chi)."""
+    """Quadrant masses for one (state, chi) from W+; the cell table on first raw-pair use."""
+
+    half = GRID_POINTS // 2                       # first cell of x >= 0
 
     def __init__(self, coeffs: np.ndarray, chi: float):
         k = coeffs.size
-        self.edges = np.linspace(-GRID_HALF_WIDTH, GRID_HALF_WIDTH, GRID_POINTS + 1)
-        self.dx = self.edges[1] - self.edges[0]
-        self.centers = 0.5 * (self.edges[:-1] + self.edges[1:])
-        self.half = GRID_POINTS // 2                  # first cell of x >= 0
-        # two Gauss-Legendre nodes per cell, at its centre -+ dx / (2 sqrt 3), weight dx / 2 each:
-        # cell i's in columns 2i, 2i + 1
-        nodes = (self.centers[:, None] + np.array([-0.5, 0.5]) * self.dx / np.sqrt(3.0)).ravel()
-        V = hermite_basis(k - 1, nodes)
+        self.edges, self.dx, self.centers, self.nodes = _grid()
         self.phase = coeffs * np.exp(1j * chi * np.arange(k))
+        # W+ by blocks of x >= 0 nodes; the nodes are symmetric and psi_n has parity (-1)^n
+        blocks = np.split(self.nodes[2 * self.half:], _GRAM_BLOCKS)
+        w_plus = 0.5 * self.dx * sum(V @ V.T for V in (hermite_basis(k - 1, x) for x in blocks))
+        grams = (w_plus, (-1.0) ** (np.arange(k)[:, None] + np.arange(k)) * w_plus)
+        # quadrant (s_A, s_B) holds Re(p^H (W_sA o W_sB) p), p = phase: A+B+, A+B-, A-B+, A-B-
+        P = (self.phase.conj()[:, None] * self.phase).real
+        masses = np.array([np.sum(P * wa * wb) for wa in grams for wb in grams])
+        lost = 1.0 - masses.sum() / np.dot(coeffs, coeffs)
+        if lost > _MASS_TOL:
+            raise ValueError(f"the sampling grid [-{GRID_HALF_WIDTH:g}, {GRID_HALF_WIDTH:g}] "
+                             f"misses {lost:.3g} of the state's quadrature mass "
+                             f"(limit {_MASS_TOL:g})")
+        self.quadrants = masses / masses.sum()
+
+    @cached_property
+    def joint(self) -> np.ndarray:
+        """joint[cell, s] = P(x_A in cell, sign x_B = s), s = x_B >= 0, x_B < 0."""
+        V = hermite_basis(self.phase.size - 1, self.nodes)
         # Re(a^H M a) = v^T (Re(conj(phase) phase^T) o M) v for a = phase o v and real M
         P, w = (self.phase.conj()[:, None] * self.phase).real, 0.5 * self.dx
         grams = (w * W @ W.T for W in (V[:, 2 * self.half:], V[:, :2 * self.half]))
         joint = w * np.stack([np.einsum("nc,nc->c", V, (P * G) @ V) for G in grams])
         joint = np.clip(joint.reshape(2, -1, 2).sum(2), 0.0, None)  # rounding can step below 0
-        lost = 1.0 - joint.sum() / np.dot(coeffs, coeffs)
-        if lost > _MASS_TOL:
-            raise ValueError(f"the sampling grid [-{GRID_HALF_WIDTH:g}, {GRID_HALF_WIDTH:g}] "
-                             f"misses {lost:.3g} of the state's quadrature mass "
-                             f"(limit {_MASS_TOL:g})")
-        table = joint / joint.sum()              # rows: x_B >= 0, x_B < 0; columns: cells
-        self.joint = table.T                     # joint[cell, s] = P(x_A in cell, sign x_B = s)
-        # A+B+, A+B-, A-B+, A-B-, each summed over contiguous memory (pairwise, to rounding)
-        self.quadrants = np.concatenate([table[:, self.half:].sum(1), table[:, :self.half].sum(1)])
+        return (joint / joint.sum()).T
 
     def cell_counts(self, counts, rng):
         """Per-cell counts m and m_minus (x_B < 0) given the 2x2 quadrant counts, by their
@@ -199,8 +215,10 @@ def sample_joint(v: CoefficientVector, chi: float, n: int, seed: int,
     n2 = float(np.dot(c, c))
     if abs(n2 - 1.0) > 1e-8:
         raise ValueError("sampling requires a normalized state")
-    if n < 1:
-        raise ValueError("need at least one sample")
+    if not 1 <= n <= 2 ** 63 - 1:
+        raise ValueError(f"n = {n} pairs is outside [1, 2**63 - 1]")
+    if not np.isfinite(chi):
+        raise ValueError(f"chi = {chi} is not finite")
     plan = _plan_for(c.tobytes(), c.size, float(chi))
     rng = np.random.Generator(np.random.Philox(seed))
     counts = rng.multinomial(n, plan.quadrants).reshape(2, 2)

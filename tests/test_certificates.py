@@ -11,7 +11,8 @@ rational.  These checks never read the program's overlap table.
 from fractions import Fraction
 from math import factorial, pi, sqrt
 
-from homodyne_bell import PipelineConfig, catalog, ch_S, chsh_B, run_pipeline
+from homodyne_bell import (PipelineConfig, catalog, ch_S, chsh_B, overgaussification_scan,
+                           run_pipeline)
 
 XI = 1.0 / sqrt(2.0)
 CHI = pi / 4.0
@@ -39,20 +40,22 @@ def sigma(d):
     return 1 if d % 8 in (1, 7) else -1
 
 
-def pipelined_q(iterations):
-    """q = pi B of the distilled state at xi = 1/sqrt2, chi = pi/4.
+def pipelined_q(iterations, levels=32):
+    """q = pi B of the distilled state at xi = 1/sqrt2, chi = pi/4, on the `levels` levels
+    the program keeps (catalog.pipelined at cutoff 32), normalized over those levels.
 
-    Its amplitudes are c_n ~ w_n xi^n with w_n = (n+1) L!/(L-n-1)! / L^n, L = 2^k
-    (catalog.pipelined); B = 8 sum_(n>m, n-m odd) c_n c_m G_nm^2 (3 cos(d chi) - cos(3 d chi)),
-    and xi^(n+m) (3 cos(d chi) - cos(3 d chi)) = (3 sigma_d - sigma_3d) / 2^((n+m+1)/2).
+    Its amplitudes are c_n ~ w_n xi^n with w_n = (n+1) L!/(L-n-1)! / L^n, L = 2^k, for
+    n < min(L, levels) (catalog.pipelined); B = 8 sum_(n>m, n-m odd) c_n c_m G_nm^2
+    (3 cos(d chi) - cos(3 d chi)), and xi^(n+m) (3 cos(d chi) - cos(3 d chi)) =
+    (3 sigma_d - sigma_3d) / 2^((n+m+1)/2).
     """
     size = 2 ** iterations
     w = [Fraction((n + 1) * factorial(size), factorial(size - n - 1)) / size ** n
-         for n in range(size)]
+         for n in range(min(size, levels))]
     norm = sum(wn * wn / 2 ** n for n, wn in enumerate(w))
     return 8 * sum(w[n] * w[m] * pi_overlap_squared(n, m)
                    * Fraction(3 * sigma(n - m) - sigma(3 * (n - m)), 2 ** ((n + m + 1) // 2))
-                   for n in range(size) for m in range(n) if (n - m) % 2) / norm
+                   for n in range(len(w)) for m in range(n) if (n - m) % 2) / norm
 
 
 def test_criterion_01_exact_certificate():
@@ -64,3 +67,13 @@ def test_criterion_01_exact_certificate():
         assert abs(chsh_B(state, CHI) - b) <= 2e-15
         assert abs(ch_S(state, CHI) - s) <= 2e-15
     assert round(b, 4) == 2.0715
+
+
+def test_criterion_08_exact_certificate():
+    # i = 6 keeps 32 of its 64 levels: the untruncated q_6 / pi is 1.2e-11 off the scan.
+    # The criterion's i = 3..6 agree within 1.4e-15; i = 2 reads 2.2e-15 (5 ulps)
+    q = [pipelined_q(i) for i in range(7)]
+    for (i, b), qi in zip(overgaussification_scan(XI, 6), q):
+        assert abs(b - float(qi) / pi) <= (2e-15 if i >= 3 else 2.5e-15)
+    assert q[3] > q[4] > q[5] > q[6]
+    assert max(range(7), key=q.__getitem__) == 3

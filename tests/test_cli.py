@@ -418,3 +418,32 @@ def test_searches_and_scans_take_either_family_spelling(tmp_path):
                  ["scan", "--family", "ps-tmss", "--param", "lambda", "--from", "0.1",
                   "--to", "0.5", "--steps", "3"]):
         assert run_cli(*argv, "--out", str(tmp_path / "out.csv")) == 0, argv
+
+
+def test_sample_refuses_n_beyond_int64(tmp_path, capsys):
+    # 10^20 pairs left an uncaught OverflowError traceback and no error line
+    state = tmp_path / "circle.json"
+    write_state_file(circle(1.12), state)
+    out = tmp_path / "s.json"
+    assert run_cli("sample", "--state", str(state), "--n", "100000000000000000000",
+                   "--out", str(out)) == 1
+    assert capsys.readouterr().err == \
+        "error: n = 100000000000000000000 pairs is outside [1, 2**63 - 1]\n"
+    assert not out.exists()
+
+
+def test_sample_refuses_a_non_finite_chi(tmp_path, capsys):
+    # --chi nan failed inside numpy: "pvals < 0, pvals > 1 or pvals contains NaNs"
+    state = tmp_path / "circle.json"
+    write_state_file(circle(1.12), state)
+    assert run_cli("sample", "--state", str(state), "--chi", "nan") == 1
+    assert capsys.readouterr().err == "error: chi = nan is not finite\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_bell_refuses_a_non_finite_chi_without_a_warning(tmp_path, capsys):
+    # --chi inf printed a RuntimeWarning from cos(inf) before its error
+    state = tmp_path / "circle.json"
+    write_state_file(circle(1.12), state)
+    assert run_cli("bell", "--state", str(state), "--chi", "inf") == 1
+    assert capsys.readouterr().err == "error: chi = inf is not finite\n"

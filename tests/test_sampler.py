@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homodyne_bell import (CoefficientVector, PipelineConfig, bell, chsh_B, estimate_B,
+from homodyne_bell import (CoefficientVector, PipelineConfig, bell, chsh_B, circle, estimate_B,
                            normalize, p_plus_plus, run_pipeline, sample_joint, sampler, seed,
                            tmss)
+from test_certificates import pi_overlap_squared, sigma
 
 CHI = np.pi / 4
 PINNED = [[38012, 12092], [11960, 37936]]   # pipelined state, chi = pi/4, 10^5 pairs, seed 7
@@ -409,3 +410,90 @@ def test_raw_pairs_memory_is_bounded(pipeline_state):
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2 ** 20
+
+
+def _gram_case(family, pipeline_state):
+    return {"pipeline": pipeline_state, "circle": circle(1.12, 32), "tmss": tmss(0.6, 32)}[family]
+
+
+def _exact_p_plus_plus(coeffs, j):
+    """P++ at chi = j pi/4, j odd, from the float coefficients taken as exact rationals:
+    |c|^2/4 + 2 sum_(n>m, n-m odd) c_n c_m cos((n-m) chi) G_nm^2 over |c|^2, with
+    pi G_nm^2 rational and cos(d chi) = sigma(j d)/sqrt2 (tests/test_certificates.py)."""
+    c = [Fraction(float(x)) for x in coeffs]
+    odd = sum(c[n] * c[m] * sigma(j * (n - m)) * pi_overlap_squared(n, m)
+              for n in range(len(c)) for m in range(n) if (n - m) % 2)
+    return 0.25 + float(2 * odd / sum(x * x for x in c)) / (np.sqrt(2.0) * np.pi)
+
+
+@pytest.mark.parametrize("j", [1, 3])
+@pytest.mark.parametrize("family", ["pipeline", "circle", "tmss"])
+def test_gram_quadrants_match_the_closed_form_and_the_table(pipeline_state, family, j):
+    # the four masses from W+ and W- (by parity), then the quadrant sums of the per-cell
+    # table, built only when read.  The two nodes per cell miss the exact P++ by the rule's
+    # O(dx^4) error at the half-line's end x = 0, up to 9.2e-16 here (tmss; 8.7e-16 with
+    # the grid in extended precision); the closed form misses it by 1.5e-16, so the two
+    # routes part by up to 1.06e-15 (the table's own sums by 1.11e-15)
+    v, chi = _gram_case(family, pipeline_state), j * np.pi / 4
+    sampler._plan_for.cache_clear()
+    plan = _plan(v, chi)
+    for p, tol in ((_exact_p_plus_plus(v.coeffs, j), 1e-15), (p_plus_plus(v, chi), 1.2e-15)):
+        assert np.max(np.abs(plan.quadrants - [p, 0.5 - p, 0.5 - p, p])) <= tol
+    assert "joint" not in vars(plan)
+    joint, half = plan.joint, plan.half
+    sums = [joint[half:, 0].sum(), joint[half:, 1].sum(),
+            joint[:half, 0].sum(), joint[:half, 1].sum()]
+    assert np.max(np.abs(plan.quadrants - sums)) <= 4e-16
+
+
+@pytest.fixture
+def basis_sizes(monkeypatch):
+    """Node count of each basis evaluation the sampler makes from here on."""
+    seen = []
+
+    def basis(n_max, xs):
+        seen.append(xs.size)
+        return bell.hermite_basis(n_max, xs)
+
+    monkeypatch.setattr(sampler, "hermite_basis", basis)
+    return seen
+
+
+def test_counts_never_build_the_cell_table(pipeline_state, basis_sizes):
+    # the basis is evaluated one block of x >= 0 nodes at a time for the counts; the whole
+    # 2^15-node grid only once raw pairs are asked for
+    seen = basis_sizes
+    sampler._plan_for.cache_clear()
+    estimate_B(pipeline_state, CHI, 10 ** 6, seed=1)
+    block = sampler.GRID_POINTS // sampler._GRAM_BLOCKS            # x >= 0 nodes per block
+    assert seen == [block] * (2 * sampler._GRAM_BLOCKS)            # two plans, counts only
+    assert not any("joint" in vars(_plan(pipeline_state, chi)) for chi in (CHI, 3.0 * CHI))
+    sample_joint(pipeline_state, CHI, 10, seed=1, keep_samples=True)
+    assert max(seen) == 2 * sampler.GRID_POINTS and "joint" in vars(_plan(pipeline_state, CHI))
+
+
+def test_grid_truncation_is_refused_from_the_gram_matrix(basis_sizes):
+    # refused before any per-cell table, with the message the table's refusal gave
+    c = np.zeros(100)
+    c[80:] = np.sqrt(1.0 / 20.0)
+    with pytest.raises(ValueError) as refused:
+        sampler._SamplerPlan(c, CHI)
+    assert str(refused.value) == ("the sampling grid [-12, 12] misses 0.529 of the state's "
+                                  "quadrature mass (limit 1e-09)")
+    assert basis_sizes == [sampler.GRID_POINTS // sampler._GRAM_BLOCKS] * sampler._GRAM_BLOCKS
+
+
+def test_sample_joint_refuses_n_beyond_int64(pipeline_state):
+    # 10^20 pairs overflowed inside the multinomial draw, as an OverflowError
+    for n in (10 ** 20, 2 ** 63, 0, -1):
+        with pytest.raises(ValueError, match=rf"^n = {n} pairs is outside \[1, 2\*\*63 - 1\]$"):
+            sample_joint(pipeline_state, CHI, n, seed=0)
+    assert sample_joint(pipeline_state, CHI, 2 ** 63 - 1, seed=0).counts.sum() == 2 ** 63 - 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_sample_joint_refuses_a_non_finite_chi(pipeline_state):
+    # chi = nan reached the multinomial as NaN probabilities
+    for chi in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=rf"^chi = {chi} is not finite$"):
+            sample_joint(pipeline_state, chi, 100, seed=0)
