@@ -17,7 +17,6 @@ from .fock_core import (
     CoefficientVector,
     ConditionalEnsemble,
     FourModeTensor,
-    TwoModeAmplitudeMatrix,
     normalize,
     read_state_file,
     trace_distance_pure_vs_ensemble,
@@ -25,10 +24,7 @@ from .fock_core import (
 )
 from .linear_optics import (
     BeamSplitter,
-    DetectorOutcome,
     apply_bs_pair_on_four_modes,
-    apply_bs_two_mode,
-    bs_matrix_element,
     condition_on_outcome,
     photon_subtract_beamsplitter,
     photon_subtract_exact,

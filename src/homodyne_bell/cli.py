@@ -27,12 +27,15 @@ _XI = 1.0 / np.sqrt(2.0)
 _SEARCHABLE = tuple(f for f, family in catalog.FAMILIES.items() if family.parameter)
 
 
+def _flag(dest: str) -> str:           # the flag, without its dashes, stored in `dest`
+    return {"frm": "from", "lam": "lambda"}.get(dest, dest.replace("_", "-"))
+
+
 def _read_flags(args, where: str, reads: dict) -> None:
     """The mode `where` reads the flags in `reads`, each unset one taking its default
     there; any other flag given is an error that names it.  The parser defaults are
     None (False for a switch), so a given flag is told from an unset one."""
-    unused = [{"frm": "--from", "lam": "--lambda"}.get(f, "--" + f.replace("_", "-"))
-              for f, v in vars(args).items() if v is not None and v is not False
+    unused = ["--" + _flag(f) for f, v in vars(args).items() if v is not None and v is not False
               and f not in reads and f not in ("command", "fn", "out")]
     if unused:
         raise ValueError(f"{', '.join(unused)} take{'s' * (len(unused) == 1)} no effect "
@@ -283,6 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for f, v in vars(args).items():     # every float flag, before any mode reads it
+            if isinstance(v, float) and not np.isfinite(v):
+                raise ValueError(f"{_flag(f)} = {v} is not finite")
         args.fn(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -2,11 +2,11 @@
 
 A two-mode state correlated in photon number, sum_n c_n |n,n>, is stored as a
 CoefficientVector holding the real amplitudes c_0..c_N.  Beam-splitter action
-breaks the |n,n> correlation mid-computation, so a general two-mode pure state
-is kept as a dense TwoModeAmplitudeMatrix, and the four-mode heralding
-verification uses a rank-4 FourModeTensor.  Conditioning on an on/off detector
-produces a ConditionalEnsemble: a weight array, the stack of post-measurement
-pure states it weighs, and the total success probability.
+breaks the |n,n> correlation mid-computation, so the four-mode heralding
+simulations keep a dense rank-4 FourModeTensor.  Conditioning on on/off
+detectors produces a ConditionalEnsemble: a weight array, the stack of
+post-measurement two-mode pure states it weighs, and the total success
+probability.
 
 All containers are immutable after construction; arrays are stored with the
 write flag cleared so values can be shared freely between workers.
@@ -66,16 +66,16 @@ class CoefficientVector:
 
 
 @dataclass(frozen=True, eq=False)
-class _Amplitudes:
-    """Read-only amplitude array of rank `_RANK`, squared norm at most 1."""
+class FourModeTensor:
+    """Read-only rank-4 amplitude tensor over modes (a, b, c, d), squared norm at most 1."""
 
     amps: np.ndarray
-    notes: tuple = ()
+    notes: tuple = ()                  # truncation warnings
 
     def __post_init__(self):
         a = np.asarray(self.amps)
-        if a.ndim != self._RANK:
-            raise ValueError(f"{type(self).__name__} amplitudes must have rank {self._RANK}")
+        if a.ndim != 4:
+            raise ValueError("FourModeTensor amplitudes must have rank 4")
         a = a.astype(complex if np.iscomplexobj(a) else float)
         n2 = float(np.sum(np.abs(a) ** 2))
         if n2 > 1.0 + NORM_TOL:
@@ -84,22 +84,6 @@ class _Amplitudes:
 
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.amps) ** 2))
-
-
-class TwoModeAmplitudeMatrix(_Amplitudes):
-    """Dense amplitude matrix psi[m, n] of a general two-mode pure state.
-
-    Sub-normalized matrices (squared Frobenius norm < 1) represent conditional
-    states before renormalization.  `notes` carries truncation warnings.
-    """
-
-    _RANK = 2
-
-
-class FourModeTensor(_Amplitudes):
-    """Rank-4 amplitude tensor over modes (a, b, c, d) with small cutoffs."""
-
-    _RANK = 4
 
 
 @dataclass(frozen=True, eq=False)

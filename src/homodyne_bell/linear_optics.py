@@ -10,8 +10,9 @@ held as one unitary block per total N.  The adjoint action U a+ U* = T a+ -
 R* b+, U b+ U* = R a+ + T* b+ builds block N from block N-1 with creation
 operators: no factorials, no cancelling alternating sum, and a 64-photon
 block unitary to rounding.  The stage-1 herald mixes modes (a, c) and (b, d)
-of a four-mode tensor and detects c and d; photon subtraction uses the
-closed-form single-photon element.
+of a four-mode tensor and needs both on/off detectors, on c and d, to click;
+the suite's Gaussification oracle mixes two copies at 50:50 and heralds on
+vacuum in both.  Photon subtraction uses the closed-form single-photon element.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .fock_core import (
     CoefficientVector,
     ConditionalEnsemble,
     FourModeTensor,
-    TwoModeAmplitudeMatrix,
     normalize,
 )
 
@@ -49,57 +49,6 @@ class BeamSplitter:
     def from_transmissivity(cls, t: float, reflection_sign: int = 1) -> "BeamSplitter":
         """Real splitter with |T| = t and R = sign * sqrt(1 - t^2)."""
         return cls(t, reflection_sign * np.sqrt(1.0 - t * t))
-
-
-@dataclass(frozen=True)
-class DetectorOutcome:
-    """On/off detector result: vacuum, click (any photons), or an exact count."""
-
-    kind: str
-    count: int | None = None
-
-    _KINDS = ("vacuum", "click", "exact")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown outcome kind {self.kind!r}")
-        if self.kind == "exact":
-            if self.count is None or self.count < 0:
-                raise ValueError("exact-count outcome requires count >= 0")
-        elif self.count is not None:
-            raise ValueError(f"{self.kind!r} outcome takes no count")
-
-    @classmethod
-    def vacuum(cls) -> "DetectorOutcome":
-        return cls("vacuum")
-
-    @classmethod
-    def click(cls) -> "DetectorOutcome":
-        return cls("click")
-
-    @classmethod
-    def exact_count(cls, k: int) -> "DetectorOutcome":
-        return cls("exact", k)
-
-    def allowed_counts(self, cutoff: int) -> range:
-        if self.kind == "vacuum":
-            return range(0, 1)
-        if self.kind == "click":
-            return range(1, cutoff + 1)
-        return range(self.count, min(self.count, cutoff) + 1)      # empty above the cutoff
-
-
-def bs_matrix_element(bs: BeamSplitter, j: int, k: int, m: int, n: int) -> complex:
-    """Matrix element <j,k|U|m,n> of the ordered-exponential beam splitter.
-
-    Zero unless j + k = m + n (photon conservation); otherwise entry [j, m] of
-    the block on total photon number m + n.
-    """
-    if min(j, k, m, n) < 0:
-        raise ValueError("photon-number indices must be nonnegative")
-    if j + k != m + n:
-        return 0.0 + 0.0j
-    return complex(_blocks(complex(bs.T), complex(bs.R), m + n)[m + n][j, m])
 
 
 @lru_cache(maxsize=64)
@@ -159,54 +108,39 @@ def _mix(bs: BeamSplitter, amps: np.ndarray, notes: tuple):
     return (W.reshape(pair, pair) @ amps.reshape(pair, -1)).reshape(amps.shape), notes
 
 
-def apply_bs_two_mode(bs: BeamSplitter, s: TwoModeAmplitudeMatrix) -> TwoModeAmplitudeMatrix:
-    """Mix the two modes of a dense amplitude matrix.
-
-    Amplitudes landing above the stored cutoffs are lost; if the input holds
-    more than the tail tolerance in its top levels, the result carries a
-    truncation note.
-    """
-    out, notes = _mix(bs, s.amps, s.notes)
-    if not np.iscomplexobj(s.amps) and np.allclose(out.imag, 0.0, atol=1e-300):
-        out = out.real
-    return TwoModeAmplitudeMatrix(out, notes=notes)
-
-
 def apply_bs_pair_on_four_modes(bs: BeamSplitter, t: FourModeTensor) -> FourModeTensor:
     """Apply one splitter to modes (a, c) and one to modes (b, d) of a four-mode
-    tensor, a and b entering the first ports.  Truncation is noted per pair,
-    (a, c) first, as in `apply_bs_two_mode`.
-    """
+    tensor, a and b entering the first ports.  Amplitudes landing above the cutoffs
+    are lost: a pair with more than the tail tolerance in its top levels adds a
+    truncation note, (a, c) first."""
     acbd, notes = _mix(bs, t.amps.transpose(0, 2, 1, 3), t.notes)
     bdac, notes = _mix(bs, acbd.transpose(2, 3, 0, 1), notes)
     return FourModeTensor(bdac.transpose(2, 0, 3, 1), notes=notes)
 
 
 def condition_on_outcome(t: FourModeTensor,
-                         outcomes: tuple = (DetectorOutcome.click(), DetectorOutcome.click()),
-                         ) -> ConditionalEnsemble:
-    """Project modes c and d of a normalized four-mode state on detector outcomes.
+                         outcomes: tuple = ("click", "click")) -> ConditionalEnsemble:
+    """Project modes c and d of a normalized four-mode state on on/off detector
+    outcomes, each "vacuum" (count 0) or "click" (one branch per count 1..cutoff).
 
-    A click outcome contributes one branch per photon count k >= 1, weighted
-    by the branch probability; vacuum and exact counts give a single count.
     The ensemble on (a, b) keeps the branches of nonzero weight in count order,
     renormalizes their weights and stores the total outcome probability, summed
     in branch order: a small trace distance to the ensemble moves with its last
-    bit.  Zero total probability raises ValueError.  The norm gate admits
-    documented truncation leakage, the input's top-shell mass at worst.
+    bit.  An unknown outcome or zero total probability raises ValueError.  The
+    norm gate admits documented truncation leakage, the input's top-shell mass
+    at worst.
     """
     if abs(t.norm_squared() - 1.0) > NORM_GATE:
         raise ValueError("conditioning expects a normalized four-mode state")
-    if len(outcomes) != 2:
-        raise ValueError("exactly two detector outcomes (modes c, d) are required")
-    k, l = (np.fromiter(o.allowed_counts(n - 1), int) for o, n in zip(outcomes, t.amps.shape[2:]))
+    if len(outcomes) != 2 or any(o not in ("vacuum", "click") for o in outcomes):
+        raise ValueError(f"outcomes {tuple(outcomes)} are not two of 'vacuum' and 'click'")
+    k, l = (np.arange(1) if o == "vacuum" else np.arange(1, n)
+            for o, n in zip(outcomes, t.amps.shape[2:]))
     phis = t.amps.transpose(2, 3, 0, 1)[k[:, None], l]    # phis[k, l] = amps[:, :, k, l]
     weights = np.sum(np.abs(phis) ** 2, axis=(2, 3))
     total = float(np.cumsum(weights)[-1]) if weights.size else 0.0
     if total <= 0.0:
-        raise ValueError(
-            f"conditioning on {tuple(o.kind for o in outcomes)} has zero probability"
-        )
+        raise ValueError(f"conditioning on {tuple(outcomes)} has zero probability")
     kept = weights > 0.0
     w = weights[kept]
     return ConditionalEnsemble(w / total, phis[kept] / np.sqrt(w)[:, None, None],

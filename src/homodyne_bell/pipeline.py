@@ -42,6 +42,8 @@ from .linear_optics import (
     photon_subtract_exact,
 )
 
+STAGE1_CUTOFF = 4       # photons kept per mode in the stage-1 simulation
+
 
 @lru_cache(maxsize=32)
 def _gaussify_weights(size: int):
@@ -119,23 +121,21 @@ class Stage1Report:
     printed_transmissivity: float
 
 
-def stage1_verify(xi: float, lam: float, cutoff: int = 4) -> Stage1Report:
+def stage1_verify(xi: float, lam: float) -> Stage1Report:
     """Full four-mode simulation of the heralded seed preparation.
 
-    Two squeezed pairs are shared crosswise (pair 1 on modes a,d; pair 2 on
-    c,b) so each splitter U_ac, U_bd mixes one mode of each pair; both
-    second-port detectors (c, d) must click.  Both splitters carry
-    R = -sqrt(1 - T^2), the phase at which the heralded two-photon amplitude
-    is +xi, with T from the calibrated solve.  Returns the branch ensemble on
-    (a, b), its trace distance to seed(xi), and the heralding probability.
-    Raises ValueError where the splitters leak more norm past the cutoff than
-    conditioning admits.
+    Two squeezed pairs, each kept to STAGE1_CUTOFF photons per mode, are shared
+    crosswise (pair 1 on modes a,d; pair 2 on c,b) so each splitter U_ac, U_bd
+    mixes one mode of each pair; both second-port detectors (c, d) must click.
+    Both splitters carry R = -sqrt(1 - T^2), the phase at which the heralded
+    two-photon amplitude is +xi, with T from the calibrated solve.  Returns the
+    branch ensemble on (a, b), its trace distance to seed(xi), and the heralding
+    probability.  Raises ValueError where the splitters leak more norm past the
+    cutoff than conditioning admits (from lambda of about 0.275).
     """
-    if cutoff < 4:
-        raise ValueError("stage-1 verification needs cutoff >= 4")
-    c = tmss(lam, cutoff).coeffs
-    amps = np.zeros((cutoff + 1,) * 4)
-    m, n = np.indices((cutoff + 1, cutoff + 1))
+    c = tmss(lam, STAGE1_CUTOFF).coeffs
+    amps = np.zeros((STAGE1_CUTOFF + 1,) * 4)
+    m, n = np.indices((STAGE1_CUTOFF + 1, STAGE1_CUTOFF + 1))
     amps[m, n, n, m] = np.outer(c, c)
     tensor = FourModeTensor(amps)
     t_used = stage1_transmissivity(xi, lam)
@@ -143,9 +143,9 @@ def stage1_verify(xi: float, lam: float, cutoff: int = 4) -> Stage1Report:
     lost = 1.0 - mixed.norm_squared()
     if abs(lost) > NORM_GATE:
         raise ValueError(f"stage 1 at lambda={lam:g} leaks {lost:.3e} of the norm past cutoff "
-                         f"{cutoff} ({'; '.join(mixed.notes)}); use a smaller lambda")
+                         f"{STAGE1_CUTOFF} ({'; '.join(mixed.notes)}); use a smaller lambda")
     ensemble = condition_on_outcome(mixed)
-    target = seed(xi, cutoff)
+    target = seed(xi, STAGE1_CUTOFF)
     dist = trace_distance_pure_vs_ensemble(target, ensemble)
     return Stage1Report(
         ensemble=ensemble,

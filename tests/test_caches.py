@@ -23,6 +23,8 @@ from homodyne_bell import (
     p_plus_plus,
 )
 
+from conftest import RESULT_CACHES
+
 CHI = np.pi / 4
 ROWS = [("tmss", 0.6, 32), ("tmss", 0.3, None), ("ps_tmss", 0.6, 32), ("circle", 1.12, 32),
         ("circle", 0.5, None), ("seed", 0.7071, 8), ("seed", 0.0, None),
@@ -30,7 +32,6 @@ ROWS = [("tmss", 0.6, 32), ("tmss", 0.3, None), ("ps_tmss", 0.6, 32), ("circle",
 # the analytic benchmark's tmss grid: one state at 25 angles
 TMSS_LAMBDA = np.arange(0.0, 0.901, 0.1)
 TMSS_CHI = np.linspace(0.05, np.pi / 2, 25)
-CACHES = (bell._p_plus_plus_of, catalog._cached_row, optimizer._unit_maximizer)
 
 
 @pytest.mark.parametrize("family, param, cutoff", ROWS)
@@ -112,7 +113,7 @@ def test_ch_and_chsh_share_one_maximizer(n_max, nonnegative):
 
 
 def test_the_caches_are_bounded():
-    for cache in CACHES:
+    for cache in RESULT_CACHES:
         assert cache.cache_info().maxsize is not None and cache.cache_info().maxsize <= 64
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from homodyne_bell import (CoefficientVector, chsh_B, circle, estimate_B, read_state_file,
                            sample_joint, seed, write_state_file)
+from homodyne_bell import cli
 from homodyne_bell.cli import main
 
 
@@ -447,3 +448,48 @@ def test_bell_refuses_a_non_finite_chi_without_a_warning(tmp_path, capsys):
     write_state_file(circle(1.12), state)
     assert run_cli("bell", "--state", str(state), "--chi", "inf") == 1
     assert capsys.readouterr().err == "error: chi = inf is not finite\n"
+
+
+NON_FINITE = [
+    (["scan", "--chi", "inf"], "chi = inf"),      # wrote nan values and exited 0
+    (["scan", "--param", "chi", "--family", "circle", "--value", "1.12", "--from", "0",
+      "--to", "inf", "--steps", "2"], "to = inf"),
+    (["scan", "--from", "nan"], "from = nan"),
+    (["scan", "--param", "iterations", "--xi=-inf"], "xi = -inf"),
+    (["scan", "--param", "chi", "--value", "nan"], "value = nan"),
+    (["optimize", "--chi", "inf"], "chi = inf"),    # "Eigenvalues did not converge"
+    (["optimize", "--chi", "nan"], "chi = nan"),
+    (["pipeline", "--xi", "0.7071", "--chi", "inf"], "chi = inf"),   # ran the protocol first
+    (["pipeline", "--xi", "nan"], "xi = nan"),
+    (["pipeline", "--xi", "0.7071", "--lambda", "inf", "--verify-stage1"], "lambda = inf"),
+    (["pipeline", "--xi", "0.7071", "--subtraction", "beamsplitter", "--bs-r", "nan"],
+     "bs-r = nan"),
+    (["state", "--family", "circle", "--r", "inf"], "r = inf"),
+    (["state", "--family", "tmss", "--lambda=-inf"], "lambda = -inf"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, named", NON_FINITE, ids=[
+    f"{argv[0]}:{named.replace(' = ', '=')}" for argv, named in NON_FINITE])
+def test_a_non_finite_number_is_refused_before_any_mode_runs(tmp_path, capsys, monkeypatch,
+                                                              argv, named):
+    def refuse(*args):
+        raise AssertionError("a mode read its flags")
+
+    monkeypatch.setattr(cli, "_read_flags", refuse)
+    out = tmp_path / "out.txt"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {named} is not finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("chi", ["1e308", "7e307"])
+def test_sample_refuses_a_chi_whose_phase_overflows(tmp_path, capsys, chi):
+    # 1e308 printed two overflow warnings, then numpy's "pvals ... contains NaNs";
+    # 7e307 was refused as "chi = inf", a value never given
+    state = tmp_path / "circle.json"
+    write_state_file(circle(1.12), state)
+    assert run_cli("sample", "--state", str(state), "--chi", chi) == 1
+    assert capsys.readouterr().err == f"error: chi = {float(chi)} is too large\n"

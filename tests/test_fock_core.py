@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from homodyne_bell import (
     CoefficientVector,
     ConditionalEnsemble,
-    TwoModeAmplitudeMatrix,
+    FourModeTensor,
     normalize,
     read_state_file,
     tmss,
@@ -79,9 +79,9 @@ def test_tail_mass_and_convergence():
     assert v.tail_mass < 1e-12
 
 
-def test_two_mode_matrix_rejects_super_normalized():
+def test_four_mode_tensor_rejects_super_normalized():
     with pytest.raises(ValueError):
-        TwoModeAmplitudeMatrix(np.full((3, 3), 1.0))
+        FourModeTensor(np.full((2, 2, 2, 2), 1.0))
 
 
 def test_ensemble_weights_must_sum_to_one():

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from homodyne_bell import (
     BeamSplitter,
     CoefficientVector,
-    DetectorOutcome,
     FourModeTensor,
     apply_bs_pair_on_four_modes,
     chsh_B,
@@ -110,8 +109,7 @@ def operator_gaussify(c, cutoff):
             amps[m, m, n, n] = c[m] * c[n]
     s = 1.0 / np.sqrt(2.0)
     mixed = apply_bs_pair_on_four_modes(BeamSplitter(s, s), FourModeTensor(amps))
-    ens = condition_on_outcome(
-        mixed, outcomes=(DetectorOutcome.vacuum(), DetectorOutcome.vacuum()))
+    ens = condition_on_outcome(mixed, outcomes=("vacuum", "vacuum"))
     assert ens.weights.shape == (1,)
     kept = ens.states[0]
     diag = np.diagonal(kept).real * np.sqrt(ens.success_probability)
@@ -200,11 +198,6 @@ def test_stage1_refuses_leakage_past_its_cutoff():
     assert stage1_verify(XI, 0.25).success_probability > 0.0
     with pytest.raises(ValueError, match=r"lambda=0\.3 leaks .* past cutoff 4"):
         stage1_verify(XI, 0.3)
-
-
-def test_stage1_needs_enough_levels():
-    with pytest.raises(ValueError):
-        stage1_verify(XI, 0.01, cutoff=3)
 
 
 def test_pipeline_zero_iterations_gives_vacuum(pipeline_state):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -497,3 +498,18 @@ def test_sample_joint_refuses_a_non_finite_chi(pipeline_state):
     for chi in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match=rf"^chi = {chi} is not finite$"):
             sample_joint(pipeline_state, chi, 100, seed=0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_chi_whose_largest_phase_overflows_is_refused_by_name(pipeline_state):
+    # chi * N past the largest float overflowed in the plan's phases (two RuntimeWarnings,
+    # then NaN probabilities); estimate_B turned 3 chi past it into "chi = inf is not finite"
+    N = pipeline_state.cutoff
+    for chi in (1e308, -1e308, float(np.finfo(float).max) / N * 1.5):
+        with pytest.raises(ValueError, match=rf"^chi = {re.escape(str(chi))} is too large$"):
+            sample_joint(pipeline_state, chi, 100, seed=0)
+    chi = 0.7e308 / N               # chi * N is finite, 3 chi * N is not
+    assert sample_joint(pipeline_state, chi, 100, seed=0).counts.sum() == 100
+    for c in (chi, 7e307, 1e308):
+        with pytest.raises(ValueError, match=rf"^chi = {re.escape(str(c))} is too large$"):
+            estimate_B(pipeline_state, c, 100, seed=0)
