@@ -21,14 +21,16 @@ Every Bell quantity therefore follows from P++ at chi and 3 chi: the correlation
 E = 2 (P++ - P+-) = 4 P++ - 1, the CH combination S = 3 P++(chi) - P++(3 chi) and
 the CHSH combination B = 3 E(chi) - E(3 chi) = 4 S - 2.  Searches maximize S.
 With G_nn = 1/2 and only odd n - m off the diagonal, P++(chi) = |c|^2 / 4 +
-sum_(d odd) a_d cos(d chi) where a_d = 2 sum_(n - m = d) c_n c_m G_nm^2: each
-state forms its a_d once (a cache of 16 keyed on the coefficient bytes), then an
-angle costs O(N).  The matrix K is formed only for the optimizer's eigenproblem.
+sum_(d odd) a_d cos(d chi) where a_d = 2 sum_(n - m = d) c_n c_m G_nm^2, and S(chi) =
+|c|^2 / 2 + sum_(d odd) a_d (3 cos(d chi) - cos(3 d chi)).  Each state forms its a_d and
+both series once (a cache of 16 keyed on the coefficient bytes), then P++, S or B
+costs one cosine and one dot.  K is formed only for the optimizer's eigenproblem.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,6 +41,7 @@ from .fock_core import CoefficientVector
 
 _EVAL_NORM_TOL = 1e-8
 _ORACLE_POINTS = 400
+_CH_WEIGHTS = np.array([[3.0], [-1.0]])    # S = 3 P++(chi) - P++(3 chi), term by term
 
 
 def hermite_basis(n_max: int, xs: np.ndarray) -> np.ndarray:
@@ -78,7 +81,13 @@ def _checked_coeffs(c: np.ndarray) -> np.ndarray:
     n2 = float(np.dot(c, c))
     if abs(n2 - 1.0) > _EVAL_NORM_TOL:
         raise ValueError(f"Bell evaluation needs a normalized state (norm^2 = {n2!r})")
-    return c / np.sqrt(n2)
+    return c / math.sqrt(n2)
+
+
+def check_phase(chi: float, cutoff: int, times: int = 1) -> None:
+    """Refuse chi unless times * chi * cutoff, the largest phase in n (times chi), is finite."""
+    if not math.isfinite(times * float(chi) * cutoff):     # floats: no overflow warning
+        raise ValueError(f"chi = {chi} is " + ("too large" if math.isfinite(chi) else "not finite"))
 
 
 def kernel(k: int, chi: float) -> np.ndarray:
@@ -92,11 +101,13 @@ def kernel(k: int, chi: float) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _odd_pairs(k: int):
-    """Read-only (n, m, (n - m - 1) / 2, 2 G_nm^2) over the pairs n > m of levels
-    0..k-1 with n - m odd, the only off-diagonal pairs where G is nonzero; cached."""
+    """Read-only (n, m, (n - m - 1) / 2, 2 G_nm^2) over the pairs n > m of levels 0..k-1 with
+    n - m odd, where G is nonzero off the diagonal, then the frequencies d and (d; 3 d); cached."""
     d = np.subtract.outer(np.arange(k), np.arange(k))
     n, m = np.nonzero((d > 0) & (d % 2 == 1))
-    table = (n, m, (n - m - 1) // 2, 2.0 * overlap_table(k - 1)[n, m] ** 2)
+    odd = np.arange(1.0, k - k % 2, 2.0)
+    table = (n, m, (n - m - 1) // 2, 2.0 * overlap_table(k - 1)[n, m] ** 2,
+             odd, np.outer((1.0, 3.0), odd))
     for a in table:
         a.setflags(write=False)
     return table
@@ -104,29 +115,29 @@ def _odd_pairs(k: int):
 
 @lru_cache(maxsize=16)
 def _p_plus_plus_of(coeff_bytes: bytes):
-    """P++ as a function of chi for the state with these coefficient bytes, by the cosine
-    polynomial of the module docstring; cached, checking the norm inside on every miss."""
+    """(P++, S) as functions of chi for the state with these coefficient bytes, by the cosine
+    series of the module docstring; cached, checking the norm inside on every miss."""
     c = _checked_coeffs(np.frombuffer(coeff_bytes))
-    n, m, half, w = _odd_pairs(c.size)
-    a = np.bincount(half, weights=w * c[n] * c[m], minlength=c.size // 2)
-    odd, base = np.arange(1, 2 * a.size, 2), 0.25 * float(c @ c)
-    return lambda chi: base + float(np.cos(chi * odd) @ a)
+    n, m, half, w, odd, freqs = _odd_pairs(c.size)
+    a = np.bincount(half, weights=w * c[n] * c[m], minlength=odd.size)
+    n2, s_weights = float(c @ c), a * _CH_WEIGHTS
+    return (lambda chi: 0.25 * n2 + float(np.cos(chi * odd) @ a),
+            lambda chi: 0.5 * n2 + float(np.vdot(np.cos(chi * freqs), s_weights)))
 
 
 def p_plus_plus(v: CoefficientVector, chi: float) -> float:
     """Joint probability that both homodyne outcomes are nonnegative, at angle sum chi."""
-    return _p_plus_plus_of(v.coeffs.tobytes())(chi)
+    return _p_plus_plus_of(v.coeffs.tobytes())[0](chi)
 
 
 def chsh_B(v: CoefficientVector, chi: float) -> float:
     """CHSH combination B = 3 E(chi) - E(3 chi) = 4 S - 2; |B| <= 2 for local models."""
-    return 4.0 * ch_S(v, chi) - 2.0
+    return 4.0 * _p_plus_plus_of(v.coeffs.tobytes())[1](chi) - 2.0
 
 
 def ch_S(v: CoefficientVector, chi: float) -> float:
     """CH combination S = 3 P++(chi) - P++(3 chi); |S| <= 1 for local realism."""
-    p = _p_plus_plus_of(v.coeffs.tobytes())
-    return 3.0 * p(chi) - p(3.0 * chi)
+    return _p_plus_plus_of(v.coeffs.tobytes())[1](chi)
 
 
 @lru_cache(maxsize=64)
@@ -211,9 +222,8 @@ class BellReport:
 
 def bell_report(v: CoefficientVector, chi: float) -> BellReport:
     """Evaluate P++, E, B and S for one state from P++ at chi and 3 chi."""
-    if not np.isfinite(chi):
-        raise ValueError(f"chi = {chi} is not finite")
-    p = _p_plus_plus_of(v.coeffs.tobytes())
+    check_phase(chi, v.cutoff, 3)
+    p = _p_plus_plus_of(v.coeffs.tobytes())[0]
     p1, p3 = p(chi), p(3.0 * chi)
     s = 3.0 * p1 - p3
     return BellReport(chi=chi, p_pp_chi=p1, p_pp_3chi=p3, E_chi=4.0 * p1 - 1.0,

@@ -1,25 +1,25 @@
 """Closed-form coefficient generators for the named state families.
 
-Tmss, ps_tmss, circle and pipelined are power series c_n = alpha_n t^n / norm,
-the amplitudes of sum_n c_n |n,n>, each stated once by t and alpha_n / alpha_(n-1)
-with alpha_0 = 1: tmss (lambda, 1), ps_tmss (lambda, (n+1)/n), circle (r^2, 1/n),
+Tmss, ps_tmss, circle and pipelined are power series c_n = alpha_n t^n / norm, the
+amplitudes of sum_n c_n |n,n>, each stated once by t and alpha_n / alpha_(n-1) (its
+`Family.ratio`) with alpha_0 = 1: tmss (lambda, 1), ps_tmss (lambda, (n+1)/n), circle (r^2, 1/n),
 pipelined (xi, (n+1)/n max(1 - n/2^k, 0)).  The norm is taken once over the kept
 levels; the printed prefactors sqrt(1 - lambda^2), sqrt((1-lambda^2)^3 / (1+lambda^2))
 and I0(2 r^2)^(-1/2) are its limits.  Without a cutoff the levels run to the first
 N >= 1 with (alpha_N t^N)^2 < TAIL_TOL = 1e-12, at most HARD_CUTOFF_CAP = 64.  The
 norm is at least alpha_0 = 1, so only a capped state can keep c_N^2 at or above the
-tolerance, and such a state is refused.  An explicit cutoff truncates as asked and
-the vector reports `converged = False`.  The two-term seed
-(|0,0> + xi |1,1>) / sqrt(1 + xi^2) has its own generator.  The catalog holds
-states only: the distillation protocol that prepares `pipelined` lives in `pipeline`.
-Rows are immutable, so the generators share one cache of 32 rows keyed on (family,
-parameter and its sign bit, cutoff, iterations); `generator.__wrapped__` builds afresh.
+tolerance, and such a state is refused.  An explicit cutoff truncates as asked and the
+vector reports `converged = False`.  The two-term seed (|0,0> + xi |1,1>) / sqrt(1 + xi^2)
+has its own generator.  The catalog holds states only: the distillation protocol that
+prepares `pipelined` lives in `pipeline`.  Rows are immutable, so the generators share one
+cache of 32 rows keyed on (family, parameter and its sign bit, cutoff, iterations), and
+`_alphas` keeps the alpha_n per family and size; `generator.__wrapped__` builds afresh.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, wraps
 from typing import Callable, NamedTuple
 
@@ -35,6 +35,7 @@ class Family(NamedTuple):
     parameter: str | None       # None: the family reads a state file
     bounds: tuple | None        # default interval of a search over the parameter
     build: Callable | None      # generator(parameter, cutoff); None: the state file
+    ratio: Callable | None = None   # alpha_n / alpha_(n-1) at (n, 2^-iterations): a power series
 
 
 def family_name(name: str) -> str:
@@ -42,26 +43,36 @@ def family_name(name: str) -> str:
     return name.replace("-", "_")
 
 
-def _series(family: str, param: float, t: float, ratio, cutoff: int | None) -> CoefficientVector:
-    """Normalized c_n ~ alpha_n t^n, alpha_0 = 1, alpha_n = alpha_(n-1) ratio(n); the
-    automatic cutoff and its refusal are the module docstring's."""
+@lru_cache(maxsize=64)
+def _alphas(family: str, n_max: int, step: float) -> np.ndarray:
+    """Read-only alpha_0..alpha_n_max of a power-series family; cached by family and size."""
+    alpha = np.ones(n_max + 1)
+    alpha[1:] = FAMILIES[family].ratio(np.arange(1.0, n_max + 1), step)
+    alpha = np.cumprod(alpha)
+    alpha.setflags(write=False)
+    return alpha
+
+
+def _series(family: str, param: float, t: float, cutoff: int | None, step: float = 1.0,
+            provenance: str | None = None) -> CoefficientVector:
+    """Normalized c_n ~ alpha_n t^n with the family's alpha_n, labelled `provenance` or
+    `family(param)`; the automatic cutoff and its refusal are the module docstring's."""
     if cutoff is not None and cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     n_max = HARD_CUTOFF_CAP if cutoff is None else cutoff
-    c = np.ones(n_max + 1)
-    c[1:] = ratio(np.arange(1.0, n_max + 1))
-    c = np.cumprod(c)
-    c[c != 0] *= t ** np.flatnonzero(c)      # t^n only where alpha_n != 0: a large t cannot overflow
+    c = np.array(_alphas(family, n_max, step))
+    k = np.count_nonzero(c)                 # alpha_n = 0 from its first zero on
+    c[:k] *= t ** np.arange(float(k))       # t^n only where alpha_n != 0: a large t cannot overflow
     if cutoff is None:
         small = np.flatnonzero(c[1:] ** 2 < TAIL_TOL)
         c = c[:small[0] + 2] if small.size else c
-    c /= np.sqrt(c @ c)
+    c /= math.sqrt(c @ c)
     if cutoff is None and not c[-1] ** 2 < TAIL_TOL:
         raise ValueError(
             f"{family} with {FAMILIES[family].parameter} = {param:g} keeps tail mass "
             f"c_N^2 = {c[-1] ** 2:.2e} > {TAIL_TOL:g} at the {HARD_CUTOFF_CAP}-level "
             f"automatic cutoff cap; pass an explicit cutoff")
-    return CoefficientVector(c, normalized=True, provenance=f"{family}({param:g})")
+    return CoefficientVector(c, normalized=True, provenance=provenance or f"{family}({param:g})")
 
 
 @lru_cache(maxsize=32, typed=True)
@@ -80,7 +91,7 @@ def tmss(lam: float, cutoff: int | None = None) -> CoefficientVector:
     """Two-mode squeezed state with lambda = tanh(squeezing), 0 <= lambda < 1."""
     if not 0.0 <= lam < 1.0:
         raise ValueError("squeezing parameter lambda must lie in [0, 1)")
-    return _series("tmss", lam, lam, lambda n: 1.0, cutoff)
+    return _series("tmss", lam, lam, cutoff)
 
 
 @_row_cache
@@ -88,7 +99,7 @@ def circle(r: float, cutoff: int | None = None) -> CoefficientVector:
     """Circle state, c_n ~ r^(2n) / n!."""
     if r < 0:
         raise ValueError("circle parameter r must be nonnegative")
-    return _series("circle", r, r * r, lambda n: 1.0 / n, cutoff)
+    return _series("circle", r, r * r, cutoff)
 
 
 @_row_cache
@@ -96,7 +107,7 @@ def ps_tmss(lam: float, cutoff: int | None = None) -> CoefficientVector:
     """Photon-subtracted two-mode squeezed state, c_n ~ (n+1) lambda^n."""
     if not 0.0 <= lam < 1.0:
         raise ValueError("squeezing parameter lambda must lie in [0, 1)")
-    return _series("ps_tmss", lam, lam, lambda n: (n + 1.0) / n, cutoff)
+    return _series("ps_tmss", lam, lam, cutoff)
 
 
 @_row_cache
@@ -129,18 +140,17 @@ def pipelined(xi: float, cutoff: int | None = None, iterations: int = 3) -> Coef
     cutoff = WORKING_CUTOFF if cutoff is None else cutoff
     if cutoff < 1:
         raise ValueError("seed needs cutoff >= 1 to hold the |1,1> term")
-    step = 2.0 ** -iterations
-    v = _series("pipeline", xi, xi, lambda n: (n + 1.0) / n * np.maximum(1.0 - n * step, 0.0),
-                cutoff - 1)
-    return replace(v, provenance=f"pipeline(xi={xi:g}, iters={iterations})")
+    return _series("pipeline", xi, xi, cutoff - 1, 2.0 ** -iterations,
+                   f"pipeline(xi={xi:g}, iters={iterations})")
 
 
 FAMILIES = {
-    "tmss": Family("lambda", (0.0, 0.95), tmss),
-    "ps_tmss": Family("lambda", (0.0, 0.95), ps_tmss),
-    "circle": Family("r", (0.05, 3.0), circle),
+    "tmss": Family("lambda", (0.0, 0.95), tmss, lambda n, step: 1.0),
+    "ps_tmss": Family("lambda", (0.0, 0.95), ps_tmss, lambda n, step: (n + 1.0) / n),
+    "circle": Family("r", (0.05, 3.0), circle, lambda n, step: 1.0 / n),
     "seed": Family("xi", (0.0, 3.0), seed),
-    "pipeline": Family("xi", (0.2, 1.5), pipelined),
+    "pipeline": Family("xi", (0.2, 1.5), pipelined,
+                       lambda n, step: (n + 1.0) / n * np.maximum(1.0 - n * step, 0.0)),
     "custom": Family(None, None, None),
 }
 

@@ -9,12 +9,14 @@ post-measurement two-mode pure states it weighs, and the total success
 probability.
 
 All containers are immutable after construction; arrays are stored with the
-write flag cleared so values can be shared freely between workers.
+write flag cleared so values can be shared freely between workers.  One
+overflow-safe norm (math.hypot) checks a CoefficientVector's entries and norm.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,14 +40,16 @@ class CoefficientVector:
     provenance: str = ""
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
+        c = np.array(self.coeffs, dtype=float)        # a private copy
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficient vector must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(c)):
+        norm = math.hypot(*c.tolist())
+        if not math.isfinite(norm) and not np.isfinite(c).all():
             raise ValueError("coefficient vector contains non-finite entries")
-        object.__setattr__(self, "coeffs", _readonly(c))
+        c.setflags(write=False)
+        object.__setattr__(self, "coeffs", c)
         if self.normalized:
-            n2 = float(np.dot(c, c))
+            n2 = norm * norm
             if abs(n2 - 1.0) > NORM_TOL:
                 raise ValueError(
                     f"vector flagged normalized but has squared norm {n2!r}"
@@ -76,14 +80,13 @@ class FourModeTensor:
         a = np.asarray(self.amps)
         if a.ndim != 4:
             raise ValueError("FourModeTensor amplitudes must have rank 4")
-        a = a.astype(complex if np.iscomplexobj(a) else float)
-        n2 = float(np.sum(np.abs(a) ** 2))
-        if n2 > 1.0 + NORM_TOL:
-            raise ValueError(f"squared norm {n2!r} exceeds 1 beyond tolerance")
-        object.__setattr__(self, "amps", _readonly(a))
+        a = _readonly(a.astype(complex if np.iscomplexobj(a) else float, copy=False))
+        object.__setattr__(self, "amps", a)
+        if self.norm_squared() > 1.0 + NORM_TOL:
+            raise ValueError(f"squared norm {self.norm_squared()!r} exceeds 1 beyond tolerance")
 
     def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
+        return float(np.vdot(self.amps, self.amps).real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,10 +108,10 @@ class ConditionalEnsemble:
             raise ValueError("ensemble must contain at least one branch")
         if s.ndim != 3 or s.shape[0] != w.size:
             raise ValueError(f"states {s.shape} must stack one matrix per weight ({w.size})")
-        n2 = float(np.max(np.sum(np.abs(s) ** 2, axis=(1, 2))))
+        n2 = float((s.conj() * s).real.sum(axis=(1, 2)).max())
         if n2 > 1.0 + NORM_TOL:
             raise ValueError(f"branch squared norm {n2!r} exceeds 1 beyond tolerance")
-        if np.any(w < -NORM_TOL):
+        if w.min() < -NORM_TOL:
             raise ValueError("branch weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > NORM_TOL:
             raise ValueError(f"branch weights sum to {w.sum()!r}, expected 1")
@@ -119,7 +122,7 @@ class ConditionalEnsemble:
 
     def density_matrix(self) -> np.ndarray:
         """Density matrix on the flattened two-mode space."""
-        V = self.states.reshape(self.weights.size, -1).astype(complex)
+        V = self.states.reshape(self.weights.size, -1)
         return (V.T * self.weights) @ V.conj()
 
 
@@ -128,15 +131,18 @@ def normalize(v: CoefficientVector) -> CoefficientVector:
 
     Raises ValueError on a zero vector (an impossible conditioning branch).
     """
-    c = np.array(v.coeffs)
+    return _normalized(np.array(v.coeffs), v.provenance)
+
+
+def _normalized(c: np.ndarray, provenance: str) -> CoefficientVector:
+    """`normalize` of the raw coefficients `c`, which it may overwrite."""
     n2 = float(np.dot(c, c))
     if n2 <= 0.0:
         raise ValueError("cannot normalize a zero coefficient vector")
-    c /= np.sqrt(n2)
-    nz = np.flatnonzero(np.abs(c) > 0)
-    if nz.size and c[nz[0]] < 0:
+    c /= math.sqrt(n2)
+    if c[np.argmax(c != 0.0)] < 0:
         c = -c
-    return CoefficientVector(c, normalized=True, provenance=v.provenance)
+    return CoefficientVector(c, normalized=True, provenance=provenance)
 
 
 def trace_distance_pure_vs_ensemble(target: CoefficientVector,
@@ -154,8 +160,8 @@ def trace_distance_pure_vs_ensemble(target: CoefficientVector,
             f"cutoff mismatch: ensemble branches are {shape}, "
             f"target needs {(target.cutoff + 1,) * 2}"
         )
-    t = np.diag(target.coeffs).reshape(-1).astype(complex)
-    delta = e.density_matrix() - np.outer(t, t.conj())
+    t = np.diag(target.coeffs).reshape(-1)
+    delta = e.density_matrix() - np.outer(t, t)
     eigs = np.linalg.eigvalsh(delta)
     return float(0.5 * np.sum(np.abs(eigs)))
 

@@ -8,8 +8,9 @@ which fixes every sign below; a brute-force matrix-exponential oracle in the
 test suite pins the convention.  U conserves total photon number, so it is
 held as one unitary block per total N.  The adjoint action U a+ U* = T a+ -
 R* b+, U b+ U* = R a+ + T* b+ builds block N from block N-1 with creation
-operators: no factorials, no cancelling alternating sum, and a 64-photon
-block unitary to rounding.  The stage-1 herald mixes modes (a, c) and (b, d)
+operators: no cancelling alternating sum, and a 64-photon block unitary to
+rounding.  A real splitter, as stage 1's are, keeps every array in float64.
+The stage-1 herald mixes modes (a, c) and (b, d)
 of a four-mode tensor and needs both on/off detectors, on c and d, to click;
 the suite's Gaussification oracle mixes two copies at 50:50 and heralds on
 vacuum in both.  Photon subtraction uses the closed-form single-photon element.
@@ -27,7 +28,7 @@ from .fock_core import (
     CoefficientVector,
     ConditionalEnsemble,
     FourModeTensor,
-    normalize,
+    _normalized,
 )
 
 _UNITARITY_TOL = 1e-12
@@ -52,56 +53,46 @@ class BeamSplitter:
 
 
 @lru_cache(maxsize=64)
-def _blocks(T: complex, R: complex, n_max: int) -> tuple:
-    """Read-only blocks B[N][j, m] = <j, N-j|U|m, N-m> for N = 0..n_max.
+def _blocks(T: complex, R: complex, n_max: int) -> np.ndarray:
+    """Read-only blocks B[N, j, m] = <j, N-j|U|m, N-m> for j, m <= N <= n_max, 0 elsewhere.
 
-    Block N follows from block N-1 through N |m,n> = sqrt(m) a+|m-1,n> +
-    sqrt(n) b+|m,n-1> and U a+ = (T a+ - R* b+) U, U b+ = (R a+ + T* b+) U.
-    Either term alone gives column m; their number-weighted average is a map
-    of norm <= 1, so rounding errors do not grow from block to block (the
-    a+ route alone amplifies them by up to sqrt(C(N, m))).
+    N |m,n> = sqrt(m) a+|m-1,n> + sqrt(n) b+|m,n-1> and U a+ = (T a+ - R* b+) U,
+    U b+ = (R a+ + T* b+) U give block N from block N-1; the number-weighted average of
+    the two routes is a map of norm <= 1, so rounding errors do not grow from block to
+    block (the a+ route alone amplifies them by up to sqrt(C(N, m))).  It runs on
+    P_N = B_N sqrt(m! (N-m)! / (j! (N-j)!)), where raising a row is a shift.
     """
-    root = np.sqrt(np.arange(n_max + 1.0))
-    raised_a, raised_b = np.zeros((2, n_max + 1, n_max), dtype=complex)   # a+, b+ on prev's columns
-    blocks = [np.ones((1, 1), dtype=complex)]
+    dtype = complex if np.iscomplexobj(T) or np.iscomplexobj(R) else float
+    ramp, j = np.arange(n_max + 1.0), np.arange(n_max + 1)
+    share = ramp / np.maximum(ramp, 1.0)[:, None]                 # share[N, m] = m / N
+    mix = np.zeros((2, n_max + 1, n_max + 2), dtype)              # T a+ - R* b+, R a+ + T* b+
+    mix[:, j, j], mix[:, j, j + 1] = [[T], [R]], [[-R.conjugate()], [T.conjugate()]]
+    P = np.zeros((n_max + 1, n_max + 2, n_max + 1), dtype)        # P_N[j, m] at P[N, 1 + j, m]
+    P[0, 1, 0] = 1.0
     for N in range(1, n_max + 1):
-        up, down = root[1:N + 1], root[N:0:-1]                 # sqrt(m + 1), sqrt(N - m)
-        a, b = raised_a[:N + 1, :N], raised_b[:N + 1, :N]      # rows 0 of a and N of b stay 0
-        a[1:], b[:-1] = up[:, None] * blocks[-1], down[:, None] * blocks[-1]
-        block = np.zeros((N + 1, N + 1), dtype=complex)
-        block[:, 1:] = (T * a - R.conjugate() * b) * up
-        block[:, :-1] += (R * a + T.conjugate() * b) * down
-        blocks.append(block / N)
-    for block in blocks:
-        block.setflags(write=False)
-    return tuple(blocks)
-
-
-@lru_cache(maxsize=64)
-def _table_index(cut_a: int, cut_b: int) -> np.ndarray:
-    """Read-only index of each W[j, k, m, n] into the concatenated blocks: entry [j, m] of
-    B[j + k] where j + k = m + n, else the zero that follows the blocks; cached."""
-    j, k, m, n = np.indices((cut_a + 1, cut_b + 1) * 2)
-    N, end = j + k, cut_a + cut_b + 1               # B[N] follows N^2 + ... + 1^2 entries
-    index = np.where(N == m + n, N * (N + 1) * (2 * N + 1) // 6 + j * (N + 1) + m,
-                     end * (end + 1) * (2 * end + 1) // 6)
-    index.setflags(write=False)
-    return index
+        a_route, b_route = mix[:, :N + 1, :N + 2] @ P[N - 1, :N + 2, :N]
+        P[N, 1:N + 2, 1:N + 1] = a_route * share[N, 1:N + 1]
+        P[N, 1:N + 2, :N] += b_route * share[N, N:0:-1]
+    root = np.sqrt(np.cumprod(np.maximum(ramp, 1.0)))                       # sqrt(n!)
+    norm = root * root[np.abs(np.subtract.outer(ramp, ramp)).astype(int)]   # sqrt(j! |N-j|!)
+    B = P[:, 1:] * (norm[:, :, None] / norm[:, None, :])
+    B.setflags(write=False)
+    return B
 
 
 @lru_cache(maxsize=64)
 def _unitary_table(T: complex, R: complex, cut_a: int, cut_b: int) -> np.ndarray:
-    """Dense W[j,k,m,n] on a (cut_a+1) x (cut_b+1) two-mode space (read-only)."""
-    flat = np.concatenate([b.ravel() for b in _blocks(T, R, cut_a + cut_b)] + [[0.0]])
-    W = flat[_table_index(cut_a, cut_b)]
+    """Dense read-only W[j,k,m,n] = <j,k|U|m,n> on a (cut_a+1) x (cut_b+1) two-mode space."""
+    j, k, m, n = np.indices((cut_a + 1, cut_b + 1) * 2)
+    W = np.where(j + k == m + n, _blocks(T, R, cut_a + cut_b)[j + k, j, m], 0.0)
     W.setflags(write=False)
     return W
 
 
 def _mix(bs: BeamSplitter, amps: np.ndarray, notes: tuple):
     """Mix the first two axes of `amps`; returns (mixed amplitudes, notes)."""
-    W = _unitary_table(complex(bs.T), complex(bs.R), amps.shape[0] - 1, amps.shape[1] - 1)
-    top = float(np.sum(np.abs(amps[-1]) ** 2) + np.sum(np.abs(amps[:-1, -1]) ** 2))
+    W = _unitary_table(bs.T, bs.R, amps.shape[0] - 1, amps.shape[1] - 1)
+    top = float(np.vdot(amps[-1], amps[-1]).real + np.vdot(amps[:-1, -1], amps[:-1, -1]).real)
     if top > TAIL_TOL:
         notes = notes + (f"truncation: top-level input mass {top:.3e} exceeds {TAIL_TOL:g}",)
     pair = amps.shape[0] * amps.shape[1]
@@ -137,7 +128,7 @@ def condition_on_outcome(t: FourModeTensor,
     k, l = (np.arange(1) if o == "vacuum" else np.arange(1, n)
             for o, n in zip(outcomes, t.amps.shape[2:]))
     phis = t.amps.transpose(2, 3, 0, 1)[k[:, None], l]    # phis[k, l] = amps[:, :, k, l]
-    weights = np.sum(np.abs(phis) ** 2, axis=(2, 3))
+    weights = (phis.conj() * phis).real.sum(axis=(2, 3))
     total = float(np.cumsum(weights)[-1]) if weights.size else 0.0
     if total <= 0.0:
         raise ValueError(f"conditioning on {tuple(outcomes)} has zero probability")
@@ -154,10 +145,9 @@ def photon_subtract_exact(v: CoefficientVector) -> CoefficientVector:
     has nothing to subtract and raises ValueError.
     """
     c = v.coeffs
-    if c.size < 2 or not np.any(c[1:]):
+    if c.size < 2 or not c[1:].any():
         raise ValueError("photon subtraction needs support above n = 0")
-    shifted = np.arange(1, c.size) * c[1:]
-    return normalize(CoefficientVector(shifted, provenance=v.provenance))
+    return _normalized(np.arange(1.0, c.size) * c[1:], v.provenance)
 
 
 def photon_subtract_beamsplitter(v: CoefficientVector, r: float):
@@ -181,4 +171,4 @@ def photon_subtract_beamsplitter(v: CoefficientVector, r: float):
     success = float(np.sum(amp ** 2))
     if success <= 0.0:
         raise ValueError("subtraction conditioning has zero probability")
-    return normalize(CoefficientVector(amp, provenance=v.provenance)), success
+    return _normalized(amp, v.provenance), success

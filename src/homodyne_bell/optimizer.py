@@ -67,11 +67,11 @@ def _nonnegative_top(M: np.ndarray, w_min: float, v_top: np.ndarray, chi: float)
         key = face.tobytes()
         if key == prev and key != tried:
             tried = key
-            w, V = np.linalg.eigh(M[np.ix_(face, face)])
+            w, V = np.linalg.eigh(M[face][:, face])
             top = V[:, w >= w[-1] - _KKT_TOL]
             c = np.zeros(len(M))
             c[face] = top @ (top.T @ x[face])
-            norm = np.linalg.norm(c)
+            norm = math.sqrt(c @ c)
             if norm < _KKT_TOL:
                 t = V[:, -1] * np.copysign(1.0, V[:, -1] @ x[face])
                 x[face] = np.maximum(x[face] + 0.5 * t, 0.0)
@@ -179,11 +179,9 @@ def optimize_family_parameter(family: str, chi: float, objective: str = "chsh"):
     if bounds is None:
         raise ValueError(f"no default bounds for family {family!r}")
 
-    def negated_s(p):
-        spec = catalog.CatalogSpec(family, p, cutoff=catalog.WORKING_CUTOFF)
-        return -bell.ch_S(spec.build(), chi)
-
-    x, fun, _ = _bounded_brent(negated_s, *bounds, xatol=1e-8)
+    build = catalog.FAMILIES[family].build
+    x, fun, _ = _bounded_brent(lambda p: -bell.ch_S(build(p, catalog.WORKING_CUTOFF), chi),
+                               *bounds, xatol=1e-8)
     return float(x), report(-float(fun))
 
 

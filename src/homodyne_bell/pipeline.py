@@ -5,21 +5,23 @@ heralds on both on/off detectors firing, leaving (for small squeezing) a state
 close to |0,0> + xi |1,1>.  Stage 2 iterates the vacuum-heralded 50:50
 combination of two state copies, whose coefficient recursion is
 
-    c'_n = 2^(-n) sum_r C(n, r) c_r c_(n-r),
+    c'_n = 2^(-n) sum_r C(n, r) c_r c_(n-r) = (n! / 2^n) sum_r (c_r / r!) (c_(n-r) / (n-r)!),
 
 a map with geometric sequences as fixed points (three iterations is the
-operating point; more Gaussifies the nonlocality away).  Stage 3 subtracts one
-photon from each mode.  `run_pipeline` runs this protocol, with its heralding
-probabilities, by the coefficient recursion from the ideal two-term seed; the
-four-mode operator simulation verifies stage 1 and the recursion.  The state it
-distils is the closed-form row `catalog.pipelined`, which searches and scans read.
+operating point; more Gaussifies the nonlocality away): F(z) = sum c_n z^n / n!
+goes to F(z/2)^2 (Browne, Eisert, Scheel and Plenio, PRA 67, 062320 (2003)), one
+convolution.  Stage 3 subtracts one photon from each mode.  `run_pipeline` runs
+this protocol, with its heralding probabilities, by the coefficient recursion from
+the ideal two-term seed; the four-mode operator simulation verifies stage 1 and the
+recursion.  The state it distils is the closed-form row `catalog.pipelined`, which
+searches and scans read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lgamma, log
+from math import factorial
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from .fock_core import (
     CoefficientVector,
     ConditionalEnsemble,
     FourModeTensor,
-    normalize,
+    _normalized,
     trace_distance_pure_vs_ensemble,
 )
 from .linear_optics import (
@@ -46,18 +48,25 @@ STAGE1_CUTOFF = 4       # photons kept per mode in the stage-1 simulation
 
 
 @lru_cache(maxsize=32)
-def _gaussify_weights(size: int):
-    """Read-only cached (w, d): c'_n = sum_r w[n, r] c[d[n, r]] c_r, w = 0 where r > n."""
-    n = np.arange(size)
-    logfact = np.array([lgamma(k + 1) for k in n])
-    d = n[:, None] - n[None, :]                      # n - r; the sum runs over d >= 0
-    valid = d >= 0
-    d = np.where(valid, d, 0)
-    logbin = logfact[:, None] - (logfact[None, :] + logfact[d])
-    w = np.where(valid, np.exp(logbin - n[:, None] * log(2.0)), 0.0)
-    for a in (w, d):
+def _gaussify_scales(size: int):
+    """Read-only (q, s), q_r = t^r / r! (r < size) and s_n = n! / (2t)^n (n < 2 size - 1), so
+    c'_n = s_n sum_r (q c)_r (q c)_(n-r); each a rounded exact ratio.  The power of two t in
+    (3 size / 16, 3 size / 8] keeps both normal and scales exactly (the result of t = 1); cached."""
+    if size > 512:                                  # where q and s leave the normal range
+        raise ValueError(f"Gaussification keeps at most 512 levels, not {size}")
+    t = 2 ** max(0, (3 * size // 8).bit_length() - 1)
+    q = np.array([t ** r / factorial(r) for r in range(size)])
+    s = np.array([factorial(n) / (2 * t) ** n for n in range(2 * size - 1)])
+    for a in (q, s):
         a.setflags(write=False)
-    return w, d
+    return q, s
+
+
+def _gaussified(c: np.ndarray) -> np.ndarray:
+    """The recursion output over the doubled support, 2 len(c) - 1 entries."""
+    q, s = _gaussify_scales(c.size)
+    qc = q * c
+    return np.convolve(qc, qc) * s
 
 
 def gaussify_coefficients(c: np.ndarray) -> np.ndarray:
@@ -66,8 +75,7 @@ def gaussify_coefficients(c: np.ndarray) -> np.ndarray:
     Exact for inputs whose support fits the array: entry n only reads c_0..c_n.
     """
     c = np.asarray(c, dtype=float)
-    w, d = _gaussify_weights(c.size)
-    return (w * c[d]) @ c
+    return _gaussified(c)[:c.size]
 
 
 def gaussify_step(v: CoefficientVector):
@@ -75,19 +83,14 @@ def gaussify_step(v: CoefficientVector):
 
     Returns (normalized output, success probability), the probability being
     the squared norm of the un-normalized recursion output, i.e. the chance
-    of the double-vacuum herald.  The convolution doubles the support, so the
-    step runs on a doubled array before re-truncating to the input cutoff.
+    of the double-vacuum herald.  The convolution doubles the support; the
+    output is re-truncated to the input cutoff after the norm is taken.
     """
     if not v.normalized:
         raise ValueError("gaussify_step expects a normalized input state")
-    n_in = v.coeffs.size
-    wide = np.zeros(2 * n_in - 1)
-    wide[:n_in] = v.coeffs
-    out = gaussify_coefficients(wide)
+    out = _gaussified(v.coeffs)
     success = float(np.dot(out, out))
-    truncated = out[:n_in]
-    result = normalize(CoefficientVector(truncated, provenance=v.provenance))
-    return result, success
+    return _normalized(out[:v.coeffs.size], v.provenance), success
 
 
 def stage1_transmissivity(xi: float, lam: float) -> float:
@@ -133,11 +136,8 @@ def stage1_verify(xi: float, lam: float) -> Stage1Report:
     probability.  Raises ValueError where the splitters leak more norm past the
     cutoff than conditioning admits (from lambda of about 0.275).
     """
-    c = tmss(lam, STAGE1_CUTOFF).coeffs
-    amps = np.zeros((STAGE1_CUTOFF + 1,) * 4)
-    m, n = np.indices((STAGE1_CUTOFF + 1, STAGE1_CUTOFF + 1))
-    amps[m, n, n, m] = np.outer(c, c)
-    tensor = FourModeTensor(amps)
+    pair = np.diag(tmss(lam, STAGE1_CUTOFF).coeffs)       # amps[m, n, n, m] = c_m c_n
+    tensor = FourModeTensor(pair[:, None, None, :] * pair.T[None, :, :, None])
     t_used = stage1_transmissivity(xi, lam)
     mixed = apply_bs_pair_on_four_modes(BeamSplitter.from_transmissivity(t_used, -1), tensor)
     lost = 1.0 - mixed.norm_squared()
@@ -195,37 +195,26 @@ class PipelineReport:
 def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
     """Seed -> iterated combination -> photon subtraction, with bookkeeping."""
     start = seed(cfg.xi, cfg.cutoff)
-    warnings = ()
-    states = []
-    probs = []
-    state = start
-    for i in range(cfg.iterations):
+    steps, state = [], start
+    for _ in range(cfg.iterations):
         state, p = gaussify_step(state)
-        if state.tail_mass > TAIL_TOL:
-            warnings = warnings + (
-                f"iteration {i + 1}: tail mass {state.tail_mass:.3e} above tolerance",
-            )
-        states.append(state)
-        probs.append(p)
+        steps.append((state, p))
     if cfg.subtraction == "exact":
-        final = photon_subtract_exact(state)
-        p_sub = None
+        final, p_sub = photon_subtract_exact(state), None
     else:
         final, p_sub = photon_subtract_beamsplitter(state, cfg.subtraction_reflectivity)
-    final = CoefficientVector(final.coeffs, normalized=True,
-                              provenance=f"pipeline(xi={cfg.xi:g}, iters={cfg.iterations})")
-    stage1 = None
-    if cfg.lam is not None:
-        stage1 = stage1_verify(cfg.xi, cfg.lam)
     return PipelineReport(
         config=cfg,
         seed_state=start,
-        stage_states=tuple(states),
-        gaussify_probabilities=tuple(probs),
-        final_state=final,
+        stage_states=tuple(s for s, _ in steps),
+        gaussify_probabilities=tuple(p for _, p in steps),
+        final_state=CoefficientVector(final.coeffs, normalized=True, provenance=(
+            f"pipeline(xi={cfg.xi:g}, iters={cfg.iterations})")),
         subtraction_probability=p_sub,
-        stage1=stage1,
-        truncation_warnings=warnings,
+        stage1=None if cfg.lam is None else stage1_verify(cfg.xi, cfg.lam),
+        truncation_warnings=tuple(
+            f"iteration {i}: tail mass {s.tail_mass:.3e} above tolerance"
+            for i, (s, _) in enumerate(steps, 1) if s.tail_mass > TAIL_TOL),
     )
 
 

@@ -28,13 +28,12 @@ is recorded in each batch, and a batch is a pure function of its seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bell import hermite_basis
+from .bell import check_phase, hermite_basis
 from .fock_core import CoefficientVector
 
 GENERATOR_NAME = "philox4x64"
@@ -206,12 +205,6 @@ def _lower_bound_rows(rows: np.ndarray, row_idx: np.ndarray, targets: np.ndarray
     return lo
 
 
-def _check_phase(c: np.ndarray, chi: float, times: int = 1) -> None:
-    """Refuse chi unless times * chi * N, the largest phase at cutoff N, is finite."""
-    if not math.isfinite(times * float(chi) * (c.size - 1)):    # floats: no overflow warning
-        raise ValueError(f"chi = {chi} is " + ("too large" if math.isfinite(chi) else "not finite"))
-
-
 def sample_joint(v: CoefficientVector, chi: float, n: int, seed: int,
                  keep_samples: bool = False) -> SampleBatch:
     """Sign-binned counts of n i.i.d. quadrature pairs, one 4-category draw in O(1).
@@ -224,7 +217,7 @@ def sample_joint(v: CoefficientVector, chi: float, n: int, seed: int,
         raise ValueError("sampling requires a normalized state")
     if not 1 <= n <= 2 ** 63 - 1:
         raise ValueError(f"n = {n} pairs is outside [1, 2**63 - 1]")
-    _check_phase(c, chi)
+    check_phase(chi, c.size - 1)
     plan = _plan_for(c.tobytes(), c.size, float(chi))
     rng = np.random.Generator(np.random.Philox(seed))
     counts = rng.multinomial(n, plan.quadrants).reshape(2, 2)
@@ -249,7 +242,7 @@ def estimate_B(v: CoefficientVector, chi: float, n: int, seed: int) -> BEstimate
     Child seeds are spawned deterministically from `seed`; the standard error
     combines the binomial variances (1 - E^2)/n of the two correlations.
     """
-    _check_phase(v.coeffs, chi, 3)
+    check_phase(chi, v.cutoff, 3)
     child_a, child_b = (int(s) for s in
                         np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64))
     batch1 = sample_joint(v, chi, n, seed=child_a)

@@ -18,9 +18,13 @@ from homodyne_bell import (
     catalog,
     ch_S,
     chsh_B,
+    fock_core,
+    linear_optics,
     optimizer,
     optimize_coefficients,
     p_plus_plus,
+    pipeline,
+    sampler,
 )
 
 from conftest import RESULT_CACHES
@@ -113,7 +117,13 @@ def test_ch_and_chsh_share_one_maximizer(n_max, nonnegative):
 
 
 def test_the_caches_are_bounded():
-    for cache in RESULT_CACHES:
+    # every lru_cache of the package: the result caches and the tables keyed on size
+    caches = [fn for module in (bell, catalog, fock_core, linear_optics, optimizer, pipeline,
+                                sampler)
+              for fn in vars(module).values() if hasattr(fn, "cache_info")]
+    tables = {pipeline._gaussify_scales, linear_optics._blocks, catalog._alphas}
+    assert set(RESULT_CACHES) | tables <= set(caches)
+    for cache in caches:
         assert cache.cache_info().maxsize is not None and cache.cache_info().maxsize <= 64
 
 

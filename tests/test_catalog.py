@@ -195,7 +195,8 @@ def test_circle_past_the_cap_is_refused():
 def test_family_table_names_every_family():
     assert set(catalog.FAMILIES) == {"tmss", "ps_tmss", "circle", "seed", "pipeline", "custom"}
     assert catalog.family_name("ps-tmss") == "ps_tmss"
-    for family, (parameter, bounds, build) in catalog.FAMILIES.items():
+    for family, (parameter, bounds, build, ratio) in catalog.FAMILIES.items():
+        assert (ratio is None) == (family in ("seed", "custom"))     # the power series carry one
         if family == "custom":
             assert parameter is None and bounds is None and build is None
         else:

@@ -493,3 +493,33 @@ def test_sample_refuses_a_chi_whose_phase_overflows(tmp_path, capsys, chi):
     write_state_file(circle(1.12), state)
     assert run_cli("sample", "--state", str(state), "--chi", chi) == 1
     assert capsys.readouterr().err == f"error: chi = {float(chi)} is too large\n"
+
+
+OVERFLOWING_CHI = [
+    ["bell", "--state", "circle.json"],     # printed two RuntimeWarnings from cos
+    ["scan", "--steps", "2"],                 # wrote nan values and exited 0
+    ["optimize"],
+    ["pipeline", "--xi", "0.7071"],
+    ["scan", "--param", "chi", "--value", "1.12", "--from", "0", "--steps", "2", "--to"],
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", OVERFLOWING_CHI, ids=lambda argv: " ".join(argv[:3]))
+@pytest.mark.parametrize("chi", ["1e308", "7e307"])
+def test_a_chi_whose_bell_phases_overflow_is_refused(tmp_path, capsys, monkeypatch, argv, chi):
+    # the largest phase of the Bell series is 3 chi times its top frequency
+    monkeypatch.chdir(tmp_path)
+    write_state_file(circle(1.12), tmp_path / "circle.json")
+    flag = [] if argv[-1] == "--to" else ["--chi"]
+    assert run_cli(*argv, *flag, chi, "--out", "out.txt") == 1
+    assert capsys.readouterr().err == f"error: chi = {float(chi)} is too large\n"
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_a_large_chi_whose_phases_stay_finite_still_runs(tmp_path):
+    state = tmp_path / "circle.json"
+    write_state_file(circle(1.12), state)
+    out = tmp_path / "bell.json"
+    assert run_cli("bell", "--state", str(state), "--chi", "1e300", "--out", str(out)) == 0
+    assert abs(json.loads(out.read_text())["B"]) <= 2.0 * np.sqrt(2.0)

@@ -73,6 +73,27 @@ def test_normalized_flag_is_checked():
         CoefficientVector(np.array([1.0, 1.0]), normalized=True)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_non_finite_entries_are_refused(bad, where):
+    c = np.array([0.6, 0.8, 0.0])
+    c[where] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        CoefficientVector(c)
+    with pytest.raises(ValueError, match="non-finite"):
+        CoefficientVector(np.concatenate([c, [1e200]]))     # an infinite norm either way
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("coeffs", [[1e200, 1e200], [1.7e308, 1.7e308, 0.0], [1e-200, 3e-310]])
+def test_finite_entries_whose_squares_overflow_or_underflow_are_kept(coeffs):
+    # the check is one overflow-safe norm: no RuntimeWarning, and no entry refused
+    v = CoefficientVector(np.array(coeffs))
+    assert v.coeffs.tolist() == coeffs and not v.coeffs.flags.writeable
+    with pytest.raises(ValueError, match="squared norm"):
+        CoefficientVector(np.array(coeffs), normalized=True)
+
+
 def test_tail_mass_and_convergence():
     v = tmss(0.6)  # auto cutoff targets tail below 1e-12
     assert v.converged

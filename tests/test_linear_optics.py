@@ -52,7 +52,7 @@ def random_splitter(rng):
 
 def block(bs, total):
     """The block <j, total-j|U|m, total-m> of the splitter, indexed [j, m]."""
-    return _blocks(complex(bs.T), complex(bs.R), total)[total]
+    return _blocks(complex(bs.T), complex(bs.R), total)[total, :total + 1, :total + 1]
 
 
 def mix_two_modes(bs, amps):
@@ -359,8 +359,10 @@ def test_unitary_table_matches_per_block_assignment(bs, cuts):
     W = _unitary_table(T, R, *cuts)
     assert W.shape == (cuts[0] + 1, cuts[1] + 1) * 2 and not W.flags.writeable
     assert np.max(np.abs(W - reference_table(T, R, *cuts))) <= 1e-15
-    for got, want in zip(_blocks(T, R, sum(cuts)), reference_blocks(T, R, sum(cuts))):
-        assert np.max(np.abs(got - want)) <= 1e-15
+    got = _blocks(T, R, sum(cuts))
+    for N, want in enumerate(reference_blocks(T, R, sum(cuts))):
+        assert np.max(np.abs(got[N, :N + 1, :N + 1] - want)) <= 1e-15
+    assert np.all(got[np.arange(sum(cuts) + 1)[:, None, None] < np.indices(got.shape[1:]).max(0)] == 0)
 
 
 @pytest.mark.parametrize("bs", SPLITTERS)

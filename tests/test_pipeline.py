@@ -1,4 +1,4 @@
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -32,6 +32,20 @@ def test_geometric_sequences_are_fixed_points():
         g = lam ** np.arange(12)
         out = gaussify_coefficients(g)
         assert np.max(np.abs(out - g)) < 1e-12
+
+
+@pytest.mark.parametrize("size", [99, 100, 200, 512])
+def test_geometric_fixed_points_hold_past_the_factorials_float_range(size):
+    # n! / 2^n overflows a float from n = 197: the scales run at t^r / r! and n! / (2t)^n
+    g = 0.9 ** np.arange(size)
+    assert np.max(np.abs(gaussify_coefficients(g) - g)) < 1e-12
+    out, p = gaussify_step(normalize(CoefficientVector(g)))
+    assert np.max(np.abs(out.coeffs - g / np.linalg.norm(g))) < 1e-12 and 0.0 < p <= 1.0
+
+
+def test_gaussification_refuses_more_levels_than_its_scales_hold():
+    with pytest.raises(ValueError, match="at most 512 levels"):
+        gaussify_coefficients(np.ones(513))
 
 
 def test_unnormalized_leading_coefficient_squares():
@@ -76,8 +90,25 @@ def test_gaussify_matches_exact_binomial_recursion_on_pipeline_states():
         for v in (rep.seed_state, *rep.stage_states):
             wide = np.concatenate([v.coeffs, np.zeros(v.coeffs.size - 1)])
             assert np.max(np.abs(gaussify_coefficients(wide) - exact(wide))) < 1e-14
-            # the weights are cached by size and shared between calls: never writable
-            assert not any(a.flags.writeable for a in pipeline._gaussify_weights(wide.size))
+            # the scales are cached by size and shared between calls: never writable
+            assert not any(a.flags.writeable for a in pipeline._gaussify_scales(wide.size))
+
+
+def binomial_stage(xi, k, size):
+    """u_k[n] = n! C(2^k, n) (xi / 2^k)^n, n < size: the coefficients of (1 + xi z / 2^k)^(2^k)
+    in z^n / n!, the seed 1 + xi z after k steps F(z) -> F(z/2)^2 (Browne et al. 2003)."""
+    m = 2 ** k
+    return np.array([factorial(n) * comb(m, n) * (xi / m) ** n for n in range(size)])
+
+
+@pytest.mark.parametrize("xi", [0.3, 1 / np.sqrt(2), 1.2])
+def test_gaussify_steps_match_the_binomial_closed_form(xi):
+    rep = run_pipeline(PipelineConfig(xi=xi, iterations=4, cutoff=32))
+    for k in range(1, 5):
+        u, prev = binomial_stage(xi, k, 33), binomial_stage(xi, k - 1, 33)
+        p = (u @ u) / (prev @ prev) ** 2       # herald probability of the normalized input
+        assert abs(rep.gaussify_probabilities[k - 1] / p - 1.0) <= 1e-14
+        assert np.max(np.abs(rep.stage_states[k - 1].coeffs - u / np.linalg.norm(u))) <= 1e-15
 
 
 def test_seed_expansion_by_hand():
