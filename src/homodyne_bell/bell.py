@@ -141,29 +141,24 @@ def ch_S(v: CoefficientVector, chi: float) -> float:
 
 
 @lru_cache(maxsize=64)
-def _quadrature_gram(n_max: int, scale: float) -> np.ndarray:
+def _quadrature_gram(n_max: int) -> np.ndarray:
     """Read-only oracle Gram matrix W_nm = sum_i w_i psi_n(x_i) psi_m(x_i); cached."""
-    x_max = max(12.0, np.sqrt(2.0 * n_max + 1.0) + 6.0) / scale
+    x_max = max(12.0, np.sqrt(2.0 * n_max + 1.0) + 6.0)
     x, w = _legendre_rule(_ORACLE_POINTS)     # Gauss-Legendre on [0, x_max]
     xs, ws = 0.5 * x_max * (x + 1.0), 0.5 * x_max * w
-    V = np.sqrt(scale) * hermite_basis(n_max, scale * xs)
+    V = hermite_basis(n_max, xs)
     W = (V * ws) @ V.T
     W.setflags(write=False)
     return W
 
 
-def p_plus_plus_quadrature_oracle(v: CoefficientVector, chi: float, scale: float = 1.0) -> float:
+def p_plus_plus_quadrature_oracle(v: CoefficientVector, chi: float) -> float:
     """2-D Gauss-Legendre quadrature of |sum_n p_n psi_n(x) psi_n(y)|^2, p_n = c_n e^(i n chi),
     over the positive quadrant: the tensor-product sum factorizes exactly as p^H (W o W) p.
-
-    `scale` rescales the quadrature convention (psi_n(x) -> sqrt(s) psi_n(s x))
-    to exhibit the scale invariance of sign binning.  Never reads G; used as
-    the closed form's oracle.
+    Never reads G; used as the closed form's oracle.
     """
     c = _checked_coeffs(v.coeffs)
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
-    W = _quadrature_gram(c.size - 1, float(scale))
+    W = _quadrature_gram(c.size - 1)
     p = c * np.exp(1j * chi * np.arange(c.size))
     return float(np.vdot(p, (W * W) @ p).real)
 

@@ -1,26 +1,26 @@
 """Closed-form coefficient generators for the named state families.
 
-Tmss, ps_tmss, circle and pipelined are power series c_n = alpha_n t^n / norm, the
-amplitudes of sum_n c_n |n,n>, each stated once by t and alpha_n / alpha_(n-1) (its
-`Family.ratio`) with alpha_0 = 1: tmss (lambda, 1), ps_tmss (lambda, (n+1)/n), circle (r^2, 1/n),
-pipelined (xi, (n+1)/n max(1 - n/2^k, 0)).  The norm is taken once over the kept
-levels; the printed prefactors sqrt(1 - lambda^2), sqrt((1-lambda^2)^3 / (1+lambda^2))
-and I0(2 r^2)^(-1/2) are its limits.  Without a cutoff the levels run to the first
-N >= 1 with (alpha_N t^N)^2 < TAIL_TOL = 1e-12, at most HARD_CUTOFF_CAP = 64.  The
-norm is at least alpha_0 = 1, so only a capped state can keep c_N^2 at or above the
-tolerance, and such a state is refused.  An explicit cutoff truncates as asked and the
-vector reports `converged = False`.  The two-term seed (|0,0> + xi |1,1>) / sqrt(1 + xi^2)
-has its own generator.  The catalog holds states only: the distillation protocol that
-prepares `pipelined` lives in `pipeline`.  Rows are immutable, so the generators share one
-cache of 32 rows keyed on (family, parameter and its sign bit, cutoff, iterations), and
-`_alphas` keeps the alpha_n per family and size; `generator.__wrapped__` builds afresh.
+Every family is a power series c_n = alpha_n t^n / norm, the amplitudes of
+sum_n c_n |n,n>, stated once by t and alpha_n / alpha_(n-1) (its `Family.ratio`) with
+alpha_0 = 1: tmss (lambda, 1), ps_tmss (lambda, (n+1)/n), circle (r^2, 1/n), the two-term
+seed (xi, 1 at n = 1 and 0 beyond), pipelined (xi, (n+1)/n max(1 - n/2^k, 0)).  The norm
+is taken once over the kept levels; the printed prefactors sqrt(1 - lambda^2),
+sqrt((1-lambda^2)^3 / (1+lambda^2)), I0(2 r^2)^(-1/2) and (1 + xi^2)^(-1/2) are its limits.
+Without a cutoff the levels run to the first N >= 1 with (alpha_N t^N)^2 < TAIL_TOL = 1e-12,
+at most HARD_CUTOFF_CAP = 64.  The norm is at least alpha_0 = 1, so only a capped state can
+keep c_N^2 at or above the tolerance, and such a state is refused.  An explicit cutoff
+truncates as asked and the vector's `tail_mass` reports c_N^2; the seed's default cutoff is
+2.  The catalog holds states only: the distillation protocol that prepares `pipelined`
+lives in `pipeline`.  Rows are immutable, so `_series` keeps the last 32 rows, keyed on the
+canonical arguments every generator passes it, and `_alphas` keeps the alpha_n per family
+and size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -53,10 +53,12 @@ def _alphas(family: str, n_max: int, step: float) -> np.ndarray:
     return alpha
 
 
-def _series(family: str, param: float, t: float, cutoff: int | None, step: float = 1.0,
-            provenance: str | None = None) -> CoefficientVector:
-    """Normalized c_n ~ alpha_n t^n with the family's alpha_n, labelled `provenance` or
-    `family(param)`; the automatic cutoff and its refusal are the module docstring's."""
+@lru_cache(maxsize=32)
+def _series(family: str, param: float, t: float, cutoff: int | None, step: float,
+            provenance: str) -> CoefficientVector:
+    """Normalized c_n ~ alpha_n t^n with the family's alpha_n, labelled `provenance`; the
+    automatic cutoff and its refusal are the module docstring's.  Cached: every generator
+    passes its arguments in this one positional form, and the label keeps -0 apart from 0."""
     if cutoff is not None and cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     n_max = HARD_CUTOFF_CAP if cutoff is None else cutoff
@@ -72,61 +74,40 @@ def _series(family: str, param: float, t: float, cutoff: int | None, step: float
             f"{family} with {FAMILIES[family].parameter} = {param:g} keeps tail mass "
             f"c_N^2 = {c[-1] ** 2:.2e} > {TAIL_TOL:g} at the {HARD_CUTOFF_CAP}-level "
             f"automatic cutoff cap; pass an explicit cutoff")
-    return CoefficientVector(c, normalized=True, provenance=provenance or f"{family}({param:g})")
+    return CoefficientVector(c, normalized=True, provenance=provenance)
 
 
-@lru_cache(maxsize=32, typed=True)
-def _cached_row(generator, param, sign, *args, **kwargs) -> CoefficientVector:
-    return generator(param, *args, **kwargs)
-
-
-def _row_cache(generator):
-    """`generator` served from `_cached_row`, as a plain function (the tracer wraps those)."""
-    return wraps(generator)(lambda param, *args, **kwargs: _cached_row(
-        generator, param, math.copysign(1.0, param), *args, **kwargs))
-
-
-@_row_cache
 def tmss(lam: float, cutoff: int | None = None) -> CoefficientVector:
     """Two-mode squeezed state with lambda = tanh(squeezing), 0 <= lambda < 1."""
     if not 0.0 <= lam < 1.0:
         raise ValueError("squeezing parameter lambda must lie in [0, 1)")
-    return _series("tmss", lam, lam, cutoff)
+    return _series("tmss", lam, lam, cutoff, 1.0, f"tmss({lam:g})")
 
 
-@_row_cache
 def circle(r: float, cutoff: int | None = None) -> CoefficientVector:
     """Circle state, c_n ~ r^(2n) / n!."""
     if r < 0:
         raise ValueError("circle parameter r must be nonnegative")
-    return _series("circle", r, r * r, cutoff)
+    return _series("circle", r, r * r, cutoff, 1.0, f"circle({r:g})")
 
 
-@_row_cache
 def ps_tmss(lam: float, cutoff: int | None = None) -> CoefficientVector:
     """Photon-subtracted two-mode squeezed state, c_n ~ (n+1) lambda^n."""
     if not 0.0 <= lam < 1.0:
         raise ValueError("squeezing parameter lambda must lie in [0, 1)")
-    return _series("ps_tmss", lam, lam, cutoff)
+    return _series("ps_tmss", lam, lam, cutoff, 1.0, f"ps_tmss({lam:g})")
 
 
-@_row_cache
 def seed(xi: float, cutoff: int | None = None) -> CoefficientVector:
     """Normalized two-term state (1, xi)/sqrt(1 + xi^2), zero-padded."""
     if xi < 0:
         raise ValueError("seed parameter xi must be nonnegative")
-    n_max = cutoff if cutoff is not None else 2
-    if n_max < 1 and xi > 0:
+    cutoff = 2 if cutoff is None else cutoff
+    if cutoff < 1 and xi > 0:
         raise ValueError("seed needs cutoff >= 1 to hold the |1,1> term")
-    c = np.zeros(n_max + 1)
-    c[0] = 1.0
-    if xi > 0:
-        c[1] = xi
-    c /= np.sqrt(1.0 + xi * xi)
-    return CoefficientVector(c, normalized=True, provenance=f"seed({xi:g})")
+    return _series("seed", xi, xi, cutoff, 1.0, f"seed({xi:g})")
 
 
-@_row_cache
 def pipelined(xi: float, cutoff: int | None = None, iterations: int = 3) -> CoefficientVector:
     """The state `pipeline` distils, on levels 0..cutoff-1 (the seed's cutoff, by default
     WORKING_CUTOFF, less the subtracted level).  k vacuum-heralded 50:50 steps map
@@ -148,7 +129,7 @@ FAMILIES = {
     "tmss": Family("lambda", (0.0, 0.95), tmss, lambda n, step: 1.0),
     "ps_tmss": Family("lambda", (0.0, 0.95), ps_tmss, lambda n, step: (n + 1.0) / n),
     "circle": Family("r", (0.05, 3.0), circle, lambda n, step: 1.0 / n),
-    "seed": Family("xi", (0.0, 3.0), seed),
+    "seed": Family("xi", (0.0, 3.0), seed, lambda n, step: 1.0 * (n == 1)),
     "pipeline": Family("xi", (0.2, 1.5), pipelined,
                        lambda n, step: (n + 1.0) / n * np.maximum(1.0 - n * step, 0.0)),
     "custom": Family(None, None, None),

@@ -1,9 +1,11 @@
 """Truncated Fock-space state containers and metrics.
 
 A two-mode state correlated in photon number, sum_n c_n |n,n>, is stored as a
-CoefficientVector holding the real amplitudes c_0..c_N.  Beam-splitter action
-breaks the |n,n> correlation mid-computation, so the four-mode heralding
-simulations keep a dense rank-4 FourModeTensor.  Conditioning on on/off
+CoefficientVector holding the real amplitudes c_0..c_N; its `tail_mass` is c_N^2,
+the top kept level, read against TAIL_TOL to judge a truncation at N.  Beam-splitter
+action breaks the |n,n> correlation mid-computation, so the four-mode heralding
+simulations keep a dense rank-4 FourModeTensor, whose squared norm falls short
+of 1 by what the splitters pushed past its cutoffs.  Conditioning on on/off
 detectors produces a ConditionalEnsemble: a weight array, the stack of
 post-measurement two-mode pure states it weighs, and the total success
 probability.
@@ -64,17 +66,12 @@ class CoefficientVector:
         """Squared amplitude of the top retained level, c_N^2."""
         return float(self.coeffs[-1] ** 2)
 
-    @property
-    def converged(self) -> bool:
-        return self.tail_mass < TAIL_TOL
-
 
 @dataclass(frozen=True, eq=False)
 class FourModeTensor:
     """Read-only rank-4 amplitude tensor over modes (a, b, c, d), squared norm at most 1."""
 
     amps: np.ndarray
-    notes: tuple = ()                  # truncation warnings
 
     def __post_init__(self):
         a = np.asarray(self.amps)

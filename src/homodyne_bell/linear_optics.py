@@ -10,21 +10,20 @@ held as one unitary block per total N.  The adjoint action U a+ U* = T a+ -
 R* b+, U b+ U* = R a+ + T* b+ builds block N from block N-1 with creation
 operators: no cancelling alternating sum, and a 64-photon block unitary to
 rounding.  A real splitter, as stage 1's are, keeps every array in float64.
-The stage-1 herald mixes modes (a, c) and (b, d)
-of a four-mode tensor and needs both on/off detectors, on c and d, to click;
-the suite's Gaussification oracle mixes two copies at 50:50 and heralds on
-vacuum in both.  Photon subtraction uses the closed-form single-photon element.
+The blocks and the dense table are built per call, not cached: every stage-1
+lambda brings its own splitter.  The stage-1 herald mixes modes (a, c) and
+(b, d) of a four-mode tensor and needs both on/off detectors, on c and d, to
+click; the suite's Gaussification oracle mixes two copies at 50:50 and heralds
+on vacuum in both.  Photon subtraction uses the closed-form single-photon element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .fock_core import (
-    TAIL_TOL,
     CoefficientVector,
     ConditionalEnsemble,
     FourModeTensor,
@@ -52,9 +51,8 @@ class BeamSplitter:
         return cls(t, reflection_sign * np.sqrt(1.0 - t * t))
 
 
-@lru_cache(maxsize=64)
 def _blocks(T: complex, R: complex, n_max: int) -> np.ndarray:
-    """Read-only blocks B[N, j, m] = <j, N-j|U|m, N-m> for j, m <= N <= n_max, 0 elsewhere.
+    """Blocks B[N, j, m] = <j, N-j|U|m, N-m> for j, m <= N <= n_max, 0 elsewhere.
 
     N |m,n> = sqrt(m) a+|m-1,n> + sqrt(n) b+|m,n-1> and U a+ = (T a+ - R* b+) U,
     U b+ = (R a+ + T* b+) U give block N from block N-1; the number-weighted average of
@@ -75,38 +73,31 @@ def _blocks(T: complex, R: complex, n_max: int) -> np.ndarray:
         P[N, 1:N + 2, :N] += b_route * share[N, N:0:-1]
     root = np.sqrt(np.cumprod(np.maximum(ramp, 1.0)))                       # sqrt(n!)
     norm = root * root[np.abs(np.subtract.outer(ramp, ramp)).astype(int)]   # sqrt(j! |N-j|!)
-    B = P[:, 1:] * (norm[:, :, None] / norm[:, None, :])
-    B.setflags(write=False)
-    return B
+    return P[:, 1:] * (norm[:, :, None] / norm[:, None, :])
 
 
-@lru_cache(maxsize=64)
 def _unitary_table(T: complex, R: complex, cut_a: int, cut_b: int) -> np.ndarray:
-    """Dense read-only W[j,k,m,n] = <j,k|U|m,n> on a (cut_a+1) x (cut_b+1) two-mode space."""
+    """Dense W[j,k,m,n] = <j,k|U|m,n> on a (cut_a+1) x (cut_b+1) two-mode space."""
     j, k, m, n = np.indices((cut_a + 1, cut_b + 1) * 2)
-    W = np.where(j + k == m + n, _blocks(T, R, cut_a + cut_b)[j + k, j, m], 0.0)
-    W.setflags(write=False)
-    return W
+    return np.where(j + k == m + n, _blocks(T, R, cut_a + cut_b)[j + k, j, m], 0.0)
 
 
-def _mix(bs: BeamSplitter, amps: np.ndarray, notes: tuple):
-    """Mix the first two axes of `amps`; returns (mixed amplitudes, notes)."""
-    W = _unitary_table(bs.T, bs.R, amps.shape[0] - 1, amps.shape[1] - 1)
-    top = float(np.vdot(amps[-1], amps[-1]).real + np.vdot(amps[:-1, -1], amps[:-1, -1]).real)
-    if top > TAIL_TOL:
-        notes = notes + (f"truncation: top-level input mass {top:.3e} exceeds {TAIL_TOL:g}",)
+def _mix(W: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """Mix the first two axes of `amps` by the two-mode table W."""
     pair = amps.shape[0] * amps.shape[1]
-    return (W.reshape(pair, pair) @ amps.reshape(pair, -1)).reshape(amps.shape), notes
+    return (W.reshape(pair, pair) @ amps.reshape(pair, -1)).reshape(amps.shape)
 
 
 def apply_bs_pair_on_four_modes(bs: BeamSplitter, t: FourModeTensor) -> FourModeTensor:
     """Apply one splitter to modes (a, c) and one to modes (b, d) of a four-mode
     tensor, a and b entering the first ports.  Amplitudes landing above the cutoffs
-    are lost: a pair with more than the tail tolerance in its top levels adds a
-    truncation note, (a, c) first."""
-    acbd, notes = _mix(bs, t.amps.transpose(0, 2, 1, 3), t.notes)
-    bdac, notes = _mix(bs, acbd.transpose(2, 3, 0, 1), notes)
-    return FourModeTensor(bdac.transpose(2, 0, 3, 1), notes=notes)
+    are lost, so the output's norm falls short of the input's by what was cut.  The
+    (a, c) table serves (b, d) too where their cutoffs agree, as stage 1's do."""
+    ca, cb, cc, cd = (n - 1 for n in t.amps.shape)
+    w_ac = _unitary_table(bs.T, bs.R, ca, cc)
+    w_bd = w_ac if (cb, cd) == (ca, cc) else _unitary_table(bs.T, bs.R, cb, cd)
+    acbd = _mix(w_ac, t.amps.transpose(0, 2, 1, 3))
+    return FourModeTensor(_mix(w_bd, acbd.transpose(2, 3, 0, 1)).transpose(2, 0, 3, 1))
 
 
 def condition_on_outcome(t: FourModeTensor,

@@ -115,13 +115,15 @@ def stage1_transmissivity(xi: float, lam: float) -> float:
 
 @dataclass(frozen=True)
 class Stage1Report:
-    """Heralded ensemble plus its distance to the ideal seed."""
+    """Heralded ensemble plus its distance to the ideal seed and the norm the splitters
+    pushed past STAGE1_CUTOFF, max(0, 1 - |mixed|^2)."""
 
     ensemble: ConditionalEnsemble
     trace_distance: float
     success_probability: float
     transmissivity: float
     printed_transmissivity: float
+    truncated_mass: float
 
 
 def stage1_verify(xi: float, lam: float) -> Stage1Report:
@@ -132,9 +134,10 @@ def stage1_verify(xi: float, lam: float) -> Stage1Report:
     mixes one mode of each pair; both second-port detectors (c, d) must click.
     Both splitters carry R = -sqrt(1 - T^2), the phase at which the heralded
     two-photon amplitude is +xi, with T from the calibrated solve.  Returns the
-    branch ensemble on (a, b), its trace distance to seed(xi), and the heralding
-    probability.  Raises ValueError where the splitters leak more norm past the
-    cutoff than conditioning admits (from lambda of about 0.275).
+    branch ensemble on (a, b), its trace distance to seed(xi), the heralding
+    probability and the norm lost past the cutoff.  Raises ValueError where the
+    splitters leak more norm past the cutoff than conditioning admits (from
+    lambda of about 0.275), quoting the loss.
     """
     pair = np.diag(tmss(lam, STAGE1_CUTOFF).coeffs)       # amps[m, n, n, m] = c_m c_n
     tensor = FourModeTensor(pair[:, None, None, :] * pair.T[None, :, :, None])
@@ -143,7 +146,7 @@ def stage1_verify(xi: float, lam: float) -> Stage1Report:
     lost = 1.0 - mixed.norm_squared()
     if abs(lost) > NORM_GATE:
         raise ValueError(f"stage 1 at lambda={lam:g} leaks {lost:.3e} of the norm past cutoff "
-                         f"{STAGE1_CUTOFF} ({'; '.join(mixed.notes)}); use a smaller lambda")
+                         f"{STAGE1_CUTOFF}; use a smaller lambda")
     ensemble = condition_on_outcome(mixed)
     target = seed(xi, STAGE1_CUTOFF)
     dist = trace_distance_pure_vs_ensemble(target, ensemble)
@@ -153,6 +156,7 @@ def stage1_verify(xi: float, lam: float) -> Stage1Report:
         success_probability=ensemble.success_probability,
         transmissivity=t_used,
         printed_transmissivity=seed_transmissivity(xi, lam),
+        truncated_mass=max(0.0, lost),
     )
 
 

@@ -4,23 +4,24 @@ Pairs (x_A, x_B) come from the Born density
 |sum_n c_n e^(i n chi) psi_n(x_A) psi_n(x_B)|^2 on a grid symmetric about 0.
 Only signs enter the Bell functionals.  Per (state, chi) the sampler keeps the
 four quadrant masses Re(p^H (W_sA o W_sB) p), p = c o e^(i n chi), from W+, the
-Gram matrix of the basis over x >= 0, and W-_nm = (-1)^(n+m) W+_nm by parity,
-every integral taken by two Gauss-Legendre nodes per cell (error O(dx^4): the
-masses match the closed form P++ to about 1e-15); a state the grid holds less
-than 1 - 1e-9 of is refused.  The sign counts of n i.i.d. pairs are then
-exactly Multinomial(n, quadrant masses), one 4-category draw for any n.  Raw
-pairs, made only on request, read the table P(x_A in cell, sign x_B), built
-then from the Gram matrices over x_B's two half-lines, and start from per-cell
-counts drawn given the counts (each quadrant's count spread over its cells by
-a multinomial, their exact conditional law): x_A uniform inside its cell, x_B
-inside the half-line of its counted sign by a two-level inversion of its
-conditional CDF at the cell's midpoint (128-point blocks, then one block's
-points; the x_B >= 0 half from its upper end, so a half with little mass keeps
-its precision), then shuffled; drawn after the counts, they never change them.
-The counts, per quadrant and per x_A cell, follow the exact law; a raw pair
-inside its cells does not follow the Born density (x_A uniform, x_B from point
-weights at the cell midpoints).  The sampler never reuses the closed-form
-overlap table, so it stays an independent check on it.
+Gram matrix of the basis over x >= 0.  W-_nm = (-1)^(n+m) W+_nm by parity, so
+A+B+ = A-B- and A+B- = A-B+ are the plain and the parity-signed sum of one
+matrix, P o W+ o W+.  Every integral is taken by two Gauss-Legendre nodes per
+cell (error O(dx^4): the masses match the closed form P++ to about 1e-15); a
+state the grid holds less than 1 - 1e-9 of is refused.  The sign counts of n
+i.i.d. pairs are then exactly Multinomial(n, quadrant masses), one 4-category
+draw for any n.  Raw pairs, made only on request, read the table P(x_A in cell,
+sign x_B), built then from the Gram matrices over x_B's two half-lines, and
+start from per-cell counts drawn given the counts (each quadrant's count spread
+over its cells by a multinomial, their exact conditional law): x_A uniform
+inside its cell, x_B inside the half-line of its counted sign by a two-level
+inversion of its conditional CDF at the cell's midpoint (128-point blocks, then
+one block's points; the x_B >= 0 half from its upper end, so a half with little
+mass keeps its precision), then shuffled; drawn after the counts, they never
+change them.  The counts, per quadrant and per x_A cell, follow the exact law;
+a raw pair inside its cells does not follow the Born density (x_A uniform, x_B
+from point weights at the cell midpoints).  The sampler never reuses the
+closed-form overlap table, so it stays an independent check on it.
 
 Randomness comes from numpy's counter-based Philox engine; the algorithm name
 is recorded in each batch, and a batch is a pure function of its seed.
@@ -89,10 +90,11 @@ class _SamplerPlan:
         # W+ by blocks of x >= 0 nodes; the nodes are symmetric and psi_n has parity (-1)^n
         blocks = np.split(self.nodes[2 * self.half:], _GRAM_BLOCKS)
         w_plus = 0.5 * self.dx * sum(V @ V.T for V in (hermite_basis(k - 1, x) for x in blocks))
-        grams = (w_plus, (-1.0) ** (np.arange(k)[:, None] + np.arange(k)) * w_plus)
-        # quadrant (s_A, s_B) holds Re(p^H (W_sA o W_sB) p), p = phase: A+B+, A+B-, A-B+, A-B-
-        P = (self.phase.conj()[:, None] * self.phase).real
-        masses = np.array([np.sum(P * wa * wb) for wa in grams for wb in grams])
+        # quadrant (s_A, s_B) holds Re(p^H (W_sA o W_sB) p), p = phase; W- = parity o W+, so
+        # A-B- is A+B+ and A-B+ is A+B-: the plain and the parity-signed sum of P o W+ o W+
+        Q = (self.phase.conj()[:, None] * self.phase).real * w_plus * w_plus
+        same, cross = Q.sum(), np.sum((-1.0) ** (np.arange(k)[:, None] + np.arange(k)) * Q)
+        masses = np.array([same, cross, cross, same])        # A+B+, A+B-, A-B+, A-B-
         lost = 1.0 - masses.sum() / np.dot(coeffs, coeffs)
         if lost > _MASS_TOL:
             raise ValueError(f"the sampling grid [-{GRID_HALF_WIDTH:g}, {GRID_HALF_WIDTH:g}] "

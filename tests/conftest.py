@@ -6,7 +6,7 @@ from homodyne_bell import PipelineConfig, bell, catalog, optimizer, run_pipeline
 XI_STAR = 1.0 / np.sqrt(2.0)
 CHI_STAR = np.pi / 4.0
 # the per-state result caches: catalog rows, Bell series and coefficient optima
-RESULT_CACHES = (bell._p_plus_plus_of, catalog._cached_row, optimizer._unit_maximizer)
+RESULT_CACHES = (bell._p_plus_plus_of, catalog._series, optimizer._unit_maximizer)
 
 
 @pytest.fixture(autouse=True)

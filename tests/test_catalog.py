@@ -16,6 +16,7 @@ from homodyne_bell import (
     seed_transmissivity,
     tmss,
 )
+from homodyne_bell.fock_core import TAIL_TOL
 from homodyne_bell.pipeline import PipelineConfig
 
 
@@ -86,6 +87,17 @@ def test_seed_values():
     assert abs(v.coeffs[1] - 0.57735) < 1e-5
 
 
+def test_seed_is_the_two_term_series_row():
+    # the seed is a series row (alpha = 1, 1, 0, ...): (1, xi) / sqrt(1 + xi^2) to 1 ulp
+    assert seed(0.0).cutoff == 2 and seed(0.7071).cutoff == 2
+    for xi in (0.0, 0.01, 0.3, 1 / np.sqrt(2), 1.0, 2.5, 1e3):
+        for n in (1, 2, 5, 8):
+            want = np.zeros(n + 1)
+            want[:2] = np.array([1.0, xi]) / np.sqrt(1.0 + xi * xi)
+            got = seed(xi, n).coeffs
+            assert np.all(np.abs(got - want) <= np.spacing(want)), (xi, n)
+
+
 def test_seed_transmissivity_values():
     assert abs(seed_transmissivity(1 / np.sqrt(2), 0.01) - 0.0141418) < 1e-5
     assert abs(seed_transmissivity(1.0, 0.1) - 0.098076) < 1e-6
@@ -143,15 +155,15 @@ def test_auto_cutoff_caps_at_hard_limit():
         with pytest.raises(ValueError, match=message + ".*tail mass.*explicit cutoff"):
             build()
     # the largest auto cutoffs that still converge
-    assert tmss(0.8).cutoff == 62 and tmss(0.8).converged
+    assert tmss(0.8).cutoff == 62 and tmss(0.8).tail_mass < TAIL_TOL
     for r in np.linspace(0.05, 3.0, 60):
-        assert circle(float(r)).converged
+        assert circle(float(r)).tail_mass < TAIL_TOL
 
 
 def test_explicit_cutoff_truncates_and_reports_it():
     v = tmss(0.95, cutoff=64)
     assert v.cutoff == 64
-    assert not v.converged  # tail mass reported above tolerance
+    assert not v.tail_mass < TAIL_TOL  # tail mass reported above tolerance
     assert abs(v.tail_mass - (1 - 0.95 ** 2) * 0.95 ** 128 / (1 - 0.95 ** 130)) < 1e-15
 
 
@@ -176,13 +188,13 @@ def test_automatic_cutoff_is_the_first_small_series_term(build, grid, log_term):
         except ValueError as exc:       # refused only at the cap
             assert n_star == 64 and "64-level automatic cutoff cap" in str(exc)
             continue
-        assert v.cutoff == n_star and v.converged
+        assert v.cutoff == n_star and v.tail_mass < TAIL_TOL
 
 
 @pytest.mark.parametrize("r", [4.3, 4.5, 5.0, 5.6])
 def test_large_circle_states_build_below_the_cap(r):
     v = circle(r)
-    assert v.converged and v.cutoff <= 64
+    assert v.tail_mass < TAIL_TOL and v.cutoff <= 64
     assert abs(float(v.coeffs @ v.coeffs) - 1.0) < 1e-12
 
 
@@ -196,7 +208,7 @@ def test_family_table_names_every_family():
     assert set(catalog.FAMILIES) == {"tmss", "ps_tmss", "circle", "seed", "pipeline", "custom"}
     assert catalog.family_name("ps-tmss") == "ps_tmss"
     for family, (parameter, bounds, build, ratio) in catalog.FAMILIES.items():
-        assert (ratio is None) == (family in ("seed", "custom"))     # the power series carry one
+        assert (ratio is None) == (family == "custom")     # every generator is a power series
         if family == "custom":
             assert parameter is None and bounds is None and build is None
         else:

@@ -82,6 +82,7 @@ def test_pipeline_stage1_verification(tmp_path):
             "--verify-stage1", "--out", str(out))
     doc = json.loads(out.read_text())
     assert doc["stage1"]["trace_distance"] < 1e-3
+    assert doc["stage1"]["truncated_mass"] == 0.0       # nothing reaches past cutoff 4
 
 
 @pytest.mark.parametrize("flags", [["--verify-stage1"], ["--lambda", "0.01"]])

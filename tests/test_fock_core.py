@@ -96,7 +96,6 @@ def test_finite_entries_whose_squares_overflow_or_underflow_are_kept(coeffs):
 
 def test_tail_mass_and_convergence():
     v = tmss(0.6)  # auto cutoff targets tail below 1e-12
-    assert v.converged
     assert v.tail_mass < 1e-12
 
 

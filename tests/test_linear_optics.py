@@ -57,12 +57,12 @@ def block(bs, total):
 
 def mix_two_modes(bs, amps):
     """Mix a two-mode state held on modes (a, c) of a four-mode tensor whose modes b
-    and d are vacuum; returns (mixed amplitudes on (a, c), truncation notes)."""
+    and d are vacuum; returns the mixed amplitudes on (a, c)."""
     four = np.zeros((amps.shape[0], 2, amps.shape[1], 2), dtype=amps.dtype)
     four[:, 0, :, 0] = amps
     out = apply_bs_pair_on_four_modes(bs, FourModeTensor(four))
     assert not np.any(out.amps[:, 1]) and not np.any(out.amps[..., 1])   # b, d stay vacuum
-    return out.amps[:, 0, :, 0], out.notes
+    return out.amps[:, 0, :, 0]
 
 
 def test_vacuum_is_invariant():
@@ -132,7 +132,7 @@ def test_random_splitter_is_unitary_and_conserves_photons(theta, phase_t, phase_
     amps = np.zeros((9, 9), dtype=complex)
     amps[:4, :4] = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     amps /= np.linalg.norm(amps)
-    out, _ = mix_two_modes(bs, amps)
+    out = mix_two_modes(bs, amps)
     totals = np.add.outer(np.arange(9), np.arange(9)).ravel()
     before, after = (np.bincount(totals, np.abs(a.ravel()) ** 2) for a in (amps, out))
     assert np.max(np.abs(after - before)) < 1e-12
@@ -147,14 +147,14 @@ def test_identity_splitter_leaves_state():
     rng = np.random.default_rng(3)
     amps = rng.standard_normal((5, 5))
     amps /= np.linalg.norm(amps)
-    out, _ = mix_two_modes(IDENTITY, amps)
+    out = mix_two_modes(IDENTITY, amps)
     assert np.max(np.abs(out - amps)) < 1e-14
 
 
 def test_balanced_splitter_on_single_photon():
     amps = np.zeros((3, 3))
     amps[1, 0] = 1.0
-    out, _ = mix_two_modes(BALANCED, amps)
+    out = mix_two_modes(BALANCED, amps)
     assert abs(out[1, 0] - S) < 1e-14
     assert abs(out[0, 1] + S) < 1e-14
 
@@ -166,16 +166,16 @@ def test_two_mode_norm_preserved_below_cutoff():
         amps = np.zeros((9, 9))
         amps[:4, :4] = rng.standard_normal((4, 4))  # support far below cutoff
         amps /= np.linalg.norm(amps)
-        out, notes = mix_two_modes(bs, amps)
+        out = mix_two_modes(bs, amps)
         assert abs(np.sum(np.abs(out) ** 2) - 1.0) < 1e-12
-        assert notes == ()
 
 
-def test_truncation_warning_on_top_level_mass():
+def test_top_level_mass_is_lost_past_the_cutoff():
+    # |2,2> at 50:50 goes to sqrt(3/8) |4,0> - 1/2 |2,2> + sqrt(3/8) |0,4>: only |2,2> fits
     amps = np.zeros((3, 3))
     amps[2, 2] = 1.0
-    _, notes = mix_two_modes(BALANCED, amps)
-    assert any("truncation" in note for note in notes)
+    out = mix_two_modes(BALANCED, amps)
+    assert abs(np.sum(np.abs(out) ** 2) - 0.25) < 1e-14
 
 
 def product_of_two_tmss(lam, cutoff):
@@ -357,7 +357,7 @@ SPLITTERS = [BeamSplitter(0.6, -0.8), BALANCED,
 def test_unitary_table_matches_per_block_assignment(bs, cuts):
     T, R = complex(bs.T), complex(bs.R)
     W = _unitary_table(T, R, *cuts)
-    assert W.shape == (cuts[0] + 1, cuts[1] + 1) * 2 and not W.flags.writeable
+    assert W.shape == (cuts[0] + 1, cuts[1] + 1) * 2
     assert np.max(np.abs(W - reference_table(T, R, *cuts))) <= 1e-15
     got = _blocks(T, R, sum(cuts))
     for N, want in enumerate(reference_blocks(T, R, sum(cuts))):
@@ -370,7 +370,7 @@ def test_mixers_match_einsum_reference(bs):
     rng = np.random.default_rng(11)
     amps = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
     amps /= np.linalg.norm(amps)
-    out, _ = mix_two_modes(bs, amps)
+    out = mix_two_modes(bs, amps)
     assert np.max(np.abs(out - reference_mix(bs, amps))) <= 1e-15
     four = rng.standard_normal((4,) * 4) + 1j * rng.standard_normal((4,) * 4)
     four /= np.linalg.norm(four)

@@ -225,9 +225,25 @@ def test_stage1_impossible_at_zero_squeezing():
         stage1_verify(XI, 0.0)
 
 
+def stage1_mixed(lam):
+    """The four-mode state stage 1 conditions, built from the parts its docstring names."""
+    pair = np.diag(catalog.tmss(lam, pipeline.STAGE1_CUTOFF).coeffs)
+    tensor = FourModeTensor(pair[:, None, None, :] * pair.T[None, :, :, None])
+    bs = BeamSplitter.from_transmissivity(stage1_transmissivity(XI, lam), -1)
+    return apply_bs_pair_on_four_modes(bs, tensor)
+
+
+def test_stage1_reports_the_norm_cut_past_its_cutoff():
+    rep = stage1_verify(XI, 0.2)
+    assert rep.truncated_mass == 1.0 - stage1_mixed(0.2).norm_squared()
+    assert 1e-8 < rep.truncated_mass < 1e-7
+    assert stage1_verify(XI, 0.01).truncated_mass == 0.0
+
+
 def test_stage1_refuses_leakage_past_its_cutoff():
     assert stage1_verify(XI, 0.25).success_probability > 0.0
-    with pytest.raises(ValueError, match=r"lambda=0\.3 leaks .* past cutoff 4"):
+    leaked = f"{1.0 - stage1_mixed(0.3).norm_squared():.3e}"
+    with pytest.raises(ValueError, match=rf"lambda=0\.3 leaks {leaked} of the norm past cutoff 4"):
         stage1_verify(XI, 0.3)
 
 
