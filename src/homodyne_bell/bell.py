@@ -13,17 +13,19 @@ Wronskian psi_m psi_n' - psi_n psi_m' has derivative 2 (m - n) psi_n psi_m and
     G_nn = 1/2,    G_nm = (psi_n'(0) psi_m(0) - psi_n(0) psi_m'(0)) / (2 (n - m)),
 
 with psi_n'(0) = sqrt(n/2) psi_(n-1)(0) - sqrt((n+1)/2) psi_(n+1)(0).  Entries
-of equal parity vanish.  Quadrature serves only the 2-D oracle, which stays
-independent of G; sign binning is scale invariant, so the quadrature convention
-is immaterial.  Flipping one party's sign shifts chi by pi, and the parity of
-G gives K(chi) + K(chi + pi) = I/2, so P+-(chi) = P++(chi + pi) = 1/2 - P++(chi).
-Every Bell quantity therefore follows from P++ at chi and 3 chi: the correlation
-E = 2 (P++ - P+-) = 4 P++ - 1, the CH combination S = 3 P++(chi) - P++(3 chi) and
-the CHSH combination B = 3 E(chi) - E(3 chi) = 4 S - 2.  Searches maximize S.
-With G_nn = 1/2 and only odd n - m off the diagonal, P++(chi) = |c|^2 / 4 +
-sum_(d odd) a_d cos(d chi) where a_d = 2 sum_(n - m = d) c_n c_m G_nm^2, and S(chi) =
-|c|^2 / 2 + sum_(d odd) a_d (3 cos(d chi) - cos(3 d chi)).  Each state forms its a_d and
-both series once (a cache of 16 keyed on the coefficient bytes), then P++, S or B
+of equal parity vanish.  One quadrature, `half_line_gram` (two Gauss-Legendre
+nodes per cell of the sampler's grid), gives the 2-D oracle and the sampler their
+half-line Gram matrices, so both stay independent of G; sign binning is scale
+invariant, so the quadrature convention is immaterial.  Flipping one party's
+sign shifts chi by pi, and the parity of G gives K(chi) + K(chi + pi) = I/2, so
+P+-(chi) = P++(chi + pi) = 1/2 - P++(chi).  Every Bell quantity therefore
+follows from P++ at chi and 3 chi: the correlation E = 2 (P++ - P+-) = 4 P++ - 1,
+the CH combination S = 3 P++(chi) - P++(3 chi) and the CHSH combination
+B = 3 E(chi) - E(3 chi) = 4 S - 2.  Searches maximize S.  With G_nn = 1/2 and
+only odd n - m off the diagonal, P++(chi) = |c|^2 / 4 + sum_(d odd) a_d cos(d chi)
+where a_d = 2 sum_(n - m = d) c_n c_m G_nm^2, and S(chi) = |c|^2 / 2 +
+sum_(d odd) a_d (3 cos(d chi) - cos(3 d chi)).  Each state forms its a_d and both
+series once (a cache of 16 keyed on the coefficient bytes), then P++, S or B
 costs one cosine and one dot.  K is formed only for the optimizer's eigenproblem.
 """
 
@@ -35,12 +37,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .fock_core import CoefficientVector
 
 _EVAL_NORM_TOL = 1e-8
-_ORACLE_POINTS = 400
+CELL_WIDTH = 24.0 / 2 ** 14      # quadrature cell, the sampler's grid cell (3 * 2^-11, exact)
+_GRAM_BLOCKS = 8                 # blocks of nodes a half-line Gram is summed over
 _CH_WEIGHTS = np.array([[3.0], [-1.0]])    # S = 3 P++(chi) - P++(3 chi), term by term
 
 
@@ -56,7 +58,19 @@ def hermite_basis(n_max: int, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-_legendre_rule = lru_cache(maxsize=8)(leggauss)   # shared arrays: never written
+def cell_nodes(centers: np.ndarray) -> np.ndarray:
+    """Two Gauss-Legendre nodes in each cell of width CELL_WIDTH about these centres, cell i's
+    at 2i and 2i + 1; each weighs CELL_WIDTH / 2 (error O(CELL_WIDTH^4) per cell)."""
+    return (centers[:, None] + np.array([-0.5, 0.5]) * CELL_WIDTH / np.sqrt(3.0)).ravel()
+
+
+def half_line_gram(n_max: int, x_max: float) -> np.ndarray:
+    """W_nm = integral_0^x_max psi_n psi_m dx, n, m <= n_max, by cell_nodes over the first
+    ceil(x_max / CELL_WIDTH) cells from 0, summed over _GRAM_BLOCKS blocks of nodes by einsum:
+    never a threaded BLAS call, whose first use in a process can stall for a second."""
+    centers = (np.arange(math.ceil(x_max / CELL_WIDTH)) + 0.5) * CELL_WIDTH
+    blocks = (hermite_basis(n_max, x) for x in np.array_split(cell_nodes(centers), _GRAM_BLOCKS))
+    return 0.5 * CELL_WIDTH * sum(np.einsum("ni,mi->nm", V, V) for V in blocks)
 
 
 @lru_cache(maxsize=64)
@@ -142,21 +156,16 @@ def ch_S(v: CoefficientVector, chi: float) -> float:
 
 @lru_cache(maxsize=64)
 def _quadrature_gram(n_max: int) -> np.ndarray:
-    """Read-only oracle Gram matrix W_nm = sum_i w_i psi_n(x_i) psi_m(x_i); cached."""
-    x_max = max(12.0, np.sqrt(2.0 * n_max + 1.0) + 6.0)
-    x, w = _legendre_rule(_ORACLE_POINTS)     # Gauss-Legendre on [0, x_max]
-    xs, ws = 0.5 * x_max * (x + 1.0), 0.5 * x_max * w
-    V = hermite_basis(n_max, xs)
-    W = (V * ws) @ V.T
+    """Read-only oracle Gram: half_line_gram out to max(12, sqrt(2 n_max + 1) + 6); cached."""
+    W = half_line_gram(n_max, max(12.0, math.sqrt(2.0 * n_max + 1.0) + 6.0))
     W.setflags(write=False)
     return W
 
 
 def p_plus_plus_quadrature_oracle(v: CoefficientVector, chi: float) -> float:
-    """2-D Gauss-Legendre quadrature of |sum_n p_n psi_n(x) psi_n(y)|^2, p_n = c_n e^(i n chi),
-    over the positive quadrant: the tensor-product sum factorizes exactly as p^H (W o W) p.
-    Never reads G; used as the closed form's oracle.
-    """
+    """2-D quadrature of |sum_n p_n psi_n(x) psi_n(y)|^2, p_n = c_n e^(i n chi), over the
+    positive quadrant on the tensor product of half_line_gram's nodes: the sum factorizes
+    exactly as p^H (W o W) p.  Never reads G; used as the closed form's oracle."""
     c = _checked_coeffs(v.coeffs)
     W = _quadrature_gram(c.size - 1)
     p = c * np.exp(1j * chi * np.arange(c.size))
@@ -191,28 +200,19 @@ class BellReport:
         if abs(self.S - (self.B / 4.0 + 0.5)) > 1e-10:
             raise ValueError("CH/CHSH identity S = B/4 + 1/2 violated")
 
+    def _cells(self, text) -> list:
+        """Each field as text: a float to 12 significant digits, any other value by text."""
+        return [f"{v:.12g}" if isinstance(v, float) else text(v)
+                for v in (getattr(self, name) for name in self._FIELDS)]
+
     def to_json(self) -> str:
-        pairs = []
-        for name in self._FIELDS:
-            val = getattr(self, name)
-            if isinstance(val, float):
-                pairs.append(f'  "{name}": {val:.12g}')
-            else:
-                pairs.append(f'  "{name}": {json.dumps(val)}')
+        pairs = (f'  "{n}": {t}' for n, t in zip(self._FIELDS, self._cells(json.dumps)))
         return "{\n" + ",\n".join(pairs) + "\n}\n"
 
     def to_csv(self) -> str:
-        header = ",".join(self._FIELDS)
-        vals = []
-        for name in self._FIELDS:
-            val = getattr(self, name)
-            if isinstance(val, float):
-                vals.append(f"{val:.12g}")
-            elif isinstance(val, str) and ("," in val or '"' in val):
-                vals.append('"' + val.replace('"', '""') + '"')
-            else:
-                vals.append(str(val))
-        return header + "\n" + ",".join(vals) + "\n"
+        cells = self._cells(lambda v: '"' + v.replace('"', '""') + '"'
+                            if isinstance(v, str) and ("," in v or '"' in v) else str(v))
+        return ",".join(self._FIELDS) + "\n" + ",".join(cells) + "\n"
 
 
 def bell_report(v: CoefficientVector, chi: float) -> BellReport:

@@ -113,7 +113,7 @@ def cmd_pipeline(args) -> None:
     if rep.stage1 is not None:
         doc["stage1"] = {k: getattr(rep.stage1, k) for k in (
             "trace_distance", "success_probability", "transmissivity", "printed_transmissivity",
-            "truncated_mass")}
+            "truncated_mass", "input_dropped_mass")}
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
 
 

@@ -115,8 +115,8 @@ def stage1_transmissivity(xi: float, lam: float) -> float:
 
 @dataclass(frozen=True)
 class Stage1Report:
-    """Heralded ensemble plus its distance to the ideal seed and the norm the splitters
-    pushed past STAGE1_CUTOFF, max(0, 1 - |mixed|^2)."""
+    """Heralded ensemble, its distance to the ideal seed, and both losses to STAGE1_CUTOFF:
+    splitters' max(0, 1 - |mixed|^2) and the input pairs' 1 - (1 - lambda^(2 cutoff + 2))^2."""
 
     ensemble: ConditionalEnsemble
     trace_distance: float
@@ -124,6 +124,7 @@ class Stage1Report:
     transmissivity: float
     printed_transmissivity: float
     truncated_mass: float
+    input_dropped_mass: float
 
 
 def stage1_verify(xi: float, lam: float) -> Stage1Report:
@@ -135,11 +136,12 @@ def stage1_verify(xi: float, lam: float) -> Stage1Report:
     Both splitters carry R = -sqrt(1 - T^2), the phase at which the heralded
     two-photon amplitude is +xi, with T from the calibrated solve.  Returns the
     branch ensemble on (a, b), its trace distance to seed(xi), the heralding
-    probability and the norm lost past the cutoff.  Raises ValueError where the
-    splitters leak more norm past the cutoff than conditioning admits (from
-    lambda of about 0.275), quoting the loss.
+    probability and both losses to the cutoff (Stage1Report).  Raises ValueError
+    where the splitters leak more norm past the cutoff than conditioning admits
+    (from lambda of about 0.275), quoting the loss.
     """
     pair = np.diag(tmss(lam, STAGE1_CUTOFF).coeffs)       # amps[m, n, n, m] = c_m c_n
+    tail = lam ** (2 * STAGE1_CUTOFF + 2)                 # norm each pair drops at the cutoff
     tensor = FourModeTensor(pair[:, None, None, :] * pair.T[None, :, :, None])
     t_used = stage1_transmissivity(xi, lam)
     mixed = apply_bs_pair_on_four_modes(BeamSplitter.from_transmissivity(t_used, -1), tensor)
@@ -157,6 +159,7 @@ def stage1_verify(xi: float, lam: float) -> Stage1Report:
         transmissivity=t_used,
         printed_transmissivity=seed_transmissivity(xi, lam),
         truncated_mass=max(0.0, lost),
+        input_dropped_mass=tail * (2.0 - tail),           # 1 - (1 - tail)^2, uncancelled
     )
 
 

@@ -1,19 +1,18 @@
 """Monte Carlo emulation of the two-party homodyne record.
 
 Pairs (x_A, x_B) come from the Born density
-|sum_n c_n e^(i n chi) psi_n(x_A) psi_n(x_B)|^2 on a grid symmetric about 0.
-Only signs enter the Bell functionals.  Per (state, chi) the sampler keeps the
-four quadrant masses Re(p^H (W_sA o W_sB) p), p = c o e^(i n chi), from W+, the
-Gram matrix of the basis over x >= 0.  W-_nm = (-1)^(n+m) W+_nm by parity, so
-A+B+ = A-B- and A+B- = A-B+ are the plain and the parity-signed sum of one
-matrix, P o W+ o W+.  Every integral is taken by two Gauss-Legendre nodes per
-cell (error O(dx^4): the masses match the closed form P++ to about 1e-15); a
-state the grid holds less than 1 - 1e-9 of is refused.  The sign counts of n
-i.i.d. pairs are then exactly Multinomial(n, quadrant masses), one 4-category
-draw for any n.  Raw pairs, made only on request, read the table P(x_A in cell,
-sign x_B), built then from the Gram matrices over x_B's two half-lines, and
-start from per-cell counts drawn given the counts (each quadrant's count spread
-over its cells by a multinomial, their exact conditional law): x_A uniform
+|sum_n c_n e^(i n chi) psi_n(x_A) psi_n(x_B)|^2 on 2^14 cells of bell.CELL_WIDTH
+over [-12, 12].  Only signs enter the Bell functionals.  Per (state, chi) the
+sampler keeps the four quadrant masses Re(p^H (W_sA o W_sB) p), p = c o e^(i n chi),
+from W+ = bell.half_line_gram over the cells of x >= 0 (two Gauss-Legendre nodes
+per cell, error O(dx^4): the masses match the closed form P++ to about 1e-15).
+By parity W- = (-1)^(n+m) W+, so A+B+ = A-B- and A+B- = A-B+ are the plain and
+the parity-signed sum of P o W+ o W+; a state the grid holds less than 1 - 1e-9
+of is refused.  The sign counts of n i.i.d. pairs are then exactly
+Multinomial(n, quadrant masses), one 4-category draw for any n.  Raw pairs, made
+only on request, read the table P(x_A in cell, sign x_B), built then from W+ and
+W-, and start from per-cell counts drawn given the counts (each quadrant's count
+spread over its cells by a multinomial, their exact conditional law): x_A uniform
 inside its cell, x_B inside the half-line of its counted sign by a two-level
 inversion of its conditional CDF at the cell's midpoint (128-point blocks, then
 one block's points; the x_B >= 0 half from its upper end, so a half with little
@@ -34,16 +33,15 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bell import check_phase, hermite_basis
+from .bell import CELL_WIDTH, cell_nodes, check_phase, half_line_gram, hermite_basis
 from .fock_core import CoefficientVector
 
 GENERATOR_NAME = "philox4x64"
 GRID_POINTS = 2 ** 14
-GRID_HALF_WIDTH = 12.0
+GRID_HALF_WIDTH = GRID_POINTS // 2 * CELL_WIDTH      # 12.0
 _MASS_TOL = 1e-9          # largest share of the state's mass the grid may miss
 _ROW_CHUNK = 256          # drawn cells whose x_B are inverted at once when making raw pairs
 _BLOCK = 128              # grid points per block of that inversion's first level
-_GRAM_BLOCKS = 8          # blocks of x >= 0 nodes (2048 each) W+ is summed over
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,11 +69,10 @@ class SampleBatch:
 
 @lru_cache(maxsize=1)
 def _grid():
-    """Cell edges, width and centres, and two Gauss-Legendre nodes per cell, for every plan."""
-    edges = np.linspace(-GRID_HALF_WIDTH, GRID_HALF_WIDTH, GRID_POINTS + 1)
-    dx, centers = edges[1] - edges[0], 0.5 * (edges[:-1] + edges[1:])
-    nodes = centers[:, None] + np.array([-0.5, 0.5]) * dx / np.sqrt(3.0)   # weight dx / 2 each
-    return edges, dx, centers, nodes.ravel()                              # cell i's at 2i, 2i + 1
+    """Cell edges and centres, and bell.cell_nodes' two nodes per cell, for every plan."""
+    edges = (np.arange(GRID_POINTS + 1) - GRID_POINTS // 2) * CELL_WIDTH     # exact
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    return edges, centers, cell_nodes(centers)
 
 
 class _SamplerPlan:
@@ -85,15 +82,15 @@ class _SamplerPlan:
 
     def __init__(self, coeffs: np.ndarray, chi: float):
         k = coeffs.size
-        self.edges, self.dx, self.centers, self.nodes = _grid()
+        self.edges, self.centers, self.nodes = _grid()
         self.phase = coeffs * np.exp(1j * chi * np.arange(k))
-        # W+ by blocks of x >= 0 nodes; the nodes are symmetric and psi_n has parity (-1)^n
-        blocks = np.split(self.nodes[2 * self.half:], _GRAM_BLOCKS)
-        w_plus = 0.5 * self.dx * sum(V @ V.T for V in (hermite_basis(k - 1, x) for x in blocks))
-        # quadrant (s_A, s_B) holds Re(p^H (W_sA o W_sB) p), p = phase; W- = parity o W+, so
-        # A-B- is A+B+ and A-B+ is A+B-: the plain and the parity-signed sum of P o W+ o W+
-        Q = (self.phase.conj()[:, None] * self.phase).real * w_plus * w_plus
-        same, cross = Q.sum(), np.sum((-1.0) ** (np.arange(k)[:, None] + np.arange(k)) * Q)
+        # W+ over the grid's x >= 0 cells, and W- = parity o W+ (psi_n has parity (-1)^n);
+        # quadrant (s_A, s_B) holds Re(p^H (W_sA o W_sB) p), p = phase, so A-B- is A+B+ and
+        # A-B+ is A+B-: the plain and the parity-signed sum of P o W+ o W+
+        self.w_plus = half_line_gram(k - 1, GRID_HALF_WIDTH)
+        self.w_minus = (-1.0) ** (np.arange(k)[:, None] + np.arange(k)) * self.w_plus
+        Q = (self.phase.conj()[:, None] * self.phase).real * self.w_plus
+        same, cross = np.sum(Q * self.w_plus), np.sum(Q * self.w_minus)
         masses = np.array([same, cross, cross, same])        # A+B+, A+B-, A-B+, A-B-
         lost = 1.0 - masses.sum() / np.dot(coeffs, coeffs)
         if lost > _MASS_TOL:
@@ -107,9 +104,9 @@ class _SamplerPlan:
         """joint[cell, s] = P(x_A in cell, sign x_B = s), s = x_B >= 0, x_B < 0."""
         V = hermite_basis(self.phase.size - 1, self.nodes)
         # Re(a^H M a) = v^T (Re(conj(phase) phase^T) o M) v for a = phase o v and real M
-        P, w = (self.phase.conj()[:, None] * self.phase).real, 0.5 * self.dx
-        grams = (w * W @ W.T for W in (V[:, 2 * self.half:], V[:, :2 * self.half]))
-        joint = w * np.stack([np.einsum("nc,nc->c", V, (P * G) @ V) for G in grams])
+        P = (self.phase.conj()[:, None] * self.phase).real
+        joint = 0.5 * CELL_WIDTH * np.stack([np.einsum("nc,nc->c", V, (P * G) @ V)
+                                          for G in (self.w_plus, self.w_minus)])
         joint = np.clip(joint.reshape(2, -1, 2).sum(2), 0.0, None)  # rounding can step below 0
         return (joint / joint.sum()).T
 
@@ -129,7 +126,7 @@ class _SamplerPlan:
         Cells are half-open, so a draw in a cell left of 0 stays negative."""
         span = at - prev
         frac = np.where(span > 0, (u - prev) / np.where(span > 0, span, 1.0), 0.5)
-        x = self.edges[idx] + np.clip(frac, 0.0, 1.0) * self.dx
+        x = self.edges[idx] + np.clip(frac, 0.0, 1.0) * CELL_WIDTH
         return np.where(idx < self.half, np.minimum(x, -np.finfo(float).tiny), x)
 
     def raw_pairs(self, m, m_minus, rng):
@@ -202,8 +199,7 @@ def _lower_bound_rows(rows: np.ndarray, row_idx: np.ndarray, targets: np.ndarray
     while np.any(lo < hi):
         mid = (lo + hi) // 2
         below = rows[row_idx, mid] < targets
-        lo = np.where(below, mid + 1, lo)
-        hi = np.where(below, hi, mid)
+        lo, hi = np.where(below, mid + 1, lo), np.where(below, hi, mid)
     return lo
 
 

@@ -282,7 +282,7 @@ def _exact_x_b(plan, cell, negative, u):
         if below + wj >= target:
             break
         below += wj
-    return plan.edges[j] + float((target - below) / wj) * plan.dx
+    return plan.edges[j] + float((target - below) / wj) * bell.CELL_WIDTH
 
 
 def _replay(plan, m, m_minus, rng):
@@ -450,13 +450,14 @@ def test_gram_quadrants_match_the_closed_form_and_the_table(pipeline_state, fami
 @pytest.fixture
 def basis_sizes(monkeypatch):
     """Node count of each basis evaluation the sampler makes from here on."""
-    seen = []
+    seen, hermite_basis = [], bell.hermite_basis
 
     def basis(n_max, xs):
         seen.append(xs.size)
-        return bell.hermite_basis(n_max, xs)
+        return hermite_basis(n_max, xs)
 
-    monkeypatch.setattr(sampler, "hermite_basis", basis)
+    for module in (bell, sampler):               # bell.half_line_gram forms W+
+        monkeypatch.setattr(module, "hermite_basis", basis)
     return seen
 
 
@@ -466,8 +467,8 @@ def test_counts_never_build_the_cell_table(pipeline_state, basis_sizes):
     seen = basis_sizes
     sampler._plan_for.cache_clear()
     estimate_B(pipeline_state, CHI, 10 ** 6, seed=1)
-    block = sampler.GRID_POINTS // sampler._GRAM_BLOCKS            # x >= 0 nodes per block
-    assert seen == [block] * (2 * sampler._GRAM_BLOCKS)            # two plans, counts only
+    block = sampler.GRID_POINTS // bell._GRAM_BLOCKS               # x >= 0 nodes per block
+    assert seen == [block] * (2 * bell._GRAM_BLOCKS)               # two plans, counts only
     assert not any("joint" in vars(_plan(pipeline_state, chi)) for chi in (CHI, 3.0 * CHI))
     sample_joint(pipeline_state, CHI, 10, seed=1, keep_samples=True)
     assert max(seen) == 2 * sampler.GRID_POINTS and "joint" in vars(_plan(pipeline_state, CHI))
@@ -481,7 +482,7 @@ def test_grid_truncation_is_refused_from_the_gram_matrix(basis_sizes):
         sampler._SamplerPlan(c, CHI)
     assert str(refused.value) == ("the sampling grid [-12, 12] misses 0.529 of the state's "
                                   "quadrature mass (limit 1e-09)")
-    assert basis_sizes == [sampler.GRID_POINTS // sampler._GRAM_BLOCKS] * sampler._GRAM_BLOCKS
+    assert basis_sizes == [sampler.GRID_POINTS // bell._GRAM_BLOCKS] * bell._GRAM_BLOCKS
 
 
 def test_sample_joint_refuses_n_beyond_int64(pipeline_state):
