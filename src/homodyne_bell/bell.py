@@ -64,13 +64,16 @@ def cell_nodes(centers: np.ndarray) -> np.ndarray:
     return (centers[:, None] + np.array([-0.5, 0.5]) * CELL_WIDTH / np.sqrt(3.0)).ravel()
 
 
-def half_line_gram(n_max: int, x_max: float) -> np.ndarray:
+def half_line_gram(n_max: int, x_max: float, blas: bool = True) -> np.ndarray:
     """W_nm = integral_0^x_max psi_n psi_m dx, n, m <= n_max, by cell_nodes over the first
-    ceil(x_max / CELL_WIDTH) cells from 0, summed over _GRAM_BLOCKS blocks of nodes by einsum:
-    never a threaded BLAS call, whose first use in a process can stall for a second."""
+    ceil(x_max / CELL_WIDTH) cells from 0, summed over _GRAM_BLOCKS blocks of nodes, each
+    block's product by BLAS or, with blas=False, by einsum, which never starts OpenBLAS's
+    threads: the oracle's first call, the first threaded BLAS call of a process started
+    after an idle spell, stalled there for up to a second (the sampler's plans did not)."""
     centers = (np.arange(math.ceil(x_max / CELL_WIDTH)) + 0.5) * CELL_WIDTH
     blocks = (hermite_basis(n_max, x) for x in np.array_split(cell_nodes(centers), _GRAM_BLOCKS))
-    return 0.5 * CELL_WIDTH * sum(np.einsum("ni,mi->nm", V, V) for V in blocks)
+    product = (lambda V: V @ V.T) if blas else (lambda V: np.einsum("ni,mi->nm", V, V))
+    return 0.5 * CELL_WIDTH * sum(product(V) for V in blocks)
 
 
 @lru_cache(maxsize=64)
@@ -156,8 +159,9 @@ def ch_S(v: CoefficientVector, chi: float) -> float:
 
 @lru_cache(maxsize=64)
 def _quadrature_gram(n_max: int) -> np.ndarray:
-    """Read-only oracle Gram: half_line_gram out to max(12, sqrt(2 n_max + 1) + 6); cached."""
-    W = half_line_gram(n_max, max(12.0, math.sqrt(2.0 * n_max + 1.0) + 6.0))
+    """Read-only oracle Gram: half_line_gram out to max(12, sqrt(2 n_max + 1) + 6), by einsum;
+    cached."""
+    W = half_line_gram(n_max, max(12.0, math.sqrt(2.0 * n_max + 1.0) + 6.0), blas=False)
     W.setflags(write=False)
     return W
 
@@ -200,19 +204,28 @@ class BellReport:
         if abs(self.S - (self.B / 4.0 + 0.5)) > 1e-10:
             raise ValueError("CH/CHSH identity S = B/4 + 1/2 violated")
 
-    def _cells(self, text) -> list:
-        """Each field as text: a float to 12 significant digits, any other value by text."""
-        return [f"{v:.12g}" if isinstance(v, float) else text(v)
-                for v in (getattr(self, name) for name in self._FIELDS)]
-
     def to_json(self) -> str:
-        pairs = (f'  "{n}": {t}' for n, t in zip(self._FIELDS, self._cells(json.dumps)))
+        pairs = []
+        for name in self._FIELDS:
+            val = getattr(self, name)
+            if isinstance(val, float):
+                pairs.append(f'  "{name}": {val:.12g}')
+            else:
+                pairs.append(f'  "{name}": {json.dumps(val)}')
         return "{\n" + ",\n".join(pairs) + "\n}\n"
 
     def to_csv(self) -> str:
-        cells = self._cells(lambda v: '"' + v.replace('"', '""') + '"'
-                            if isinstance(v, str) and ("," in v or '"' in v) else str(v))
-        return ",".join(self._FIELDS) + "\n" + ",".join(cells) + "\n"
+        header = ",".join(self._FIELDS)
+        vals = []
+        for name in self._FIELDS:
+            val = getattr(self, name)
+            if isinstance(val, float):
+                vals.append(f"{val:.12g}")
+            elif isinstance(val, str) and ("," in val or '"' in val):
+                vals.append('"' + val.replace('"', '""') + '"')
+            else:
+                vals.append(str(val))
+        return header + "\n" + ",".join(vals) + "\n"
 
 
 def bell_report(v: CoefficientVector, chi: float) -> BellReport:

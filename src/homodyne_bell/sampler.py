@@ -10,8 +10,9 @@ By parity W- = (-1)^(n+m) W+, so A+B+ = A-B- and A+B- = A-B+ are the plain and
 the parity-signed sum of P o W+ o W+; a state the grid holds less than 1 - 1e-9
 of is refused.  The sign counts of n i.i.d. pairs are then exactly
 Multinomial(n, quadrant masses), one 4-category draw for any n.  Raw pairs, made
-only on request, read the table P(x_A in cell, sign x_B), built then from W+ and
-W-, and start from per-cell counts drawn given the counts (each quadrant's count
+only on request, read the table P(x_A in cell, sign x_B), built then as sums of
+squares from a factor of W+ (so no cell's mass is rounding below 0) with its x_B < 0
+column the mirror image of its x_B >= 0 one, and start from per-cell counts drawn given the counts (each quadrant's count
 spread over its cells by a multinomial, their exact conditional law): x_A uniform
 inside its cell, x_B inside the half-line of its counted sign by a two-level
 inversion of its conditional CDF at the cell's midpoint (128-point blocks, then
@@ -84,13 +85,12 @@ class _SamplerPlan:
         k = coeffs.size
         self.edges, self.centers, self.nodes = _grid()
         self.phase = coeffs * np.exp(1j * chi * np.arange(k))
-        # W+ over the grid's x >= 0 cells, and W- = parity o W+ (psi_n has parity (-1)^n);
-        # quadrant (s_A, s_B) holds Re(p^H (W_sA o W_sB) p), p = phase, so A-B- is A+B+ and
-        # A-B+ is A+B-: the plain and the parity-signed sum of P o W+ o W+
+        # W+ over the grid's x >= 0 cells; psi_n has parity (-1)^n, so W- = parity o W+ and
+        # quadrant (s_A, s_B) holds Re(p^H (W_sA o W_sB) p), p = phase: A-B- is A+B+ and
+        # A-B+ is A+B-, the plain and the parity-signed sum of P o W+ o W+
         self.w_plus = half_line_gram(k - 1, GRID_HALF_WIDTH)
-        self.w_minus = (-1.0) ** (np.arange(k)[:, None] + np.arange(k)) * self.w_plus
-        Q = (self.phase.conj()[:, None] * self.phase).real * self.w_plus
-        same, cross = np.sum(Q * self.w_plus), np.sum(Q * self.w_minus)
+        Q = (self.phase.conj()[:, None] * self.phase).real * self.w_plus * self.w_plus
+        same, cross = Q.sum(), np.sum((-1.0) ** (np.arange(k)[:, None] + np.arange(k)) * Q)
         masses = np.array([same, cross, cross, same])        # A+B+, A+B-, A-B+, A-B-
         lost = 1.0 - masses.sum() / np.dot(coeffs, coeffs)
         if lost > _MASS_TOL:
@@ -102,13 +102,20 @@ class _SamplerPlan:
     @cached_property
     def joint(self) -> np.ndarray:
         """joint[cell, s] = P(x_A in cell, sign x_B = s), s = x_B >= 0, x_B < 0."""
-        V = hermite_basis(self.phase.size - 1, self.nodes)
-        # Re(a^H M a) = v^T (Re(conj(phase) phase^T) o M) v for a = phase o v and real M
-        P = (self.phase.conj()[:, None] * self.phase).real
-        joint = 0.5 * CELL_WIDTH * np.stack([np.einsum("nc,nc->c", V, (P * G) @ V)
-                                          for G in (self.w_plus, self.w_minus)])
-        joint = np.clip(joint.reshape(2, -1, 2).sum(2), 0.0, None)  # rounding can step below 0
-        return (joint / joint.sum()).T
+        # Re(a^H W+ a) for a = phase o v is v^T (P o W+) v, P = Re(conj(phase) phase^T) =
+        # r r^T + i i^T (r, i the real and imaginary parts); with W+ = L L^T it is
+        # ||[r o L, i o L]^T v||^2: never below 0, where v^T (P o W+) v takes a
+        # cell's mass of ~1e-21 to +-1e-19 of rounding, and a clip of it to 0 shifts every
+        # later draw
+        lam, U = np.linalg.eigh(self.w_plus)
+        L = U * np.sqrt(np.clip(lam, 0.0, None))
+        A = np.hstack([self.phase.real[:, None] * L, self.phase.imag[:, None] * L]).T @ \
+            hermite_basis(self.phase.size - 1, self.nodes)
+        plus = np.einsum("jc,jc->c", A, A).reshape(-1, 2).sum(axis=1)
+        # |amp(-x, -y)| = |amp(x, y)| and the grid is symmetric: a cell's x_B < 0 mass is
+        # its mirror cell's x_B >= 0 mass
+        joint = np.column_stack([plus, plus[::-1]])
+        return joint / joint.sum()
 
     def cell_counts(self, counts, rng):
         """Per-cell counts m and m_minus (x_B < 0) given the 2x2 quadrant counts, by their
@@ -199,7 +206,8 @@ def _lower_bound_rows(rows: np.ndarray, row_idx: np.ndarray, targets: np.ndarray
     while np.any(lo < hi):
         mid = (lo + hi) // 2
         below = rows[row_idx, mid] < targets
-        lo, hi = np.where(below, mid + 1, lo), np.where(below, hi, mid)
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(below, hi, mid)
     return lo
 
 

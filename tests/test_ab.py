@@ -1,7 +1,8 @@
-"""tools/ab.py's summary of A/B run documents, on synthetic documents: no test runs
-the benchmark."""
+"""tools/ab.py's summary of A/B run documents, on synthetic documents, and its name for
+the measured tree, in a scratch git repository: no test runs the benchmark."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "ab.py"
@@ -45,3 +46,23 @@ def test_one_pair_has_its_value_as_every_quartile():
                        METRICS)["mc_warm"]["metrics"]["wall_s"]
     assert out["base"] == out["change"] == {"median": 2.0, "p25": 2.0, "p75": 2.0}
     assert out["change_won"] == 0                 # a tie is no win
+
+
+def test_working_tree_names_what_the_head_commit_lacks(tmp_path, monkeypatch):
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c",
+                               "user.email=t@t", *args], check=True, capture_output=True,
+                              text=True).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "a.txt").write_text("one\n")
+    git("add", "a.txt")
+    git("commit", "-qm", "one")
+    monkeypatch.setattr(ab, "ROOT", tmp_path)
+    assert ab.working_tree() == git("rev-parse", "HEAD^{tree}")
+    (tmp_path / "a.txt").write_text("two\n")
+    (tmp_path / "b.txt").write_text("new\n")
+    tree = ab.working_tree()
+    assert git("diff", "--name-only", "HEAD", tree).split() == ["a.txt", "b.txt"]
+    # the index is untouched: nothing staged, b.txt still untracked
+    assert git("diff", "--cached", "--name-only") == "" and git("ls-files", "-o") == "b.txt"

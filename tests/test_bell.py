@@ -209,12 +209,12 @@ def test_quadrature_oracle_agrees_on_catalog_states(pipeline_state):
             assert abs(closed - p_plus_plus_quadrature_oracle(v, chi)) < 1e-13
 
 
-def literal_quadrature_sum(v, chi, scale=1.0, block=256):
+def literal_quadrature_sum(v, chi, scale=1.0, tile=1024):
     """The oracle's sum written out: |amp|^2 over the tensor grid of half_line_gram's nodes
-    out to the oracle's x_max, each weighing (CELL_WIDTH / 2)^2, summed a block of x-nodes
-    at a time so that no full grid is held; amp(x, y) = amp(y, x), so a block meets only
-    the y-nodes from its own on, and counts those past it twice.  scale takes the
-    convention psi_n(x) -> sqrt(s) psi_n(s x), on the same cells over [0, x_max / s]."""
+    out to the oracle's x_max, each weighing (CELL_WIDTH / 2)^2, summed over square tiles of
+    nodes so that no full grid is held; amp(x, y) = amp(y, x), so a row of tiles starts at
+    the diagonal and counts the tiles past it twice.  scale takes the convention
+    psi_n(x) -> sqrt(s) psi_n(s x), on the same cells over [0, x_max / s]."""
     c = v.coeffs / np.linalg.norm(v.coeffs)
     x_max = max(12.0, np.sqrt(2.0 * c.size - 1.0) + 6.0) / scale
     xs = bell.cell_nodes((np.arange(np.ceil(x_max / bell.CELL_WIDTH)) + 0.5) * bell.CELL_WIDTH)
@@ -222,20 +222,23 @@ def literal_quadrature_sum(v, chi, scale=1.0, block=256):
     V = np.sqrt(scale) * bell.hermite_basis(c.size - 1, scale * xs)[occupied]
     p = (c * np.exp(1j * chi * np.arange(c.size)))[occupied]
     total = 0.0
-    for i in range(0, xs.size, block):
-        Vx = V[:, i:i + block]
-        # rows Re amp and Im amp of the block's x-nodes, against the y-nodes from i on
-        amp = np.concatenate([Vx * p.real[:, None], Vx * p.imag[:, None]], axis=1).T @ V[:, i:]
-        np.square(amp, out=amp)
-        total += np.sum(amp[:, :Vx.shape[1]]) + 2.0 * np.sum(amp[:, Vx.shape[1]:])
+    for i in range(0, xs.size, tile):
+        Vx = V[:, i:i + tile]
+        # rows Re amp and Im amp of the tile's x-nodes
+        rows = np.concatenate([Vx * p.real[:, None], Vx * p.imag[:, None]], axis=1).T
+        for j in range(i, xs.size, tile):
+            amp = rows @ V[:, j:j + tile]
+            total += (1.0 if j == i else 2.0) * np.sum(np.square(amp, out=amp))
     return (0.5 * bell.CELL_WIDTH) ** 2 * total
 
 
 def test_quadrature_oracle_is_the_literal_tensor_sum(pipeline_state):
-    # the whole grid costs O(nodes^2 levels), so one angle per state; each x_max but
-    # circle's (12) takes the rule past the sampler's grid: 13.9 and, for tmss(0.9, 64), 17.4
+    # the literal grid costs O(nodes^2 levels), so one angle per state; x_max is 12 for
+    # circle(1.12) and the seed, and 13.6 to 17.4 past the sampler's grid for the others
+    states = [tmss(0.6), circle(1.12), ps_tmss(0.6), seed(1 / np.sqrt(2), cutoff=8),
+              pipeline_state, tmss(0.9, 64), circle(3.0)]
     rng = np.random.default_rng(16)
-    for v in (pipeline_state, circle(1.12), tmss(0.9, 64)):
+    for v in states:
         chi = rng.uniform(-np.pi, np.pi)
         got = p_plus_plus_quadrature_oracle(v, chi)
         assert abs(got - literal_quadrature_sum(v, chi)) <= 1e-15

@@ -385,6 +385,27 @@ def test_raw_pairs_keep_precision_on_a_light_half_line():
     _assert_light_halves_exact(v, 0.0, plus, minus)
 
 
+def test_cell_table_is_not_moved_by_rounding_of_w_plus():
+    # tmss(0.5) at 64 levels: the outer cells' far half-line holds about 4e-21 of their
+    # mass.  Taken as v^T (P o W_s) v that mass was +-1e-19 of rounding, 340 cells were
+    # clipped to 0, and a W+ changed in its last bits moved every per-cell count after the
+    # first cell whose clip it flipped.  As a sum of squares no cell is 0, and such a W+
+    # moves no count
+    v = tmss(0.5, cutoff=64)
+    noise = 1.0 + 4e-16 * np.random.default_rng(3).standard_normal((v.coeffs.size,) * 2)
+    for chi in (0.0, 0.3, np.pi):
+        plan, nudged = sampler._SamplerPlan(v.coeffs, chi), sampler._SamplerPlan(v.coeffs, chi)
+        nudged.w_plus = plan.w_plus * np.sqrt(noise * noise.T)
+        assert np.all(plan.joint > 0) and np.all(plan.joint[:, 1] == plan.joint[::-1, 0])
+        assert 0 < np.max(np.abs(nudged.joint - plan.joint)) < 1e-15
+        for s in range(20):
+            counts = np.random.Generator(np.random.Philox(s)).multinomial(
+                5_000, plan.quadrants).reshape(2, 2)
+            got, want = (np.concatenate(p.cell_counts(counts, np.random.Generator(
+                np.random.Philox(s)))) for p in (nudged, plan))
+            assert np.array_equal(got, want)
+
+
 def test_raw_x_b_has_the_x_a_marginal(pipeline_state):
     # sum_n c_n |n, n>: both modes have the reduced state sum_n c_n^2 |n><n|, so x_B of
     # one batch and x_A of an independent one share a law; the two columns of one batch

@@ -12,8 +12,11 @@ first in odd ones, and reads each run's last JSON line.
 The output holds, per workload and metric (BENCHMARK.json's end-to-end metrics, or
 its per-layer ones with --trace 1), each side's median and quartiles, every pair's
 two values, the pairs the change won and the metric's bound; then every run's
-`correct`, `failed` and `attempted`, and the environment.  It judges nothing: a run
-that reads `correct: false` is listed, not dropped.
+`correct`, `failed` and `attempted`, and the environment.  The measured working
+tree is named by its git tree hash, `change_tree`, read before the first run with
+untracked files included, beside its HEAD commit `change_head`:
+`git diff change_head change_tree` shows what it held beyond that commit.  It judges
+nothing: a run that reads `correct: false` is listed, not dropped.
 """
 
 import argparse
@@ -67,9 +70,18 @@ def summarize(pairs: dict, metrics: list) -> dict:
     return out
 
 
-def git(*args: str) -> str:
+def git(*args: str, env=None) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True,
-                          check=True).stdout.strip()
+                          check=True, env=env).stdout.strip()
+
+
+def working_tree() -> str:
+    """Tree hash of the working tree as measured, untracked files included (not ignored
+    ones), written through a scratch index so the real index is not touched."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        git("add", "-A", env=env)
+        return git("write-tree", env=env)
 
 
 def main(argv=None) -> int:
@@ -83,7 +95,7 @@ def main(argv=None) -> int:
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     args = ap.parse_args(argv)
-    base_rev = git("rev-parse", args.base)
+    base_rev, change_tree = git("rev-parse", args.base), working_tree()
     pairs = {w: [] for w in args.workloads.split(",")}
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", base_rev],
@@ -102,8 +114,10 @@ def main(argv=None) -> int:
     result = {
         "args": vars(args),
         "env": {"python": platform.python_version(), "numpy": numpy.__version__,
-                "cpu_count": os.cpu_count(), "base": base_rev, "change": git("rev-parse", "HEAD"),
-                "change_dirty": bool(git("status", "--porcelain"))},
+                "cpu_count": os.cpu_count(), "base": base_rev,
+                "base_tree": git("rev-parse", base_rev + "^{tree}"),
+                "change_head": git("rev-parse", "HEAD"), "change_tree": change_tree,
+                "change_dirty": change_tree != git("rev-parse", "HEAD^{tree}")},
         "workloads": summarize(pairs, spec["per_layer" if args.trace else "end_to_end"]),
     }
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
