@@ -68,8 +68,8 @@ def half_line_gram(n_max: int, x_max: float, blas: bool = True) -> np.ndarray:
     """W_nm = integral_0^x_max psi_n psi_m dx, n, m <= n_max, by cell_nodes over the first
     ceil(x_max / CELL_WIDTH) cells from 0, summed over _GRAM_BLOCKS blocks of nodes, each
     block's product by BLAS or, with blas=False, by einsum, which never starts OpenBLAS's
-    threads: the oracle's first call, the first threaded BLAS call of a process started
-    after an idle spell, stalled there for up to a second (the sampler's plans did not)."""
+    threads: in a process started after an idle spell, waking them stalled the oracle's
+    first call for up to a second."""
     centers = (np.arange(math.ceil(x_max / CELL_WIDTH)) + 0.5) * CELL_WIDTH
     blocks = (hermite_basis(n_max, x) for x in np.array_split(cell_nodes(centers), _GRAM_BLOCKS))
     product = (lambda V: V @ V.T) if blas else (lambda V: np.einsum("ni,mi->nm", V, V))

@@ -12,16 +12,16 @@ of is refused.  The sign counts of n i.i.d. pairs are then exactly
 Multinomial(n, quadrant masses), one 4-category draw for any n.  Raw pairs, made
 only on request, read the table P(x_A in cell, sign x_B), built then as sums of
 squares from a factor of W+ (so no cell's mass is rounding below 0) with its x_B < 0
-column the mirror image of its x_B >= 0 one, and start from per-cell counts drawn given the counts (each quadrant's count
-spread over its cells by a multinomial, their exact conditional law): x_A uniform
-inside its cell, x_B inside the half-line of its counted sign by a two-level
-inversion of its conditional CDF at the cell's midpoint (128-point blocks, then
-one block's points; the x_B >= 0 half from its upper end, so a half with little
-mass keeps its precision), then shuffled; drawn after the counts, they never
-change them.  The counts, per quadrant and per x_A cell, follow the exact law;
-a raw pair inside its cells does not follow the Born density (x_A uniform, x_B
-from point weights at the cell midpoints).  The sampler never reuses the
-closed-form overlap table, so it stays an independent check on it.
+column the mirror image of its x_B >= 0 one, and start from per-cell counts drawn
+given the counts (each quadrant's count spread over its cells by a multinomial, their
+exact conditional law): x_A uniform inside its cell, x_B inside the half-line of
+its counted sign by a two-level inversion of its conditional CDF at the cell's
+midpoint (128-point blocks, then one block's points; the x_B >= 0 half from its
+upper end, so a half with little mass keeps its precision), then shuffled; drawn
+after the counts, they never change them.  The counts, per quadrant and per x_A
+cell, follow the exact law; a raw pair inside its cells does not follow the Born
+density (x_A uniform, x_B from point weights at the cell midpoints).  The sampler
+never reuses the closed-form overlap table, so it stays an independent check on it.
 
 Randomness comes from numpy's counter-based Philox engine; the algorithm name
 is recorded in each batch, and a batch is a pure function of its seed.
@@ -104,9 +104,8 @@ class _SamplerPlan:
         """joint[cell, s] = P(x_A in cell, sign x_B = s), s = x_B >= 0, x_B < 0."""
         # Re(a^H W+ a) for a = phase o v is v^T (P o W+) v, P = Re(conj(phase) phase^T) =
         # r r^T + i i^T (r, i the real and imaginary parts); with W+ = L L^T it is
-        # ||[r o L, i o L]^T v||^2: never below 0, where v^T (P o W+) v takes a
-        # cell's mass of ~1e-21 to +-1e-19 of rounding, and a clip of it to 0 shifts every
-        # later draw
+        # ||[r o L, i o L]^T v||^2: never below 0, where v^T (P o W+) v takes a cell's mass
+        # of ~1e-21 to +-1e-19 of rounding, and a clip of it to 0 shifts every later draw
         lam, U = np.linalg.eigh(self.w_plus)
         L = U * np.sqrt(np.clip(lam, 0.0, None))
         A = np.hstack([self.phase.real[:, None] * L, self.phase.imag[:, None] * L]).T @ \
