@@ -14,8 +14,9 @@ Wronskian psi_m psi_n' - psi_n psi_m' has derivative 2 (m - n) psi_n psi_m and
 
 with psi_n'(0) = sqrt(n/2) psi_(n-1)(0) - sqrt((n+1)/2) psi_(n+1)(0).  Entries
 of equal parity vanish.  One quadrature, `half_line_gram` (two Gauss-Legendre
-nodes per cell of the sampler's grid), gives the 2-D oracle and the sampler their
-half-line Gram matrices, so both stay independent of G; sign binning is scale
+nodes per cell of the sampler's grid, cached), gives the 2-D oracle and the sampler
+their half-line Gram matrices W, and one form, `quadrant_mass` = Re p^H (W o W) p,
+their quadrant masses, so both stay independent of G; sign binning is scale
 invariant, so the quadrature convention is immaterial.  Flipping one party's
 sign shifts chi by pi, and the parity of G gives K(chi) + K(chi + pi) = I/2, so
 P+-(chi) = P++(chi + pi) = 1/2 - P++(chi).  Every Bell quantity therefore
@@ -64,16 +65,23 @@ def cell_nodes(centers: np.ndarray) -> np.ndarray:
     return (centers[:, None] + np.array([-0.5, 0.5]) * CELL_WIDTH / np.sqrt(3.0)).ravel()
 
 
-def half_line_gram(n_max: int, x_max: float, blas: bool = True) -> np.ndarray:
-    """W_nm = integral_0^x_max psi_n psi_m dx, n, m <= n_max, by cell_nodes over the first
-    ceil(x_max / CELL_WIDTH) cells from 0, summed over _GRAM_BLOCKS blocks of nodes, each
-    block's product by BLAS or, with blas=False, by einsum, which never starts OpenBLAS's
-    threads: in a process started after an idle spell, waking them stalled the oracle's
-    first call for up to a second."""
+@lru_cache(maxsize=64)
+def half_line_gram(n_max: int, x_max: float) -> np.ndarray:
+    """Read-only W_nm = integral_0^x_max psi_n psi_m dx, n, m <= n_max, by cell_nodes over the
+    first ceil(x_max / CELL_WIDTH) cells from 0, summed over _GRAM_BLOCKS blocks of nodes, each
+    block's product by einsum, which never starts OpenBLAS's threads: in a process started
+    after an idle spell, waking them stalled a first call for up to a second; cached."""
     centers = (np.arange(math.ceil(x_max / CELL_WIDTH)) + 0.5) * CELL_WIDTH
     blocks = (hermite_basis(n_max, x) for x in np.array_split(cell_nodes(centers), _GRAM_BLOCKS))
-    product = (lambda V: V @ V.T) if blas else (lambda V: np.einsum("ni,mi->nm", V, V))
-    return 0.5 * CELL_WIDTH * sum(product(V) for V in blocks)
+    W = 0.5 * CELL_WIDTH * sum(np.einsum("ni,mi->nm", V, V) for V in blocks)
+    W.setflags(write=False)
+    return W
+
+
+def quadrant_mass(W: np.ndarray, p: np.ndarray) -> float:
+    """Re p^H (W o W) p: the mass of |sum_n p_n psi_n(x) psi_n(y)|^2 over the quadrant whose
+    two half-lines have the Gram matrix W."""
+    return float(np.vdot(p, (W * W) @ p).real)
 
 
 @lru_cache(maxsize=64)
@@ -157,23 +165,13 @@ def ch_S(v: CoefficientVector, chi: float) -> float:
     return _p_plus_plus_of(v.coeffs.tobytes())[1](chi)
 
 
-@lru_cache(maxsize=64)
-def _quadrature_gram(n_max: int) -> np.ndarray:
-    """Read-only oracle Gram: half_line_gram out to max(12, sqrt(2 n_max + 1) + 6), by einsum;
-    cached."""
-    W = half_line_gram(n_max, max(12.0, math.sqrt(2.0 * n_max + 1.0) + 6.0), blas=False)
-    W.setflags(write=False)
-    return W
-
-
 def p_plus_plus_quadrature_oracle(v: CoefficientVector, chi: float) -> float:
     """2-D quadrature of |sum_n p_n psi_n(x) psi_n(y)|^2, p_n = c_n e^(i n chi), over the
     positive quadrant on the tensor product of half_line_gram's nodes: the sum factorizes
-    exactly as p^H (W o W) p.  Never reads G; used as the closed form's oracle."""
+    exactly as quadrant_mass.  Never reads G; used as the closed form's oracle."""
     c = _checked_coeffs(v.coeffs)
-    W = _quadrature_gram(c.size - 1)
-    p = c * np.exp(1j * chi * np.arange(c.size))
-    return float(np.vdot(p, (W * W) @ p).real)
+    W = half_line_gram(c.size - 1, max(12.0, math.sqrt(2.0 * c.size - 1.0) + 6.0))
+    return quadrant_mass(W, c * np.exp(1j * chi * np.arange(c.size)))
 
 
 @dataclass(frozen=True)

@@ -199,13 +199,11 @@ def cmd_optimize(args) -> None:
         _emit(_csv(["chi_star", args.objective.upper()], [(chi_star, val)]), args.out)
     elif args.family:
         _read_flags(args, f"--family {args.family}", {**reads, "family": None, "chi": np.pi / 4})
-        bell.check_phase(args.chi, catalog.WORKING_CUTOFF, 3)
         p_star, val = optimizer.optimize_family_parameter(args.family, args.chi,
                                                           objective=args.objective)
         _emit(_csv(["parameter", args.objective.upper()], [(p_star, val)]), args.out)
     else:
         _read_flags(args, "the coefficient search", {**reads, "n": 10, "chi": np.pi / 4})
-        bell.check_phase(args.chi, args.n, 3)
         vec, val, _ = optimizer.optimize_coefficients(args.n, args.chi, objective=args.objective)
         sys.stderr.write(f"best {args.objective.upper()} = {val:.9f}\n")
         _emit(state_file_text(vec), args.out)

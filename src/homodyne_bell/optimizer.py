@@ -98,6 +98,7 @@ def optimize_coefficients(n_max: int, chi: float, objective: str = "chsh",
     the constraint binds, is the KKT point `_nonnegative_top` certifies, for
     chi in (0, pi/2] only: beyond it that point can lie below the optimum.
     """
+    bell.check_phase(chi, n_max, 3)
     report = _reported(objective)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -171,6 +172,7 @@ def optimize_family_parameter(family: str, chi: float, objective: str = "chsh"):
 
     Returns (best parameter, best value).
     """
+    bell.check_phase(chi, catalog.WORKING_CUTOFF, 3)
     report = _reported(objective)
     family = catalog.family_name(family)
     if family not in catalog.FAMILIES:

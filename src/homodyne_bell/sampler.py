@@ -5,23 +5,24 @@ Pairs (x_A, x_B) come from the Born density
 over [-12, 12].  Only signs enter the Bell functionals.  Per (state, chi) the
 sampler keeps the four quadrant masses Re(p^H (W_sA o W_sB) p), p = c o e^(i n chi),
 from W+ = bell.half_line_gram over the cells of x >= 0 (two Gauss-Legendre nodes
-per cell, error O(dx^4): the masses match the closed form P++ to about 1e-15).
-By parity W- = (-1)^(n+m) W+, so A+B+ = A-B- and A+B- = A-B+ are the plain and
-the parity-signed sum of P o W+ o W+; a state the grid holds less than 1 - 1e-9
-of is refused.  The sign counts of n i.i.d. pairs are then exactly
-Multinomial(n, quadrant masses), one 4-category draw for any n.  Raw pairs, made
-only on request, read the table P(x_A in cell, sign x_B), built then as sums of
-squares from a factor of W+ (so no cell's mass is rounding below 0) with its x_B < 0
-column the mirror image of its x_B >= 0 one, and start from per-cell counts drawn
-given the counts (each quadrant's count spread over its cells by a multinomial, their
-exact conditional law): x_A uniform inside its cell, x_B inside the half-line of
-its counted sign by a two-level inversion of its conditional CDF at the cell's
-midpoint (128-point blocks, then one block's points; the x_B >= 0 half from its
-upper end, so a half with little mass keeps its precision), then shuffled; drawn
-after the counts, they never change them.  The counts, per quadrant and per x_A
-cell, follow the exact law; a raw pair inside its cells does not follow the Born
-density (x_A uniform, x_B from point weights at the cell midpoints).  The sampler
-never reuses the closed-form overlap table, so it stays an independent check on it.
+per cell, error O(dx^4): the masses match the closed form P++ to about 1e-15),
+cached there, so the plans at chi and 3 chi of a state share it.  By parity
+W- = (-1)^(n+m) W+, so A+B+ = A-B- and A+B- = A-B+ are bell.quadrant_mass of W+
+at p and at p o (-1)^n; a state the grid holds less than 1 - 1e-9 of is refused.
+The sign counts of n i.i.d. pairs are then exactly Multinomial(n, quadrant
+masses), one 4-category draw for any n.  Raw pairs, made only on request, read the
+table P(x_A in cell, sign x_B), built then as sums of squares from a factor of W+
+(so no cell's mass is rounding below 0) with its x_B < 0 column the mirror image of
+its x_B >= 0 one, and start from per-cell counts drawn given the counts (each
+quadrant's count spread over its cells by a multinomial, their exact conditional
+law): x_A uniform inside its cell, x_B inside the half-line of its counted sign by
+a two-level inversion of its conditional CDF at the cell's midpoint (128-point
+blocks, then one block's points; the x_B >= 0 half from its upper end, so a half
+with little mass keeps its precision), then shuffled; drawn after the counts, they
+never change them.  The counts, per quadrant and per x_A cell, follow the exact
+law; a raw pair inside its cells does not follow the Born density (x_A uniform, x_B
+from point weights at the cell midpoints).  The sampler never reuses the closed-form
+overlap table, so it stays an independent check on it.
 
 Randomness comes from numpy's counter-based Philox engine; the algorithm name
 is recorded in each batch, and a batch is a pure function of its seed.
@@ -34,7 +35,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bell import CELL_WIDTH, cell_nodes, check_phase, half_line_gram, hermite_basis
+from .bell import CELL_WIDTH, cell_nodes, check_phase, half_line_gram, hermite_basis, quadrant_mass
 from .fock_core import CoefficientVector
 
 GENERATOR_NAME = "philox4x64"
@@ -87,10 +88,10 @@ class _SamplerPlan:
         self.phase = coeffs * np.exp(1j * chi * np.arange(k))
         # W+ over the grid's x >= 0 cells; psi_n has parity (-1)^n, so W- = parity o W+ and
         # quadrant (s_A, s_B) holds Re(p^H (W_sA o W_sB) p), p = phase: A-B- is A+B+ and
-        # A-B+ is A+B-, the plain and the parity-signed sum of P o W+ o W+
+        # A-B+ is A+B-, the mass of W+ at p o (-1)^n
         self.w_plus = half_line_gram(k - 1, GRID_HALF_WIDTH)
-        Q = (self.phase.conj()[:, None] * self.phase).real * self.w_plus * self.w_plus
-        same, cross = Q.sum(), np.sum((-1.0) ** (np.arange(k)[:, None] + np.arange(k)) * Q)
+        same = quadrant_mass(self.w_plus, self.phase)
+        cross = quadrant_mass(self.w_plus, self.phase * (-1.0) ** np.arange(k))
         masses = np.array([same, cross, cross, same])        # A+B+, A+B-, A-B+, A-B-
         lost = 1.0 - masses.sum() / np.dot(coeffs, coeffs)
         if lost > _MASS_TOL:
@@ -194,8 +195,8 @@ class _SamplerPlan:
 
 
 @lru_cache(maxsize=4)
-def _plan_for(coeff_bytes: bytes, k: int, chi: float) -> _SamplerPlan:
-    coeffs = np.trim_zeros(np.frombuffer(coeff_bytes, dtype=float, count=k), "b")  # occupied levels
+def _plan_for(coeff_bytes: bytes, chi: float) -> _SamplerPlan:
+    coeffs = np.trim_zeros(np.frombuffer(coeff_bytes), "b")       # occupied levels
     return _SamplerPlan(coeffs, chi)
 
 
@@ -223,7 +224,7 @@ def sample_joint(v: CoefficientVector, chi: float, n: int, seed: int,
     if not 1 <= n <= 2 ** 63 - 1:
         raise ValueError(f"n = {n} pairs is outside [1, 2**63 - 1]")
     check_phase(chi, c.size - 1)
-    plan = _plan_for(c.tobytes(), c.size, float(chi))
+    plan = _plan_for(c.tobytes(), float(chi))
     rng = np.random.Generator(np.random.Philox(seed))
     counts = rng.multinomial(n, plan.quadrants).reshape(2, 2)
     samples = plan.raw_pairs(*plan.cell_counts(counts, rng), rng) if keep_samples else None

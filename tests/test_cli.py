@@ -500,6 +500,7 @@ OVERFLOWING_CHI = [
     ["bell", "--state", "circle.json"],     # printed two RuntimeWarnings from cos
     ["scan", "--steps", "2"],                 # wrote nan values and exited 0
     ["optimize"],
+    ["optimize", "--family", "circle"],
     ["pipeline", "--xi", "0.7071"],
     ["scan", "--param", "chi", "--value", "1.12", "--from", "0", "--steps", "2", "--to"],
 ]

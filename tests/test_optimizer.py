@@ -186,6 +186,19 @@ def test_nonnegative_optimum_keeps_its_domain(chi):
     assert np.all(vec.coeffs >= 0.0) and abs(ch_S(vec, chi) - s) < 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("chi, why", [(1e308, "too large"), (-1e308, "too large"),
+                                      (np.nan, "not finite"), (np.inf, "not finite")])
+def test_optimizers_refuse_a_chi_whose_phase_overflows(chi, why):
+    # only the CLI refused these: at 1e308 the coefficient search warned, then raised
+    # LinAlgError, and the family search returned (1.1767997331878102, nan), as at nan
+    refused = rf"^chi = {re.escape(str(chi))} is {why}$"
+    with pytest.raises(ValueError, match=refused):
+        optimize_coefficients(10, chi)
+    with pytest.raises(ValueError, match=refused):
+        optimize_family_parameter("circle", chi)
+
+
 def test_large_dimension_is_solved():
     vec, value, _ = optimize_coefficients(24, CHI)
     assert vec.cutoff == 24

@@ -96,7 +96,7 @@ def test_estimate_respects_gaussian_bound():
 
 def _plan(v, chi):
     """The cached plan sample_joint draws v's batches at chi from."""
-    return sampler._plan_for(v.coeffs.tobytes(), v.coeffs.size, float(chi))
+    return sampler._plan_for(v.coeffs.tobytes(), float(chi))
 
 
 def _replayed_cells(plan, n, seed_):
@@ -483,14 +483,17 @@ def basis_sizes(monkeypatch):
 
 
 def test_counts_never_build_the_cell_table(pipeline_state, basis_sizes):
-    # the basis is evaluated one block of x >= 0 nodes at a time for the counts; the whole
-    # 2^15-node grid only once raw pairs are asked for
+    # the basis is evaluated one block of x >= 0 nodes at a time for the counts, once for
+    # the W+ both plans share; the whole 2^15-node grid only once raw pairs are asked for
     seen = basis_sizes
     sampler._plan_for.cache_clear()
+    bell.half_line_gram.cache_clear()
     estimate_B(pipeline_state, CHI, 10 ** 6, seed=1)
     block = sampler.GRID_POINTS // bell._GRAM_BLOCKS               # x >= 0 nodes per block
-    assert seen == [block] * (2 * bell._GRAM_BLOCKS)               # two plans, counts only
+    assert seen == [block] * bell._GRAM_BLOCKS                     # two plans, counts only
     assert not any("joint" in vars(_plan(pipeline_state, chi)) for chi in (CHI, 3.0 * CHI))
+    estimate_B(pipeline_state, 0.5, 10 ** 6, seed=1)               # new plans, the same W+
+    assert seen == [block] * bell._GRAM_BLOCKS
     sample_joint(pipeline_state, CHI, 10, seed=1, keep_samples=True)
     assert max(seen) == 2 * sampler.GRID_POINTS and "joint" in vars(_plan(pipeline_state, CHI))
 
@@ -499,11 +502,22 @@ def test_grid_truncation_is_refused_from_the_gram_matrix(basis_sizes):
     # refused before any per-cell table, with the message the table's refusal gave
     c = np.zeros(100)
     c[80:] = np.sqrt(1.0 / 20.0)
+    bell.half_line_gram.cache_clear()
     with pytest.raises(ValueError) as refused:
         sampler._SamplerPlan(c, CHI)
     assert str(refused.value) == ("the sampling grid [-12, 12] misses 0.529 of the state's "
                                   "quadrature mass (limit 1e-09)")
     assert basis_sizes == [sampler.GRID_POINTS // bell._GRAM_BLOCKS] * bell._GRAM_BLOCKS
+
+
+def test_plans_read_the_one_cached_gram(pipeline_state):
+    # W+ is half_line_gram's own array at the grid's half-width, shared and read-only
+    sampler._plan_for.cache_clear()                # no plan kept from an older Gram cache
+    k = np.trim_zeros(pipeline_state.coeffs, "b").size
+    for chi in (CHI, 3.0 * CHI):
+        w_plus = _plan(pipeline_state, chi).w_plus
+        assert w_plus is bell.half_line_gram(k - 1, sampler.GRID_HALF_WIDTH)
+        assert not w_plus.flags.writeable
 
 
 def test_sample_joint_refuses_n_beyond_int64(pipeline_state):
