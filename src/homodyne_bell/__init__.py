@@ -12,7 +12,7 @@ from .bell import (
     p_plus_plus,
     p_plus_plus_quadrature_oracle,
 )
-from .catalog import CatalogSpec, circle, pipelined, ps_tmss, seed, seed_transmissivity, tmss
+from .catalog import circle, pipelined, ps_tmss, seed, seed_transmissivity, tmss
 from .fock_core import (
     CoefficientVector,
     ConditionalEnsemble,

@@ -10,16 +10,17 @@ Without a cutoff the levels run to the first N >= 1 with (alpha_N t^N)^2 < TAIL_
 at most HARD_CUTOFF_CAP = 64.  The norm is at least alpha_0 = 1, so only a capped state can
 keep c_N^2 at or above the tolerance, and such a state is refused.  An explicit cutoff
 truncates as asked and the vector's `tail_mass` reports c_N^2; the seed's default cutoff is
-2.  The catalog holds states only: the distillation protocol that prepares `pipelined`
-lives in `pipeline`.  Rows are immutable, so `_series` keeps the last 32 rows, keyed on the
-canonical arguments every generator passes it, and `_alphas` keeps the alpha_n per family
-and size.
+2.  `family(name)` is the one lookup of a family's FAMILIES entry (any spelling
+`family_name` accepts) and `build(name, parameter, cutoff, path)` the one dispatch to its
+generator, or to the state file of `custom`.  The catalog holds states only: the
+distillation protocol that prepares `pipelined` lives in `pipeline`.  Rows are immutable,
+so `_series` keeps the last 32 rows, keyed on the canonical arguments every generator
+passes it, and `_alphas` keeps the alpha_n per family and size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -43,18 +44,38 @@ def family_name(name: str) -> str:
     return name.replace("-", "_")
 
 
+def family(name: str) -> Family:
+    """The FAMILIES entry of `name`, in any spelling `family_name` accepts."""
+    if family_name(name) not in FAMILIES:
+        raise ValueError(f"unknown family {family_name(name)!r}; choose from {tuple(FAMILIES)}")
+    return FAMILIES[family_name(name)]
+
+
+def build(name: str, parameter: float | None = None, cutoff: int | None = None,
+          path: str | None = None) -> CoefficientVector:
+    """The family's state at `parameter`, or for `custom` the state file at `path`."""
+    fam = family(name)
+    if fam.build is None:
+        if not path:
+            raise ValueError("custom family requires a state-file path")
+        return read_state_file(path)
+    if parameter is None:
+        raise ValueError(f"family {family_name(name)!r} requires a parameter")
+    return fam.build(parameter, cutoff)
+
+
 @lru_cache(maxsize=64)
-def _alphas(family: str, n_max: int, step: float) -> np.ndarray:
+def _alphas(name: str, n_max: int, step: float) -> np.ndarray:
     """Read-only alpha_0..alpha_n_max of a power-series family; cached by family and size."""
     alpha = np.ones(n_max + 1)
-    alpha[1:] = FAMILIES[family].ratio(np.arange(1.0, n_max + 1), step)
+    alpha[1:] = family(name).ratio(np.arange(1.0, n_max + 1), step)
     alpha = np.cumprod(alpha)
     alpha.setflags(write=False)
     return alpha
 
 
 @lru_cache(maxsize=32)
-def _series(family: str, param: float, t: float, cutoff: int | None, step: float,
+def _series(name: str, param: float, t: float, cutoff: int | None, step: float,
             provenance: str) -> CoefficientVector:
     """Normalized c_n ~ alpha_n t^n with the family's alpha_n, labelled `provenance`; the
     automatic cutoff and its refusal are the module docstring's.  Cached: every generator
@@ -62,7 +83,7 @@ def _series(family: str, param: float, t: float, cutoff: int | None, step: float
     if cutoff is not None and cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     n_max = HARD_CUTOFF_CAP if cutoff is None else cutoff
-    c = np.array(_alphas(family, n_max, step))
+    c = np.array(_alphas(name, n_max, step))
     k = np.count_nonzero(c)                 # alpha_n = 0 from its first zero on
     c[:k] *= t ** np.arange(float(k))       # t^n only where alpha_n != 0: a large t cannot overflow
     if cutoff is None:
@@ -71,7 +92,7 @@ def _series(family: str, param: float, t: float, cutoff: int | None, step: float
     c /= math.sqrt(c @ c)
     if cutoff is None and not c[-1] ** 2 < TAIL_TOL:
         raise ValueError(
-            f"{family} with {FAMILIES[family].parameter} = {param:g} keeps tail mass "
+            f"{name} with {family(name).parameter} = {param:g} keeps tail mass "
             f"c_N^2 = {c[-1] ** 2:.2e} > {TAIL_TOL:g} at the {HARD_CUTOFF_CAP}-level "
             f"automatic cutoff cap; pass an explicit cutoff")
     return CoefficientVector(c, normalized=True, provenance=provenance)
@@ -146,29 +167,3 @@ def seed_transmissivity(xi: float, lam: float) -> float:
     if lam <= 0.0:
         raise ValueError("transmissivity formula is singular at lambda = 0")
     return 2.0 * lam / (xi + np.sqrt(xi * xi + 8.0 * lam * lam))
-
-
-@dataclass(frozen=True)
-class CatalogSpec:
-    """A named state family plus its parameter, resolvable to coefficients."""
-
-    family: str
-    parameter: float | None = None
-    path: str | None = None
-    cutoff: int | None = None
-
-    def __post_init__(self):
-        fam = family_name(self.family)
-        object.__setattr__(self, "family", fam)
-        if fam not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; choose from {tuple(FAMILIES)}")
-        if fam == "custom":
-            if not self.path:
-                raise ValueError("custom family requires a state-file path")
-        elif self.parameter is None:
-            raise ValueError(f"family {fam!r} requires a parameter")
-
-    def build(self) -> CoefficientVector:
-        """The family's state at its parameter."""
-        build = FAMILIES[self.family].build
-        return read_state_file(self.path) if build is None else build(self.parameter, self.cutoff)

@@ -80,11 +80,10 @@ def cmd_state(args) -> None:
         _emit(_compare_table(), args.out)
         return
     family = args.family or "tmss"
-    own = catalog.FAMILIES[family].parameter
+    own = catalog.family(family).parameter
     _read_flags(args, f"--family {family}", {"family": family, "format": "json", **(
         {own: None, "cutoff": None} if own else {"file": None})})
-    v = catalog.CatalogSpec(family, own and getattr(args, own), path=args.file,
-                            cutoff=args.cutoff).build()
+    v = catalog.build(family, own and getattr(args, own), args.cutoff, args.file)
     _emit(_csv(["n", "c_n"], [(n, float(c)) for n, c in enumerate(v.coeffs)])
           if args.format == "csv" else state_file_text(v), args.out)
 
@@ -125,7 +124,7 @@ def cmd_bell(args) -> None:
 
 def cmd_scan(args) -> None:
     param, family = args.param or "r", args.family or "circle"
-    own = catalog.FAMILIES[family].parameter
+    own = catalog.family(family).parameter
     sweep = {"param": param, "to": 2.0, "metric": "chsh", "cutoff": catalog.WORKING_CUTOFF}
     grid = {**sweep, "family": family, "frm": 0.5, "steps": 61}
     if param == "iterations":
@@ -153,11 +152,11 @@ def cmd_scan(args) -> None:
         value = args.xi if args.value is None else args.value
         if value is None:
             raise ValueError(f"scan over chi needs --value for family {family!r}")
-        v = catalog.CatalogSpec(family, value, cutoff=args.cutoff).build()
+        v = catalog.build(family, value, args.cutoff)
         rows = [(float(ch), metric(v, float(ch))) for ch in values]
     else:
-        specs = (catalog.CatalogSpec(family, float(p), cutoff=args.cutoff) for p in values)
-        rows = [(spec.parameter, metric(spec.build(), args.chi)) for spec in specs]
+        rows = [(p, metric(catalog.build(family, p, args.cutoff), args.chi))
+                for p in values.tolist()]
     _emit(_csv([param, args.metric.upper()], rows), args.out)
 
 
@@ -180,12 +179,13 @@ def cmd_sample(args) -> None:
         # the batch counted in counts_chi, drawn again from its own (child) seed
         batch = sampler.sample_joint(v, args.chi, args.n, est.batch_chi.seed, keep_samples=True)
         row_fmt = f"{_FMT},{_FMT},%d,%d\n"
-        text = ["x_A,x_B,sign_A,sign_B\n"]
-        # a block of rows at a time, so the rows' Python objects never all exist at once
-        for xy in np.split(batch.samples, range(_DUMP_ROWS, args.n, _DUMP_ROWS)):
-            cols = (*xy.T.tolist(), *np.where(xy >= 0, 1, -1).T.tolist())
-            text.append("".join(map(row_fmt.__mod__, zip(*cols))))
-        _emit("".join(text), args.dump_xy)
+        # written a block of rows at a time, so neither the rows' Python objects nor the
+        # file's text ever all exist at once
+        with open(args.dump_xy, "w", newline="\n") as fh:
+            fh.write("x_A,x_B,sign_A,sign_B\n")
+            for xy in np.split(batch.samples, range(_DUMP_ROWS, args.n, _DUMP_ROWS)):
+                cols = (*xy.T.tolist(), *np.where(xy >= 0, 1, -1).T.tolist())
+                fh.write("".join(map(row_fmt.__mod__, zip(*cols))))
 
 
 def cmd_optimize(args) -> None:

@@ -174,16 +174,11 @@ def optimize_family_parameter(family: str, chi: float, objective: str = "chsh"):
     """
     bell.check_phase(chi, catalog.WORKING_CUTOFF, 3)
     report = _reported(objective)
-    family = catalog.family_name(family)
-    if family not in catalog.FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    bounds = catalog.FAMILIES[family].bounds
-    if bounds is None:
-        raise ValueError(f"no default bounds for family {family!r}")
-
-    build = catalog.FAMILIES[family].build
-    x, fun, _ = _bounded_brent(lambda p: -bell.ch_S(build(p, catalog.WORKING_CUTOFF), chi),
-                               *bounds, xatol=1e-8)
+    fam = catalog.family(family)
+    if fam.bounds is None:
+        raise ValueError(f"no default bounds for family {catalog.family_name(family)!r}")
+    x, fun, _ = _bounded_brent(lambda p: -bell.ch_S(fam.build(p, catalog.WORKING_CUTOFF), chi),
+                               *fam.bounds, xatol=1e-8)
     return float(x), report(-float(fun))
 
 

@@ -69,14 +69,6 @@ class SampleBatch:
         return float(c[0, 0] + c[1, 1] - c[0, 1] - c[1, 0]) / self.n_samples
 
 
-@lru_cache(maxsize=1)
-def _grid():
-    """Cell edges and centres, and bell.cell_nodes' two nodes per cell, for every plan."""
-    edges = (np.arange(GRID_POINTS + 1) - GRID_POINTS // 2) * CELL_WIDTH     # exact
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return edges, centers, cell_nodes(centers)
-
-
 class _SamplerPlan:
     """Quadrant masses for one (state, chi) from W+; the cell table on first raw-pair use."""
 
@@ -84,7 +76,6 @@ class _SamplerPlan:
 
     def __init__(self, coeffs: np.ndarray, chi: float):
         k = coeffs.size
-        self.edges, self.centers, self.nodes = _grid()
         self.phase = coeffs * np.exp(1j * chi * np.arange(k))
         # W+ over the grid's x >= 0 cells; psi_n has parity (-1)^n, so W- = parity o W+ and
         # quadrant (s_A, s_B) holds Re(p^H (W_sA o W_sB) p), p = phase: A-B- is A+B+ and
@@ -101,6 +92,15 @@ class _SamplerPlan:
         self.quadrants = masses / masses.sum()
 
     @cached_property
+    def edges(self) -> np.ndarray:
+        """Cell edges of the grid, exact multiples of CELL_WIDTH; raw pairs only."""
+        return (np.arange(GRID_POINTS + 1) - GRID_POINTS // 2) * CELL_WIDTH
+
+    @cached_property
+    def centers(self) -> np.ndarray:
+        return 0.5 * (self.edges[:-1] + self.edges[1:])
+
+    @cached_property
     def joint(self) -> np.ndarray:
         """joint[cell, s] = P(x_A in cell, sign x_B = s), s = x_B >= 0, x_B < 0."""
         # Re(a^H W+ a) for a = phase o v is v^T (P o W+) v, P = Re(conj(phase) phase^T) =
@@ -110,7 +110,7 @@ class _SamplerPlan:
         lam, U = np.linalg.eigh(self.w_plus)
         L = U * np.sqrt(np.clip(lam, 0.0, None))
         A = np.hstack([self.phase.real[:, None] * L, self.phase.imag[:, None] * L]).T @ \
-            hermite_basis(self.phase.size - 1, self.nodes)
+            hermite_basis(self.phase.size - 1, cell_nodes(self.centers))
         plus = np.einsum("jc,jc->c", A, A).reshape(-1, 2).sum(axis=1)
         # |amp(-x, -y)| = |amp(x, y)| and the grid is symmetric: a cell's x_B < 0 mass is
         # its mirror cell's x_B >= 0 mass

@@ -44,7 +44,7 @@ def test_cached_row_is_the_uncached_row(family, param, cutoff):
     fresh = build(param, cutoff)
     catalog._series.cache_clear()
     first, again = build(param, cutoff), build(param, cutoff)
-    spec = catalog.CatalogSpec(family, param, cutoff=cutoff).build()
+    spec = catalog.build(family, param, cutoff)
     assert again is first and spec is first and first is not fresh
     for row in (first, again):
         assert row.coeffs.tobytes() == fresh.coeffs.tobytes()
@@ -58,10 +58,10 @@ def test_cached_row_is_the_uncached_row(family, param, cutoff):
 def test_keyword_and_positional_calls_share_one_row():
     row = catalog.tmss(0.6, 64)
     assert catalog.tmss(0.6, cutoff=64) is row
-    assert catalog.CatalogSpec("tmss", 0.6, cutoff=64).build() is row
+    assert catalog.build("tmss", 0.6, cutoff=64) is row
     piped = catalog.pipelined(0.7071, 32, 2)
     assert catalog.pipelined(0.7071, iterations=2, cutoff=32) is piped
-    assert catalog.CatalogSpec("pipeline", 0.7071, cutoff=32).build() \
+    assert catalog.build("pipeline", 0.7071, cutoff=32) \
         is catalog.pipelined(0.7071, cutoff=32, iterations=3)
     assert catalog._series.cache_info().misses == 3
 

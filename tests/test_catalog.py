@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from homodyne_bell import (
-    CatalogSpec,
     catalog,
     circle,
     ps_tmss,
+    read_state_file,
     run_pipeline,
     seed,
     seed_transmissivity,
     tmss,
+    write_state_file,
 )
 from homodyne_bell.fock_core import TAIL_TOL
 from homodyne_bell.pipeline import PipelineConfig
@@ -121,24 +122,36 @@ def test_catalog_outputs_unit_norm_and_nonnegative():
         assert np.all(v.coeffs >= 0.0)
 
 
-def test_catalog_spec_builds_and_labels():
-    v = CatalogSpec("tmss", 0.6, cutoff=16).build()
+def test_build_dispatches_and_labels(tmp_path):
+    v = catalog.build("tmss", 0.6, cutoff=16)
     assert v.provenance == "tmss(0.6)"
     assert v.cutoff == 16
-    v = CatalogSpec("ps-tmss", 0.6).build()
+    v = catalog.build("ps-tmss", 0.6)
     assert v.provenance == "ps_tmss(0.6)"
-    v = CatalogSpec("pipeline", 1 / np.sqrt(2), cutoff=24).build()
+    v = catalog.build("pipeline", 1 / np.sqrt(2), cutoff=24)
     assert v.provenance.startswith("pipeline(xi=0.707107")
     assert v.cutoff == 23  # the final photon subtraction drops the top level
+    path = tmp_path / "circle.json"
+    write_state_file(circle(1.12, 32), path)
+    v = catalog.build("custom", path=str(path))
+    assert v.coeffs.tobytes() == read_state_file(path).coeffs.tobytes()
 
 
-def test_catalog_spec_validation():
-    with pytest.raises(ValueError):
-        CatalogSpec("squeezed_cat", 1.0)
-    with pytest.raises(ValueError):
-        CatalogSpec("tmss", None)
-    with pytest.raises(ValueError):
-        CatalogSpec("custom")
+def test_build_refusals():
+    with pytest.raises(ValueError, match=r"^unknown family 'squeezed_cat'; choose from \("):
+        catalog.build("squeezed-cat", 1.0)
+    with pytest.raises(ValueError, match=r"^family 'ps_tmss' requires a parameter$"):
+        catalog.build("ps-tmss", None)
+    with pytest.raises(ValueError, match=r"^custom family requires a state-file path$"):
+        catalog.build("custom")
+
+
+def test_family_is_the_one_lookup():
+    for name, entry in catalog.FAMILIES.items():
+        assert catalog.family(name) is entry
+        assert catalog.family(name.replace("_", "-")) is entry
+    with pytest.raises(ValueError, match=r"^unknown family 'quartic'; choose from \('tmss', "):
+        catalog.family("quartic")
 
 
 def test_auto_cutoff_hits_tail_tolerance():
@@ -151,7 +164,7 @@ def test_auto_cutoff_caps_at_hard_limit():
     for build, message in ((lambda: tmss(0.95, cutoff=None), "lambda = 0.95"),
                            (lambda: tmss(0.85), "lambda = 0.85"),
                            (lambda: ps_tmss(0.9), "lambda = 0.9"),
-                           (lambda: CatalogSpec("tmss", 0.9).build(), "lambda = 0.9")):
+                           (lambda: catalog.build("tmss", 0.9), "lambda = 0.9")):
         with pytest.raises(ValueError, match=message + ".*tail mass.*explicit cutoff"):
             build()
     # the largest auto cutoffs that still converge
@@ -212,7 +225,7 @@ def test_family_table_names_every_family():
         if family == "custom":
             assert parameter is None and bounds is None and build is None
         else:
-            assert CatalogSpec(family, bounds[1], cutoff=16).build().normalized
+            assert catalog.build(family, bounds[1], cutoff=16).normalized
 
 
 def _distilled_exactly(xi: float, cutoff: int, k: int) -> np.ndarray:

@@ -6,13 +6,22 @@ of the half-line overlap gives pi G_nm^2 = n r_(n-1) r_m / (2 (n - m)^2), a rati
 At chi = pi/4 each odd d has cos(d chi) = sigma_d / sqrt2 with sigma_d = +-1, and at
 xi = 1/sqrt2 each pair with n + m odd carries one more 1/sqrt2, so B = q / pi with q
 rational.  These checks never read the program's overlap table.
+
+The nonnegative optimum is certified in floating point on the kernel built from those
+rationals: a unit c >= 0 maximizing c^T M c with support F has c_F > 0 inside the face,
+so it is a local, hence the top, eigenvector of M_FF.  The largest lambda_max(M_FF) over
+the supports whose top eigenvector is strictly positive is the global optimum.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial, pi, sqrt
 
-from homodyne_bell import (PipelineConfig, catalog, ch_S, chsh_B, overgaussification_scan,
-                           run_pipeline)
+import numpy as np
+import pytest
+
+from homodyne_bell import (PipelineConfig, catalog, ch_S, chsh_B, optimize_coefficients,
+                           overgaussification_scan, run_pipeline)
 
 XI = 1.0 / sqrt(2.0)
 CHI = pi / 4.0
@@ -77,3 +86,42 @@ def test_criterion_08_exact_certificate():
         assert abs(b - float(qi) / pi) <= (2e-15 if i >= 3 else 2.5e-15)
     assert q[3] > q[4] > q[5] > q[6]
     assert max(range(7), key=q.__getitem__) == 3
+
+
+def bell_matrix(n_max, chi):
+    """M = 3 K(chi) - K(3 chi), K_nm = cos((n - m) chi) G_nm^2, with G_nn^2 = 1/4, G_nm = 0
+    for n - m even and nonzero, and G_nm^2 = pi_overlap_squared(n, m) / pi for n - m odd."""
+    k = n_max + 1
+    g2 = np.diag(np.full(k, 0.25))
+    for n in range(k):
+        for m in range(n % 2 == 0, k, 2):
+            g2[n, m] = float(pi_overlap_squared(n, m)) / pi
+    d = np.subtract.outer(np.arange(k), np.arange(k))
+    return (3.0 * np.cos(d * chi) - np.cos(3.0 * d * chi)) * g2
+
+
+def nonnegative_optimum(M):
+    """The largest lambda_max(M_FF) over supports F whose top eigenvector is strictly
+    positive (up to its sign).  A repeated top eigenvalue leaves that support undecided;
+    it is only an upper bound there, so the certificate fails if it could reach the optimum."""
+    best, undecided = -np.inf, []
+    for size in range(1, len(M) + 1):
+        faces = np.array(list(combinations(range(len(M)), size)))
+        w, V = np.linalg.eigh(M[faces[:, :, None], faces[:, None, :]])
+        top = V[:, :, -1] * np.sign(V[:, :1, -1])
+        repeated = w[:, -1] - w[:, -2] <= 1e-12 if size > 1 else np.zeros(len(faces), bool)
+        positive = ~repeated & np.all(top > 0.0, axis=1)
+        best = max(best, w[positive, -1].max(initial=-np.inf))
+        undecided += [(tuple(f), t) for f, t in zip(faces[repeated], w[repeated, -1])]
+    reaching = [(f, t) for f, t in undecided if t >= best - 1e-9]
+    assert not reaching, f"repeated top eigenvalue of M_FF near the optimum: {reaching[:4]}"
+    return best
+
+
+@pytest.mark.parametrize("chi", [CHI, 0.5])
+@pytest.mark.parametrize("n_max", [4, 6, 8, 10, 12])
+def test_nonnegative_optimum_is_global(n_max, chi):
+    s_star = nonnegative_optimum(bell_matrix(n_max, chi))
+    vec, s, _ = optimize_coefficients(n_max, chi, objective="ch", nonnegative=True)
+    assert np.all(vec.coeffs >= 0.0)
+    assert abs(s - s_star) <= 1e-15

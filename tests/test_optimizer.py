@@ -282,7 +282,7 @@ def _assert_brent_is_scipys(f, lo, hi, xatol, maxfun=500):
        chi=st.floats(0.0, np.pi))
 def test_family_search_is_scipys_bounded_brent(family, chi):
     def negated_s(p):
-        return -ch_S(catalog.CatalogSpec(family, p, cutoff=32).build(), chi)
+        return -ch_S(catalog.build(family, p, cutoff=32), chi)
     _assert_brent_is_scipys(negated_s, *catalog.FAMILIES[family].bounds, 1e-8)
 
 
@@ -323,7 +323,7 @@ def _certified_family_optimum(family, chi):
     lo, hi = catalog.FAMILIES[family].bounds
 
     def state(p):
-        return catalog.CatalogSpec(family, float(p), cutoff=32).build().coeffs
+        return catalog.build(family, float(p), cutoff=32).coeffs
 
     def at(x):
         return lo + 0.5 * (hi - lo) * (x + 1.0)

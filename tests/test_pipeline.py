@@ -339,7 +339,7 @@ def test_family_state_and_scan_run_no_protocol(monkeypatch):
 
     monkeypatch.setattr(pipeline, "run_pipeline", refuse)
     monkeypatch.setattr(pipeline, "gaussify_step", refuse)
-    v = catalog.CatalogSpec("pipeline", XI, cutoff=24).build()
+    v = catalog.build("pipeline", XI, cutoff=24)
     assert np.max(np.abs(v.coeffs - built.coeffs)) <= 1e-14
     for (i, b), (j, b_want) in zip(overgaussification_scan(XI, 6), want, strict=True):
         assert i == j and abs(b - b_want) <= 1e-14
