@@ -102,10 +102,11 @@ def overlap_table(n_max: int) -> np.ndarray:
     return G
 
 
-def _checked_coeffs(c: np.ndarray) -> np.ndarray:
+def checked_coeffs(c: np.ndarray) -> np.ndarray:
+    """c rescaled to unit norm; refused unless |c|^2 is within _EVAL_NORM_TOL of 1."""
     n2 = float(np.dot(c, c))
     if abs(n2 - 1.0) > _EVAL_NORM_TOL:
-        raise ValueError(f"Bell evaluation needs a normalized state (norm^2 = {n2!r})")
+        raise ValueError(f"Bell evaluation and sampling need a normalized state (norm^2 = {n2!r})")
     return c / math.sqrt(n2)
 
 
@@ -142,7 +143,7 @@ def _odd_pairs(k: int):
 def _p_plus_plus_of(coeff_bytes: bytes):
     """(P++, S) as functions of chi for the state with these coefficient bytes, by the cosine
     series of the module docstring; cached, checking the norm inside on every miss."""
-    c = _checked_coeffs(np.frombuffer(coeff_bytes))
+    c = checked_coeffs(np.frombuffer(coeff_bytes))
     n, m, half, w, odd, freqs = _odd_pairs(c.size)
     a = np.bincount(half, weights=w * c[n] * c[m], minlength=odd.size)
     n2, s_weights = float(c @ c), a * _CH_WEIGHTS
@@ -169,7 +170,7 @@ def p_plus_plus_quadrature_oracle(v: CoefficientVector, chi: float) -> float:
     """2-D quadrature of |sum_n p_n psi_n(x) psi_n(y)|^2, p_n = c_n e^(i n chi), over the
     positive quadrant on the tensor product of half_line_gram's nodes: the sum factorizes
     exactly as quadrant_mass.  Never reads G; used as the closed form's oracle."""
-    c = _checked_coeffs(v.coeffs)
+    c = checked_coeffs(v.coeffs)
     W = half_line_gram(c.size - 1, max(12.0, math.sqrt(2.0 * c.size - 1.0) + 6.0))
     return quadrant_mass(W, c * np.exp(1j * chi * np.arange(c.size)))
 

@@ -15,14 +15,15 @@ table P(x_A in cell, sign x_B), built then as sums of squares from a factor of W
 (so no cell's mass is rounding below 0) with its x_B < 0 column the mirror image of
 its x_B >= 0 one, and start from per-cell counts drawn given the counts (each
 quadrant's count spread over its cells by a multinomial, their exact conditional
-law): x_A uniform inside its cell, x_B inside the half-line of its counted sign by
-a two-level inversion of its conditional CDF at the cell's midpoint (128-point
-blocks, then one block's points; the x_B >= 0 half from its upper end, so a half
-with little mass keeps its precision), then shuffled; drawn after the counts, they
-never change them.  The counts, per quadrant and per x_A cell, follow the exact
-law; a raw pair inside its cells does not follow the Born density (x_A uniform, x_B
-from point weights at the cell midpoints).  The sampler never reuses the closed-form
-overlap table, so it stays an independent check on it.
+law).  One level down the same step spreads each (cell, half-line)'s count over
+128-point blocks of x_B, in proportion to the blocks' weights within that half, and
+x_B inverts its block's own CDF of point weights at the cell's midpoint, so a half
+with little mass keeps its precision; x_A is uniform inside its cell.  The pairs
+are then shuffled; drawn after the counts, they never change them.  The counts, per
+quadrant and per x_A cell, follow the exact law; a raw pair inside its cells does not
+follow the Born density (x_A uniform, x_B from point weights at the cell midpoints).
+The sampler never reuses the closed-form overlap table, so it stays an independent
+check on it.
 
 Randomness comes from numpy's counter-based Philox engine; the algorithm name
 is recorded in each batch, and a batch is a pure function of its seed.
@@ -35,7 +36,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bell import CELL_WIDTH, cell_nodes, check_phase, half_line_gram, hermite_basis, quadrant_mass
+from .bell import (CELL_WIDTH, cell_nodes, check_phase, checked_coeffs, half_line_gram,
+                   hermite_basis, quadrant_mass)
 from .fock_core import CoefficientVector
 
 GENERATOR_NAME = "philox4x64"
@@ -43,7 +45,7 @@ GRID_POINTS = 2 ** 14
 GRID_HALF_WIDTH = GRID_POINTS // 2 * CELL_WIDTH      # 12.0
 _MASS_TOL = 1e-9          # largest share of the state's mass the grid may miss
 _ROW_CHUNK = 256          # drawn cells whose x_B are inverted at once when making raw pairs
-_BLOCK = 128              # grid points per block of that inversion's first level
+_BLOCK = 128              # grid points per block: x_B drawn by block, then inside it
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,61 +139,48 @@ class _SamplerPlan:
         return np.where(idx < self.half, np.minimum(x, -np.finfo(float).tiny), x)
 
     def raw_pairs(self, m, m_minus, rng):
-        """n = sum(m) shuffled (x_A, x_B) pairs with m[i] in cell i, m_minus[i]
-        of them with x_B < 0: x_A uniform in its cell, x_B inside its counted half-line,
-        by inverting its cell's conditional CDF first over blocks of _BLOCK grid points,
-        then over the points of the one block found: O(drawn cells * blocks * k^2 +
-        distinct (cell, block) * _BLOCK * k), where full rows cost O(drawn cells * 2^14 * k)."""
-        blocks = np.column_stack([m_minus, m - m_minus]).ravel()
-        ia = np.repeat(np.repeat(np.arange(m.size), 2), blocks)       # sorted by cell
-        neg = np.repeat(np.tile([True, False], m.size), blocks)
-        x_a = self.invert(0.0, 1.0, ia, rng.random(ia.size))
-        u_b = rng.random(ia.size)
+        """n = sum(m) shuffled (x_A, x_B) pairs with m[i] in cell i, m_minus[i] of them with
+        x_B < 0: x_A uniform in its cell, x_B from the point weights at the cell's midpoint
+        on its counted half-line.  Given a (cell, half) and its count, the pairs' blocks of
+        _BLOCK grid points are i.i.d. with the blocks' weights normalized over that half, so
+        the block counts are one multinomial, as the cell counts are one level up; each pair
+        then inverts its block's own CDF: O(drawn cells * blocks * k^2 + distinct
+        (cell, block) * _BLOCK * k), where full rows cost O(drawn cells * 2^14 * k)."""
+        halves = np.column_stack([m_minus, m - m_minus])          # x_B < 0, x_B >= 0
+        ia = np.repeat(np.repeat(np.arange(m.size), 2), halves.ravel())   # sorted by cell
+        xy = np.empty((ia.size, 2))
+        xy[:, 0] = self.invert(0.0, 1.0, ia, rng.random(ia.size))
+        u_b, order = rng.random(ia.size), rng.permutation(ia.size)
         V = hermite_basis(self.phase.size - 1, self.centers)
-        k, nb, half_b = V.shape[0], self.centers.size // _BLOCK, self.half // _BLOCK
+        k, nb = V.shape[0], self.centers.size // _BLOCK
         # block weights v^T Q_b v with Q_b = P o (V_b V_b^T) = R_b^T R_b, taken as ||R_b v||^2:
         # never < 0, and as exact as point weights where a block holds ~0 (v^T Q_b v is not)
         R = np.linalg.qr(V.T.reshape(nb, _BLOCK, k), mode="r")
         R = np.linalg.qr(np.concatenate([R * self.phase.real, R * self.phase.imag], 1), mode="r")
         cells = np.flatnonzero(m)
-        x_b = np.empty(ia.size)
         for i in range(0, cells.size, _ROW_CHUNK):
             chunk = cells[i:i + _ROW_CHUNK]
             pick = slice(np.searchsorted(ia, chunk[0]), np.searchsorted(ia, chunk[-1], "right"))
             v = V[:, chunk]
             w = (R.reshape(-1, k) @ v).reshape(nb, -1, chunk.size)  # (block, R_b row, cell)
-            cum = np.einsum("bkc,bkc->cb", w, w)
-            # the x_B >= 0 half-line is inverted from the grid's top down, on the mass above
-            # (1 - cum loses the relative precision of a half holding little of its cell);
-            # above[:, b] is the mass beyond block b
-            above = np.pad(np.cumsum(cum[:, :0:-1], axis=1)[:, ::-1], ((0, 0), (0, 1)))
-            np.cumsum(cum, axis=1, out=cum)
-            total = cum[:, -1:].copy()
-            cum /= total
-            above /= total
-            cum[:, half_b:] = -above[:, half_b:]     # block ends of the increasing CDF searched
-            r = np.searchsorted(chunk, ia[pick])
-            nh = neg[pick]
-            # u_b rescaled onto the counted half's mass, measured from its far end
-            t = np.where(nh, u_b[pick] * cum[r, half_b - 1], (1.0 - u_b[pick]) * above[r, half_b - 1])
-            b = _lower_bound_rows(cum, r, np.where(nh, t, -t), np.where(nh, 0, half_b),
-                                  np.where(nh, half_b - 1, nb - 1))
-            # the CDF inside each distinct (cell, block), one product per block; the points
-            # of an x_B >= 0 block are taken from its top down
-            keys, g = np.unique(r * nb + b, return_inverse=True)
+            p = np.einsum("bkc,bkc->cb", w, w).reshape(chunk.size, 2, nb // 2)
+            del w                 # freed before the point rows, which can then reuse it
+            # per (cell, block) counts, in the pairs' order: by cell, x_B < 0 first, by block
+            counts = rng.multinomial(halves[chunk], p / p.sum(axis=2, keepdims=True)).ravel()
+            keys = np.flatnonzero(counts)               # drawn (cell, block), as cell * nb + b
             kr, kb = np.divmod(keys, nb)
+            g = np.repeat(np.arange(keys.size), counts[keys])
+            # the CDF inside each drawn (cell, block), one product per block
             a, rows = self.phase[:, None] * v[:, kr], np.empty((keys.size, _BLOCK))
             for blk in np.flatnonzero(np.bincount(kb)):
                 at, pts = kb == blk, V[:, blk * _BLOCK:(blk + 1) * _BLOCK]
-                wp = (a[:, at].real.T @ pts) ** 2 + (a[:, at].imag.T @ pts) ** 2
-                rows[at] = wp[:, ::-1] if blk >= half_b else wp
-            base = np.where(kb >= half_b, above[kr, kb], np.where(kb > 0, cum[kr, kb - 1], 0.0))
-            rows = base[:, None] + np.cumsum(rows, axis=1) / total[kr]
-            j = _lower_bound_rows(rows, g, t, 0, _BLOCK - 1)
-            prev, at = np.where(j > 0, rows[g, j - 1], base[g]), rows[g, j]
-            x_b[pick] = np.where(nh, self.invert(prev, at, b * _BLOCK + j, t),
-                                 self.invert(-at, -prev, (b + 1) * _BLOCK - 1 - j, -t))
-        return np.column_stack([x_a, x_b])[rng.permutation(ia.size)]
+                rows[at] = (a[:, at].real.T @ pts) ** 2 + (a[:, at].imag.T @ pts) ** 2
+            np.cumsum(rows, axis=1, out=rows)
+            rows /= rows[:, -1:]
+            j = _lower_bound_rows(rows, g, u_b[pick], 0, _BLOCK - 1)
+            xy[pick, 1] = self.invert(np.where(j > 0, rows[g, j - 1], 0.0), rows[g, j],
+                                     kb[g] * _BLOCK + j, u_b[pick])
+        return xy[order]
 
 
 @lru_cache(maxsize=4)
@@ -218,9 +207,7 @@ def sample_joint(v: CoefficientVector, chi: float, n: int, seed: int,
     Deterministic for a given seed; only the angle sum chi enters the statistics.
     """
     c = v.coeffs
-    n2 = float(np.dot(c, c))
-    if abs(n2 - 1.0) > 1e-8:
-        raise ValueError("sampling requires a normalized state")
+    checked_coeffs(c)                         # refused as bell refuses it, sampled as given
     if not 1 <= n <= 2 ** 63 - 1:
         raise ValueError(f"n = {n} pairs is outside [1, 2**63 - 1]")
     check_phase(chi, c.size - 1)

@@ -2,8 +2,11 @@
 the measured tree, in a scratch git repository: no test runs the benchmark."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "ab.py"
 spec = importlib.util.spec_from_file_location("ab", TOOL)
@@ -41,6 +44,69 @@ def test_summary_reports_medians_quartiles_wins_and_keeps_a_failed_run():
     assert out["runs"][2]["base"] == {"correct": True, "failed": 0, "attempted": 10}
 
 
+def test_summary_reports_quartiles_of_the_per_pair_ratio():
+    base, change = [2.0, 4.0, 1.0, 5.0, 0.0], [1.0, 4.0, 3.0, 4.0, 7.0]
+    docs = [{"seed": i, "base": doc(b, 1), "change": doc(c, 1)}
+            for i, (b, c) in enumerate(zip(base, change))]
+    wall = ab.summarize({"cli_cold": docs}, METRICS)["cli_cold"]["metrics"]["wall_s"]
+    # change/base per pair: 0.5, 1.0, 3.0, 0.8; the pair whose base is 0 has no ratio
+    assert wall["ratio"] == {"median": 0.9, "p25": 0.575, "p75": 2.5}
+    assert wall["pairs"] == 5
+    none = [{"seed": 0, "base": doc(0.0, 1), "change": doc(1.0, 1)}]
+    assert ab.summarize({"w": none}, METRICS)["w"]["metrics"]["wall_s"]["ratio"] is None
+
+
+def test_seconds_take_one_value_or_one_per_workload():
+    names = ["analytic", "mc_warm", "cli_cold"]
+    assert ab.run_seconds("20", names, 20) == dict.fromkeys(names, 20)
+    assert ab.run_seconds("analytic=200,mc_warm=20,cli_cold=20", names, 5) == \
+        {"analytic": 200, "mc_warm": 20, "cli_cold": 20}
+    # named workloads override a bare value, and the rest keep it or the default
+    assert ab.run_seconds("30,analytic=200", names, 20) == \
+        {"analytic": 200, "mc_warm": 30, "cli_cold": 30}
+    assert ab.run_seconds("analytic=200", names, 20) == \
+        {"analytic": 200, "mc_warm": 20, "cli_cold": 20}
+    with pytest.raises(ValueError, match="'other'"):
+        ab.run_seconds("other=5", names, 20)
+
+
+def scratch_repo(path):
+    """A git repository at path with one commit; returns its git runner."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(path), "-c", "user.name=t", "-c",
+                               "user.email=t@t", *args], check=True, capture_output=True,
+                              text=True).stdout.strip()
+
+    git("init", "-q")
+    (path / "a.txt").write_text("one\n")
+    git("add", "a.txt")
+    git("commit", "-qm", "one")
+    return git
+
+
+def test_args_record_the_seconds_of_each_workload(tmp_path, monkeypatch):
+    # main runs each workload for its own seconds and records them in args
+    spec = {"run_seconds": 20, "workloads": [{"name": "analytic"}, {"name": "mc_warm"}],
+            "end_to_end": METRICS}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    scratch_repo(tmp_path)
+    runs = []
+
+    def run_once(tree, workload, seed, seconds, trace):
+        runs.append((workload, seconds))
+        return doc(1.0, 1)
+
+    monkeypatch.setattr(ab, "ROOT", tmp_path)
+    monkeypatch.setattr(ab, "run_once", run_once)
+    out = tmp_path / "ab.json"
+    ab.main(["--base", "HEAD", "--out", str(out), "--pairs", "1",
+             "--seconds", "analytic=200"])
+    assert sorted(runs) == [("analytic", 200)] * 2 + [("mc_warm", 20)] * 2
+    written = json.loads(out.read_text())
+    assert written["args"]["seconds"] == {"analytic": 200, "mc_warm": 20}
+    assert written["workloads"]["analytic"]["metrics"]["wall_s"]["ratio"]["median"] == 1.0
+
+
 def test_one_pair_has_its_value_as_every_quartile():
     out = ab.summarize({"mc_warm": [{"seed": 1, "base": doc(2.0, 1), "change": doc(2.0, 1)}]},
                        METRICS)["mc_warm"]["metrics"]["wall_s"]
@@ -49,15 +115,7 @@ def test_one_pair_has_its_value_as_every_quartile():
 
 
 def test_working_tree_names_what_the_head_commit_lacks(tmp_path, monkeypatch):
-    def git(*args):
-        return subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c",
-                               "user.email=t@t", *args], check=True, capture_output=True,
-                              text=True).stdout.strip()
-
-    git("init", "-q")
-    (tmp_path / "a.txt").write_text("one\n")
-    git("add", "a.txt")
-    git("commit", "-qm", "one")
+    git = scratch_repo(tmp_path)
     monkeypatch.setattr(ab, "ROOT", tmp_path)
     assert ab.working_tree() == git("rev-parse", "HEAD^{tree}")
     (tmp_path / "a.txt").write_text("two\n")

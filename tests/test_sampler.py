@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homodyne_bell import (CoefficientVector, PipelineConfig, bell, chsh_B, circle, estimate_B,
-                           normalize, p_plus_plus, run_pipeline, sample_joint, sampler, seed,
-                           tmss)
+from homodyne_bell import (CoefficientVector, PipelineConfig, bell, bell_report, chsh_B, circle,
+                           estimate_B, normalize, p_plus_plus, run_pipeline, sample_joint,
+                           sampler, seed, tmss)
 from test_certificates import pi_overlap_squared, sigma
 
 CHI = np.pi / 4
@@ -62,6 +62,22 @@ def test_sampling_requires_normalized_state():
     from homodyne_bell import CoefficientVector
     with pytest.raises(ValueError):
         sample_joint(CoefficientVector(np.array([1.0, 1.0])), CHI, 10, seed=0)
+
+
+@pytest.mark.parametrize("excess", [0.9e-8, -0.9e-8, 1.1e-8, -1.1e-8])
+def test_sampler_and_bell_share_one_norm_gate(pipeline_state, excess):
+    # |c|^2 - 1 just inside and just outside bell's 1e-8: sample_joint and bell_report accept
+    # or refuse together
+    c = pipeline_state.coeffs * np.sqrt(1.0 + excess)
+    assert abs(np.dot(c, c) - 1.0 - excess) < 1e-15
+    v = CoefficientVector(c)
+    evaluations = (lambda: sample_joint(v, CHI, 100, seed=0), lambda: bell_report(v, CHI))
+    for evaluate in evaluations:
+        if abs(excess) < 1e-8:
+            evaluate()
+        else:
+            with pytest.raises(ValueError, match="normalized state"):
+                evaluate()
 
 
 def test_convergence_rate_over_seeded_runs(pipeline_state):
@@ -241,48 +257,61 @@ def test_warm_plan_is_small(pipeline_state):
     assert held < 2 ** 20
 
 
-def _full_row_pairs(plan, m, m_minus, rng):
-    """The earlier raw_pairs, kept as an oracle: one full 2^14-point conditional CDF
-    row per drawn cell, 256 cells at a time, and one search over the counted half."""
-    blocks = np.column_stack([m_minus, m - m_minus]).ravel()
-    ia = np.repeat(np.repeat(np.arange(m.size), 2), blocks)
-    neg = np.repeat(np.tile([True, False], m.size), blocks)
-    x_a = plan.invert(0.0, 1.0, ia, rng.random(ia.size))
-    u_b = rng.random(ia.size)
+def _cell_of(plan, x):
+    """Grid cell of each x, by the cell edges."""
+    return np.searchsorted(plan.edges, x, "right") - 1
+
+
+def _full_row_pairs(plan, m, m_minus, rng, x_b):
+    """An oracle from the same stream: one full 2^14-point conditional CDF row per drawn cell,
+    256 cells at a time.  Each pair's block is taken from x_b, raw_pairs' own output in its
+    order; the pair's point is where the row reaches cum[b * 128 - 1] + u (block's mass)."""
+    n = int(m.sum())
+    ia = np.repeat(np.repeat(np.arange(m.size), 2), np.column_stack([m_minus, m - m_minus]).ravel())
+    x_a = plan.invert(0.0, 1.0, ia, rng.random(n))
+    u_b, order = rng.random(n), rng.permutation(n)
+    first = np.empty(n, dtype=int)                  # first point of each pair's block
+    first[order] = _cell_of(plan, x_b) // sampler._BLOCK * sampler._BLOCK
     V = bell.hermite_basis(plan.phase.size - 1, plan.centers)
     cells = np.flatnonzero(m)
-    x_b = np.empty(ia.size)
+    out = np.empty(n)
     for i in range(0, cells.size, 256):
         block = cells[i:i + 256]
         pick = slice(np.searchsorted(ia, block[0]), np.searchsorted(ia, block[-1], "right"))
         a = plan.phase[:, None] * V[:, block]
         rows = np.cumsum((a.real.T @ V) ** 2 + (a.imag.T @ V) ** 2, axis=1)
         rows /= rows[:, -1:]
-        r = np.searchsorted(block, ia[pick])
-        q, nb = rows[r, plan.half - 1], neg[pick]
-        t = np.where(nb, u_b[pick] * q, q + u_b[pick] * (1.0 - q))
-        jb = sampler._lower_bound_rows(rows, r, t, np.where(nb, 0, plan.half),
-                                       np.where(nb, plan.half - 1, plan.centers.size - 1))
+        r, lo = np.searchsorted(block, ia[pick]), first[pick]
+        below = np.where(lo > 0, rows[r, lo - 1], 0.0)
+        t = below + u_b[pick] * (rows[r, lo + sampler._BLOCK - 1] - below)
+        jb = sampler._lower_bound_rows(rows, r, t, lo, lo + sampler._BLOCK - 1)
         prev = np.where(jb > 0, rows[r, np.maximum(jb - 1, 0)], 0.0)
-        x_b[pick] = plan.invert(prev, rows[r, jb], jb, t)
-    return np.column_stack([x_a, x_b])[rng.permutation(ia.size)]
+        out[pick] = plan.invert(prev, rows[r, jb], jb, t)
+    return np.column_stack([x_a, out])[order]
 
 
-def _exact_x_b(plan, cell, negative, u):
-    """x_B inverted from the float64 point weights of `cell` in exact rational arithmetic."""
-    a = plan.phase[:, None] * bell.hermite_basis(plan.phase.size - 1, plan.centers[[cell]])
+def _point_weights(plan, cell, points):
+    """Float64 weights of the grid points `points` (an index array or slice) given x_A's
+    cell, as raw_pairs and the full-row oracle form them."""
     V = bell.hermite_basis(plan.phase.size - 1, plan.centers)
+    a = plan.phase[:, None] * V[:, [cell]]
+    return ((a.real.T @ V[:, points]) ** 2 + (a.imag.T @ V[:, points]) ** 2)[0]
+
+
+def _exact_x_b(plan, cell, x_b, u):
+    """x_B inverted at u within its block (the one x_b lies in) from the float64 point weights
+    of `cell` there, in exact rational arithmetic."""
+    first = _cell_of(plan, x_b) // sampler._BLOCK * sampler._BLOCK
     # float64 weights are dyadic: as integers in units of 2^-1074 every sum is exact
     w = [n << (1075 - d.bit_length()) for n, d in
-         (x.as_integer_ratio() for x in ((a.real.T @ V) ** 2 + (a.imag.T @ V) ** 2)[0])]
-    total, q = sum(w), sum(w[:plan.half])
-    target = u * q if negative else q + u * (total - q)
-    below = 0
+         (x.as_integer_ratio() for x in
+          _point_weights(plan, cell, slice(first, first + sampler._BLOCK)))]
+    target, below = u * sum(w), 0
     for j, wj in enumerate(w[:-1]):
         if below + wj >= target:
             break
         below += wj
-    return plan.edges[j] + float((target - below) / wj) * bell.CELL_WIDTH
+    return plan.edges[first + j] + float((target - below) / wj) * bell.CELL_WIDTH
 
 
 def _replay(plan, m, m_minus, rng):
@@ -300,7 +329,7 @@ def _assert_matches_oracle(plan, m, m_minus, rng, new):
     same x_A and signs, x_B to 1e-9.  Where they differ by more, the oracle's float64
     cumsum over 2^14 points is the coarser one (far tails): new is the nearer the exact."""
     state = rng.bit_generator.state
-    old = _full_row_pairs(plan, m, m_minus, rng)
+    old = _full_row_pairs(plan, m, m_minus, rng, new[:, 1])
     rng.bit_generator.state = state
     cells, u_b = _replay(plan, m, m_minus, rng)
     assert np.array_equal(new[:, 0], old[:, 0])               # same uniforms, same x_A
@@ -309,14 +338,14 @@ def _assert_matches_oracle(plan, m, m_minus, rng, new):
     far = np.flatnonzero(np.abs(new[:, 1] - old[:, 1]) > 1e-9)
     assert far.size <= 3                                     # far-tail pairs only
     for i in far:
-        exact = _exact_x_b(plan, cells[i], new[i, 1] < 0, Fraction(u_b[i]))
+        exact = _exact_x_b(plan, cells[i], new[i, 1], Fraction(u_b[i]))
         assert abs(new[i, 1] - exact) <= 1e-9 < abs(old[i, 1] - exact)
 
 
 def _assert_light_halves_exact(v, chi, plus, minus=(), tol=1e-9):
     """Two pairs forced onto x_B >= 0 in each cell `plus` and two onto x_B < 0 in each of
     `minus`, on top of a drawn batch: each lands on its half, x_B within tol of an exact
-    rational inversion of the same point weights."""
+    rational inversion of the same point weights in its block."""
     plan = sampler._SamplerPlan(v.coeffs, chi)
     plus, minus = np.asarray(plus, dtype=int), np.asarray(minus, dtype=int)
     m, m_minus, rng = _replayed_cells(plan, 2_000, 5)
@@ -331,7 +360,7 @@ def _assert_light_halves_exact(v, chi, plus, minus=(), tol=1e-9):
                             | np.isin(cells, minus) & (new[:, 1] < 0))
     assert forced.size >= 2 * (len(plus) + len(minus))
     for i in forced:
-        exact = _exact_x_b(plan, cells[i], new[i, 1] < 0, Fraction(u_b[i]))
+        exact = _exact_x_b(plan, cells[i], new[i, 1], Fraction(u_b[i]))
         assert abs(new[i, 1] - exact) <= tol
 
 
@@ -358,10 +387,12 @@ def test_raw_pairs_match_oracle_where_a_half_line_holds_nothing():
     # tmss(0.5) at 64 levels: in the outer x_A cells x_B's conditional mass on the far
     # half-line, about 4e-21 of the cell's, is below float64 rounding of the cell's CDF, so
     # the joint table's share of it is rounding (~1e-16) and the full-row oracle meets a
-    # flat CDF there (it put x_B mid first cell, up to 0.19 off); summed down from the
-    # grid's top, x_B >= 0 keeps its own relative precision.  At 4e-21 the float64 point
-    # weights themselves carry ~1e-16 / sqrt(4e-21) ~ 2e-6 of their value, so the exact
-    # inversion of them pins x_B to about 1e-7 (the block weights are finer)
+    # flat CDF there (it put x_B mid first cell, up to 0.19 off).  The block counts are
+    # drawn on weights normalized over the counted half, and x_B inverts its block's own
+    # CDF, so a near-empty half keeps its relative precision.  At 4e-21 the float64 point
+    # weights themselves carry ~1e-16 / sqrt(4e-21) ~ 2e-6 of their value (more where the
+    # amplitude cancels), and raw_pairs' products round differently from this test's: x_B
+    # lay within 2.7e-9 of the exact inversion of the test's weights
     v = tmss(0.5, cutoff=64)
     for chi in (0.0, np.pi):
         plan = sampler._SamplerPlan(v.coeffs, chi)
@@ -370,19 +401,57 @@ def test_raw_pairs_match_oracle_where_a_half_line_holds_nothing():
         inner = np.arange(np.searchsorted(cdf, 1e-12), np.searchsorted(cdf, 1.0 - 1e-12) + 1)
         empty_plus = inner[plan.joint[inner, 0] < 1e-15 * plan.joint[inner].sum(axis=1)]
         x_a = plan.centers[empty_plus]
-        _assert_light_halves_exact(v, chi, empty_plus[np.argsort(-np.abs(x_a))[:8]], tol=2e-7)
+        _assert_light_halves_exact(v, chi, empty_plus[np.argsort(-np.abs(x_a))[:8]], tol=1e-8)
 
 
 def test_raw_pairs_keep_precision_on_a_light_half_line():
     # tmss(0.6) at chi = 0: cells where one half holds about 2.8e-12 of the cell's mass; in
     # units of the whole cell the x_B >= 0 target q + u (1 - q) and its CDF carry ~1e-16,
-    # which put x_B 2.7e-5 off the exact inversion in this batch
+    # which put x_B 2.7e-5 off the exact inversion in this batch; block counts over the
+    # half and a CDF within the block keep it to 3.2e-13
     v = tmss(0.6)
     plan = sampler._SamplerPlan(v.coeffs, 0.0)
     p_minus_b = plan.joint[:, 1] / plan.joint.sum(axis=1)
     plus = np.argsort(np.abs(1.0 - p_minus_b - 2.8e-12))[:8]
     minus = np.argsort(np.abs(p_minus_b - 2.8e-12))[:8]
     _assert_light_halves_exact(v, 0.0, plus, minus)
+
+
+@pytest.mark.parametrize("case", ["pipeline", "near-empty half"])
+def test_block_counts_of_one_cell_half_are_multinomial(pipeline_state, case):
+    # 10^5 pairs forced onto one (cell, half): their blocks of 128 points against the block
+    # sums of the full row's point weights (not the QR factors raw_pairs weighs blocks by),
+    # normalized over the half, by a chi-square test at level 1e-3 over the blocks expected
+    # to hold 5 pairs or more, the rest pooled
+    from scipy.stats import chi2
+    if case == "pipeline":
+        v, chi, cell, negative = pipeline_state, CHI, sampler.GRID_POINTS // 2 + 300, False
+    else:                       # tmss(0.5) at chi = 0, x_A = -7.5: x_B >= 0 holds ~1e-26
+        v, chi, cell, negative = tmss(0.5, cutoff=64), 0.0, 3072, False
+    plan, n = sampler._SamplerPlan(v.coeffs, chi), 10 ** 5
+    m, m_minus = np.zeros(sampler.GRID_POINTS, dtype=np.int64), np.zeros(sampler.GRID_POINTS,
+                                                                            dtype=np.int64)
+    m[cell], m_minus[cell] = n, n if negative else 0
+    x_b = plan.raw_pairs(m, m_minus, np.random.Generator(np.random.Philox(9)))[:, 1]
+    half = slice(0, plan.half) if negative else slice(plan.half, None)
+    w = _point_weights(plan, cell, half).reshape(-1, sampler._BLOCK).sum(axis=1)
+    expected = n * w / w.sum()
+    got = np.bincount(_cell_of(plan, x_b) // sampler._BLOCK, minlength=sampler.GRID_POINTS
+                      // sampler._BLOCK)[half.start // sampler._BLOCK:][:expected.size]
+    assert got.sum() == n
+    big = expected >= 5
+    e, o = np.append(expected[big], expected[~big].sum()), np.append(got[big], got[~big].sum())
+    e, o = (e, o) if e[-1] > 0 else (e[:-1], o[:-1])           # nothing to pool
+    stat = np.sum((o - e) ** 2 / e)
+    assert stat < chi2.ppf(1 - 1e-3, e.size - 1)
+
+
+def test_invert_keeps_a_draw_at_its_cells_top_edge_negative():
+    # u == at puts x on the cell's upper edge, which for the last cell left of 0 is 0 itself
+    plan = _plan(tmss(0.6), CHI)
+    idx = np.array([plan.half - 1, plan.half])
+    x = plan.invert(np.array([0.25, 0.25]), np.array([0.5, 0.5]), idx, np.array([0.5, 0.5]))
+    assert x[0] < 0 and x[1] == bell.CELL_WIDTH
 
 
 def test_cell_table_is_not_moved_by_rounding_of_w_plus():

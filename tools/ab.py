@@ -2,16 +2,19 @@
 
     python3 tools/ab.py --base HEAD --out BENCH_36.json
     python3 tools/ab.py --base HEAD~1 --out ab.json --workloads mc_warm --pairs 5 --seconds 5
+    python3 tools/ab.py --base HEAD --out ab.json --seconds analytic=200,mc_warm=20,cli_cold=20
 
 The base is extracted with `git archive` into a temporary directory and measured by
 its own `bench/run.py`, which finds the program at `<its root>/src`; the working
 tree's `bench/run.py` measures the change.  Nothing under `bench/` is touched.  Each
 pair runs both sides on one fresh seed, the base first in even pairs and the change
-first in odd ones, and reads each run's last JSON line.
+first in odd ones, and reads each run's last JSON line.  `--seconds` is one run length
+for every workload, or `name=seconds` items, after an optional bare default.
 
 The output holds, per workload and metric (BENCHMARK.json's end-to-end metrics, or
-its per-layer ones with --trace 1), each side's median and quartiles, every pair's
-two values, the pairs the change won and the metric's bound; then every run's
+its per-layer ones with --trace 1), each side's median and quartiles, the median and
+quartiles of the per-pair ratio change/base (over the pairs whose base is not 0),
+every pair's two values, the pairs the change won and the metric's bound; then every run's
 `correct`, `failed` and `attempted`, and the environment.  The measured working
 tree is named by its git tree hash, `change_tree`, read before the first run with
 untracked files included, beside its HEAD commit `change_head`:
@@ -50,6 +53,21 @@ def spread(values: list) -> dict:
     return {"median": statistics.median(values), "p25": q1, "p75": q3}
 
 
+def run_seconds(text: str, workloads: list, default: int) -> dict:
+    """Seconds per workload from `--seconds`: "20", "analytic=200,mc_warm=20" or
+    "20,analytic=200"; a workload not named runs for the bare value, else for default."""
+    out = {}
+    for item in text.split(","):
+        name, _, value = item.rpartition("=")
+        if not name:
+            default = int(value)
+        elif name in workloads:
+            out[name] = int(value)
+        else:
+            raise ValueError(f"--seconds names {name!r}, which is not among {workloads}")
+    return {w: out.get(w, default) for w in workloads}
+
+
 def summarize(pairs: dict, metrics: list) -> dict:
     """pairs maps a workload to its [{"seed", "base", "change"}] run documents in order."""
     out = {}
@@ -58,10 +76,12 @@ def summarize(pairs: dict, metrics: list) -> dict:
         for m in metrics:
             values = [[d[side]["metrics"][m["name"]]["value"] for side in SIDES] for d in docs]
             won = [(c < b) if m["better"] == "lower" else (c > b) for b, c in values]
+            ratios = [c / b for b, c in values if b != 0]
             table[m["name"]] = {"unit": m["unit"], "better": m["better"],
                                 "bound": m.get("bound"),
                                 **{side: spread([v[i] for v in values])
                                    for i, side in enumerate(SIDES)},
+                                "ratio": spread(ratios) if ratios else None,
                                 "change_won": sum(won), "pairs": len(values), "values": values}
         runs = [{"seed": d["seed"], **{side: {k: d[side][k] for k in
                                               ("correct", "failed", "attempted")}
@@ -91,10 +111,15 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, help="file to write, e.g. BENCH_<pr>.json")
     ap.add_argument("--workloads", default=",".join(w["name"] for w in spec["workloads"]))
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=int, default=spec["run_seconds"])
+    ap.add_argument("--seconds", default=str(spec["run_seconds"]),
+                    help='one value, or per workload: "analytic=200,mc_warm=20,cli_cold=20"')
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     args = ap.parse_args(argv)
+    try:
+        args.seconds = run_seconds(args.seconds, args.workloads.split(","), spec["run_seconds"])
+    except ValueError as err:
+        ap.error(str(err))
     base_rev, change_tree = git("rev-parse", args.base), working_tree()
     pairs = {w: [] for w in args.workloads.split(",")}
     with tempfile.TemporaryDirectory() as tmp:
@@ -106,7 +131,8 @@ def main(argv=None) -> int:
             for workload in pairs:
                 seed, doc = args.seed + i, {}
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                    doc[side] = run_once(trees[side], workload, seed, args.seconds, args.trace)
+                    doc[side] = run_once(trees[side], workload, seed, args.seconds[workload],
+                                         args.trace)
                 pairs[workload].append({"seed": seed, **doc})
                 print(f"pair {i + 1} {workload} seed {seed}: " + ", ".join(
                     f"{s} correct={doc[s]['correct']} failed={doc[s]['failed']}" for s in SIDES),
