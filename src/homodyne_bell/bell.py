@@ -32,7 +32,6 @@ costs one cosine and one dot.  K is formed only for the optimizer's eigenproblem
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -177,7 +176,7 @@ def p_plus_plus_quadrature_oracle(v: CoefficientVector, chi: float) -> float:
 
 @dataclass(frozen=True)
 class BellReport:
-    """Bell functional evaluation of one state at one angle sum."""
+    """Bell functional evaluation of one state at one angle sum; `cli` prints it."""
 
     chi: float
     p_pp_chi: float
@@ -189,9 +188,6 @@ class BellReport:
     cutoff: int
     provenance: str
 
-    _FIELDS = ("chi", "p_pp_chi", "p_pp_3chi", "E_chi", "E_3chi",
-               "B", "S", "cutoff", "provenance")
-
     def __post_init__(self):
         for name in ("p_pp_chi", "p_pp_3chi"):
             p = getattr(self, name)
@@ -202,29 +198,6 @@ class BellReport:
                 raise ValueError(f"{name} out of [-1, 1]")
         if abs(self.S - (self.B / 4.0 + 0.5)) > 1e-10:
             raise ValueError("CH/CHSH identity S = B/4 + 1/2 violated")
-
-    def to_json(self) -> str:
-        pairs = []
-        for name in self._FIELDS:
-            val = getattr(self, name)
-            if isinstance(val, float):
-                pairs.append(f'  "{name}": {val:.12g}')
-            else:
-                pairs.append(f'  "{name}": {json.dumps(val)}')
-        return "{\n" + ",\n".join(pairs) + "\n}\n"
-
-    def to_csv(self) -> str:
-        header = ",".join(self._FIELDS)
-        vals = []
-        for name in self._FIELDS:
-            val = getattr(self, name)
-            if isinstance(val, float):
-                vals.append(f"{val:.12g}")
-            elif isinstance(val, str) and ("," in val or '"' in val):
-                vals.append('"' + val.replace('"', '""') + '"')
-            else:
-                vals.append(str(val))
-        return header + "\n" + ",".join(vals) + "\n"
 
 
 def bell_report(v: CoefficientVector, chi: float) -> BellReport:

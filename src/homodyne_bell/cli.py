@@ -1,8 +1,11 @@
 """Command-line front end: reproducible experiments, plot-ready CSV/JSON.
 
 Subcommands: state, pipeline, bell, scan, sample, optimize.  Identical flags
-and seeds produce byte-identical primary outputs; numeric CSV fields carry 12
-significant digits, state files 17.
+and seeds produce byte-identical primary outputs.  CSV fields and the `bell` JSON
+print floats by `%.12g` (_FMT), so an integral float prints `2`; the `pipeline` and
+`sample` JSON round to 12 digits and print through `json`, so `2.0`; the `stage1`
+block, `subtraction_probability` and state files carry 17 digits.  A CSV text
+field holding `,`, `"`, a newline or a carriage return is quoted, quotes doubled.
 
 Each mode of `state`, `pipeline`, `scan` and `optimize` rejects a flag it does not
 read (`_read_flags`), except `optimize --seed`, accepted and ignored in every mode:
@@ -12,6 +15,7 @@ the optimum is exact, and the benchmark's `cli_cold` workload passes it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -53,11 +57,17 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _cell(x) -> str:
+    """One CSV field, by the rules of the module docstring."""
+    if isinstance(x, float):
+        return _FMT % x
+    if isinstance(x, str) and any(c in x for c in ',"\n\r'):
+        return '"' + x.replace('"', '""') + '"'
+    return str(x)
+
+
 def _csv(header: list, rows: list) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_FMT % x if isinstance(x, float) else str(x) for x in row))
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
 
 
 def _compare_table() -> str:
@@ -117,9 +127,13 @@ def cmd_pipeline(args) -> None:
 
 
 def cmd_bell(args) -> None:
-    v = read_state_file(args.state)
-    report = bell.bell_report(v, args.chi)
-    _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
+    fields = dataclasses.asdict(bell.bell_report(read_state_file(args.state), args.chi))
+    if args.format == "csv":
+        _emit(_csv(list(fields), [fields.values()]), args.out)
+        return
+    pairs = (f'  "{k}": {_FMT % v if isinstance(v, float) else json.dumps(v)}'
+             for k, v in fields.items())
+    _emit("{\n" + ",\n".join(pairs) + "\n}\n", args.out)
 
 
 def cmd_scan(args) -> None:

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from homodyne_bell import (
+    BellReport,
     CoefficientVector,
     bell_report,
     ch_S,
@@ -15,6 +18,7 @@ from homodyne_bell import (
     overlap_table,
     p_plus_plus,
     p_plus_plus_quadrature_oracle,
+    pipelined,
     ps_tmss,
     seed,
     tmss,
@@ -285,16 +289,40 @@ def test_tmss_never_violates():
 
 
 def test_bell_report_fields_and_identity(pipeline_state):
+    # the CLI prints a report in this order; tests/test_cli.py pins the printing
+    assert [f.name for f in dataclasses.fields(BellReport)] == [
+        "chi", "p_pp_chi", "p_pp_3chi", "E_chi", "E_3chi", "B", "S", "cutoff", "provenance"]
     rep = bell_report(pipeline_state, CHI)
-    assert rep._FIELDS == ("chi", "p_pp_chi", "p_pp_3chi", "E_chi", "E_3chi",
-                           "B", "S", "cutoff", "provenance")
     assert abs(rep.S - (rep.B / 4.0 + 0.5)) < 1e-10
-    import csv
-    import io
-    csv_text = rep.to_csv()
-    header, row = list(csv.reader(io.StringIO(csv_text)))
-    assert header == ["chi", "p_pp_chi", "p_pp_3chi", "E_chi", "E_3chi",
-                      "B", "S", "cutoff", "provenance"]
-    assert len(row) == 9
-    assert row[-1] == rep.provenance
-    assert '"B"' in rep.to_json()
+
+
+def _report(**edge) -> BellReport:
+    vacuum = dict(chi=1.0, p_pp_chi=0.25, p_pp_3chi=0.25, E_chi=0.0, E_3chi=0.0, B=0.0, S=0.5,
+                  cutoff=1, provenance="vacuum")
+    return BellReport(**{**vacuum, **edge})
+
+
+@pytest.mark.parametrize("name", ["p_pp_chi", "p_pp_3chi"])
+@pytest.mark.parametrize("edge", [0.0, 1.0])
+def test_bell_report_probability_range_is_pinned_at_its_edge(name, edge):
+    out = 1.0 if edge else -1.0      # away from [0, 1]
+    _report(**{name: edge + out * 0.9e-10})
+    with pytest.raises(ValueError, match="is not a probability"):
+        _report(**{name: edge + out * 1.1e-10})
+
+
+@pytest.mark.parametrize("name", ["E_chi", "E_3chi"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_bell_report_correlation_range_is_pinned_at_its_edge(name, sign):
+    _report(**{name: sign * (1.0 + 0.9e-10)})
+    with pytest.raises(ValueError, match="out of"):
+        _report(**{name: sign * (1.0 + 1.1e-10)})
+
+
+def test_bell_report_refuses_a_chi_whose_triple_phase_overflows():
+    # 32 levels: chi * 31 is finite, 3 chi * 31 is not; the message tells this refusal
+    # from BellReport's own check on the NaN probability that evaluating would give
+    v = pipelined(2 ** -0.5)
+    assert v.cutoff == 31 and np.isfinite(3e306 * 31) and not np.isfinite(3 * 3e306 * 31)
+    with pytest.raises(ValueError, match="too large"):
+        bell_report(v, 3e306)

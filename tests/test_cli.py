@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 import shlex
 from pathlib import Path
@@ -5,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from homodyne_bell import (CoefficientVector, chsh_B, circle, estimate_B, read_state_file,
-                           sample_joint, seed, write_state_file)
+from homodyne_bell import (BellReport, CoefficientVector, chsh_B, circle, estimate_B,
+                           read_state_file, sample_joint, seed, write_state_file)
 from homodyne_bell import cli
 from homodyne_bell.cli import main
 
@@ -151,6 +153,36 @@ def test_bell_csv_field_names(tmp_path):
     run_cli("bell", "--state", str(state), "--format", "csv", "--out", str(out))
     header = out.read_text().split("\n")[0]
     assert header == "chi,p_pp_chi,p_pp_3chi,E_chi,E_3chi,B,S,cutoff,provenance"
+
+
+def _bell(tmp_path, provenance, fmt):
+    """`bell --format fmt --chi 1` on the vacuum [1, 0] with this provenance: the output."""
+    state, out = tmp_path / "vacuum.json", tmp_path / f"bell.{fmt}"
+    write_state_file(CoefficientVector([1.0, 0.0], normalized=True, provenance=provenance),
+                     state)
+    assert run_cli("bell", "--state", str(state), "--format", fmt, "--chi", "1",
+                   "--out", str(out)) == 0
+    return out
+
+
+def test_bell_prints_integral_floats_without_a_point(tmp_path):
+    # %.12g in both formats: the vacuum at chi = 1 prints 1, 0 and 0.5, never 1.0 or 0.0
+    text = _bell(tmp_path, "vacuum", "json").read_text()
+    for line in ('"chi": 1,', '"E_chi": 0,', '"B": 0,', '"S": 0.5,', '"cutoff": 1,'):
+        assert "\n  " + line + "\n" in text
+    assert _bell(tmp_path, "vacuum", "csv").read_text().split("\n")[1] == (
+        "1,0.25,0.25,0,0,0,0.5,1,vacuum")
+
+
+@pytest.mark.parametrize("provenance", ["pipeline(xi=0.7071, iters=3)", 'say "B"',
+                                        "line one\nline two", "line one\r\nline two", "plain"])
+def test_bell_csv_round_trips_any_provenance(tmp_path, provenance):
+    fields = [f.name for f in dataclasses.fields(BellReport)]
+    with open(_bell(tmp_path, provenance, "csv"), newline="") as fh:
+        header, row = csv.reader(fh)
+    assert header == fields and len(row) == 9 and row[-1] == provenance
+    doc = json.loads(_bell(tmp_path, provenance, "json").read_text())
+    assert list(doc) == fields and doc["provenance"] == provenance
 
 
 def test_scan_circle_locates_maximum(tmp_path):

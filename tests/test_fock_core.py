@@ -73,6 +73,13 @@ def test_normalized_flag_is_checked():
         CoefficientVector(np.array([1.0, 1.0]), normalized=True)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_normalized_flag_is_checked_at_norm_tol(sign):
+    CoefficientVector(np.array([np.sqrt(1.0 + sign * 0.9e-10), 0.0]), normalized=True)
+    with pytest.raises(ValueError, match="squared norm"):
+        CoefficientVector(np.array([np.sqrt(1.0 + sign * 1.1e-10), 0.0]), normalized=True)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", [0, 1, 2])
 def test_non_finite_entries_are_refused(bad, where):

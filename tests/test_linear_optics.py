@@ -143,6 +143,14 @@ def test_unitarity_of_splitter_constructor():
         BeamSplitter(0.9, 0.9)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_splitter_unitarity_is_checked_at_its_tolerance(sign):
+    # |T|^2 + |R|^2 - 1 just inside and just outside 1e-12
+    BeamSplitter(np.sqrt(0.5 + sign * 0.9e-12), np.sqrt(0.5) * 1j)
+    with pytest.raises(ValueError, match="must equal 1"):
+        BeamSplitter(np.sqrt(0.5 + sign * 1.1e-12), np.sqrt(0.5) * 1j)
+
+
 def test_identity_splitter_leaves_state():
     rng = np.random.default_rng(3)
     amps = rng.standard_normal((5, 5))

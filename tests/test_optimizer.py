@@ -261,6 +261,16 @@ def test_angle_on_flat_objective_returns_convention():
     assert b_star == 0.0
 
 
+def test_angle_on_a_weakly_entangled_state_is_not_flat():
+    # seed(0.001): S = 1/2 + (c0 c1 / pi)(3 cos chi - cos 3 chi), at most 2 sqrt 2 c0 c1 / pi
+    # ~ 9.0e-4 above 1/2, at pi/4; the flat rule (|S - 1/2| < 1e-11) must not claim it
+    v = seed(0.001)
+    chi_star, s_star = optimize_angle(v, objective="ch")
+    c0, c1 = v.coeffs[:2]
+    assert abs(s_star - 0.5 - 2 * np.sqrt(2) * c0 * c1 / np.pi) < 1e-13
+    assert abs(chi_star - np.pi / 4) < 1e-6 and s_star == ch_S(v, chi_star)
+
+
 def test_angle_on_bell_seed_stays_local():
     chi_star, b_star = optimize_angle(seed(1.0, cutoff=8))
     assert b_star <= 2.0
