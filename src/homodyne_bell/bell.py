@@ -27,7 +27,7 @@ only odd n - m off the diagonal, P++(chi) = |c|^2 / 4 + sum_(d odd) a_d cos(d ch
 where a_d = 2 sum_(n - m = d) c_n c_m G_nm^2, and S(chi) = |c|^2 / 2 +
 sum_(d odd) a_d (3 cos(d chi) - cos(3 d chi)).  Each state forms its a_d and both
 series once (a cache of 16 keyed on the coefficient bytes), then P++, S or B
-costs one cosine and one dot.  K is formed only for the optimizer's eigenproblem.
+costs one cosine and one dot.  The optimizer's S = c^T M c reads the same table (`ch_matrix`).
 """
 
 from __future__ import annotations
@@ -115,15 +115,6 @@ def check_phase(chi: float, cutoff: int, times: int = 1) -> None:
         raise ValueError(f"chi = {chi} is " + ("too large" if math.isfinite(chi) else "not finite"))
 
 
-def kernel(k: int, chi: float) -> np.ndarray:
-    """Bell kernel K(chi) = cos((n - m) chi) o G o G on levels 0..k-1: P++ = c^T K c."""
-    if k < 1:
-        raise ValueError("kernel needs at least one level")
-    G = overlap_table(k - 1)
-    d = np.subtract.outer(np.arange(k), np.arange(k))
-    return np.cos(d * chi) * G * G
-
-
 @lru_cache(maxsize=64)
 def _odd_pairs(k: int):
     """Read-only (n, m, (n - m - 1) / 2, 2 G_nm^2) over the pairs n > m of levels 0..k-1 with
@@ -141,13 +132,26 @@ def _odd_pairs(k: int):
 @lru_cache(maxsize=16)
 def _p_plus_plus_of(coeff_bytes: bytes):
     """(P++, S) as functions of chi for the state with these coefficient bytes, by the cosine
-    series of the module docstring; cached, checking the norm inside on every miss."""
+    series of the module docstring; cached.  Checks the norm on a miss, the phase on a call."""
     c = checked_coeffs(np.frombuffer(coeff_bytes))
     n, m, half, w, odd, freqs = _odd_pairs(c.size)
-    a = np.bincount(half, weights=w * c[n] * c[m], minlength=odd.size)
-    n2, s_weights = float(c @ c), a * _CH_WEIGHTS
-    return (lambda chi: 0.25 * n2 + float(np.cos(chi * odd) @ a),
-            lambda chi: 0.5 * n2 + float(np.vdot(np.cos(chi * freqs), s_weights)))
+    a, top = np.bincount(half, weights=w * c[n] * c[m], minlength=odd.size), c.size - 1
+
+    def series(times, base, f, weights):          # check_phase's test, inline; it only raises
+        def value(chi):
+            if not math.isfinite(times * float(chi) * top):
+                check_phase(chi, top, times)
+            return float(base + np.vdot(np.cos(chi * f), weights))
+        return value
+    return series(1, 0.25 * (c @ c), odd, a), series(3, 0.5 * (c @ c), freqs, a * _CH_WEIGHTS)
+
+
+def ch_matrix(k: int, chi: float) -> np.ndarray:
+    """S = c^T M c on levels 0..k-1: M_nn = 1/2; M_nm = M_mn = half the S series' (n, m) term."""
+    n, m, half, w, _, freqs = _odd_pairs(k)
+    M = np.diag(np.full(k, 0.5))
+    M[n, m] = M[m, n] = 0.5 * w * (_CH_WEIGHTS * np.cos(chi * freqs)).sum(axis=0)[half]
+    return M
 
 
 def p_plus_plus(v: CoefficientVector, chi: float) -> float:

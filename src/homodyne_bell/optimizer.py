@@ -3,8 +3,8 @@
 Every search maximizes the CH value S = 3 P++(chi) - P++(3 chi).  The CHSH value
 B = 4 S - 2 is an increasing affine function of S, so it has the same maximizer;
 the objective only chooses which of the two is reported, and both read one cache
-of the maximizers.  At fixed chi, S is the Rayleigh quotient of M = 3 K(chi) -
-K(3 chi), so the free optimum is its top eigenpair: S* = lambda_max, B* = 4 S* - 2.
+of the maximizers.  At fixed chi, S = c^T M c with M from `bell.ch_matrix`, the S series'
+own table, so the free optimum is M's top eigenpair: S* = lambda_max, B* = 4 S* - 2.
 Family-parameter and angle searches are bounded 1-D maximizations by
 `_bounded_brent`, a step-for-step port of the bounded Brent search that
 `scipy.optimize.minimize_scalar(method="bounded")` runs, so they need numpy
@@ -112,8 +112,7 @@ def optimize_coefficients(n_max: int, chi: float, objective: str = "chsh",
 @lru_cache(maxsize=4)
 def _unit_maximizer(n_max: int, chi: float, nonnegative: bool):
     """Read-only unit maximizer c of S = c^T M c (first nonzero entry positive) and S."""
-    k = n_max + 1
-    M = 3.0 * bell.kernel(k, chi) - bell.kernel(k, 3.0 * chi)
+    M = bell.ch_matrix(n_max + 1, chi)
     w, V = np.linalg.eigh(M)
     c = _nonnegative_top(M, w[0], V[:, -1], chi) if nonnegative else V[:, -1]
     c = c / np.linalg.norm(c)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from homodyne_bell import (
     normalize,
     optimize_angle,
     optimize_family_parameter,
+    overgaussification_scan,
     overlap_table,
     p_plus_plus,
     p_plus_plus_quadrature_oracle,
@@ -24,7 +26,7 @@ from homodyne_bell import (
     tmss,
 )
 from homodyne_bell import bell
-from homodyne_bell.bell import hermite_basis, kernel
+from homodyne_bell.bell import ch_matrix, hermite_basis
 
 CHI = np.pi / 4
 ORIGIN = np.zeros(1)
@@ -105,18 +107,26 @@ def test_p_plus_plus_is_even_in_chi(chi, seed_int):
     assert abs(p_plus_plus(v, chi) - p_plus_plus(v, -chi)) < 1e-12
 
 
+def dense_kernel(k, chi):
+    """K(chi) = cos((n - m) chi) o G o G on levels 0..k-1, formed densely: P++ = c^T K c."""
+    G = overlap_table(k - 1)
+    return np.cos(np.subtract.outer(np.arange(k), np.arange(k)) * chi) * G * G
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.floats(-2 * np.pi, 2 * np.pi), st.integers(0, 128), st.integers(0, 2 ** 31))
 def test_kernel_invariants_on_random_states(chi, n_max, seed_int):
     rng = np.random.default_rng(seed_int)
     v = normalize(CoefficientVector(rng.standard_normal(n_max + 1)))
-    K = kernel(n_max + 1, chi)
-    assert np.array_equal(K, K.T)
-    # flipping one sign shifts chi by pi: K(chi + pi) = (-1)^(n - m) K(chi)
-    parity = np.where(np.subtract.outer(np.arange(n_max + 1), np.arange(n_max + 1)) % 2, -1, 1)
-    assert np.max(np.abs(kernel(n_max + 1, chi + np.pi) - parity * K)) < 1e-15
-    c, K3 = v.coeffs, kernel(n_max + 1, 3.0 * chi)
+    k = n_max + 1
+    K, K3, M = dense_kernel(k, chi), dense_kernel(k, 3.0 * chi), ch_matrix(k, chi)
+    assert np.array_equal(M, M.T) and np.all(np.diag(M) == 0.5)
+    # flipping one sign shifts chi by pi: M(chi + pi) = (-1)^(n - m) M(chi)
+    parity = np.where(np.subtract.outer(np.arange(k), np.arange(k)) % 2, -1, 1)
+    assert np.max(np.abs(ch_matrix(k, chi + np.pi) - parity * M)) < 1e-15
+    c = v.coeffs
     assert abs(p_plus_plus(v, chi) - c @ K @ c) < 1e-15
+    assert abs(ch_S(v, chi) - c @ M @ c) < 1e-15
     assert abs(ch_S(v, chi) - c @ (3.0 * K - K3) @ c) < 1e-15
     assert abs(bell_report(v, chi).p_pp_3chi - c @ K3 @ c) < 1e-15
     assert abs(ch_S(v, chi) - (chsh_B(v, chi) / 4.0 + 0.5)) < 1e-10
@@ -126,11 +136,11 @@ def test_kernel_invariants_on_random_states(chi, n_max, seed_int):
 
 
 def test_functionals_never_build_a_kernel(pipeline_state, monkeypatch):
-    # every Bell value comes from the cosine polynomial; K is only the eigenproblem's
+    # every Bell value comes from the cosine polynomial; M is only the eigenproblem's
     def refuse(*_):
-        raise AssertionError("a Bell functional built a kernel matrix")
+        raise AssertionError("a Bell functional built the CH matrix")
 
-    monkeypatch.setattr(bell, "kernel", refuse)
+    monkeypatch.setattr(bell, "ch_matrix", refuse)
     v = pipeline_state
     values = [p_plus_plus(v, CHI), ch_S(v, CHI), chsh_B(v, CHI), bell_report(v, CHI).B]
     assert np.all(np.isfinite(values))
@@ -317,6 +327,29 @@ def test_bell_report_correlation_range_is_pinned_at_its_edge(name, sign):
     _report(**{name: sign * (1.0 + 0.9e-10)})
     with pytest.raises(ValueError, match="out of"):
         _report(**{name: sign * (1.0 + 1.1e-10)})
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("chi, why", [(1e308, "too large"), (-1e308, "too large"),
+                                      (np.nan, "not finite"), (np.inf, "not finite")])
+def test_bell_values_refuse_a_chi_whose_phase_overflows(chi, why):
+    # these returned nan at nan, and warned on cos or on 3 chi's overflow at inf and 1e308
+    refused = rf"^chi = {re.escape(str(chi))} is {why}$"
+    for value in (p_plus_plus, ch_S, chsh_B):
+        with pytest.raises(ValueError, match=refused):
+            value(pipelined(0.7071), chi)
+    with pytest.raises(ValueError, match=refused):
+        overgaussification_scan(0.7071, 4, chi=chi)
+
+
+@pytest.mark.filterwarnings("error")
+def test_only_the_triple_phase_refuses_a_chi_between_its_limits():
+    # 32 levels: P++ reaches the phase chi * 31, finite at 3e306; S reaches 3 chi * 31
+    v = pipelined(0.7071)
+    assert abs(p_plus_plus(v, 3e306) - 0.0691664940854) < 1e-12
+    for value in (ch_S, chsh_B):
+        with pytest.raises(ValueError, match=r"^chi = 3e\+306 is too large$"):
+            value(v, 3e306)
 
 
 def test_bell_report_refuses_a_chi_whose_triple_phase_overflows():

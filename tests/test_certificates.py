@@ -13,6 +13,7 @@ so it is a local, hence the top, eigenvector of M_FF.  The largest lambda_max(M_
 the supports whose top eigenvector is strictly positive is the global optimum.
 """
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, pi, sqrt
@@ -27,6 +28,7 @@ XI = 1.0 / sqrt(2.0)
 CHI = pi / 4.0
 ITERATIONS = 3
 Q_PIPELINED = Fraction(13986499535233, 2149190095536)
+PI_50 = Decimal("3.1415926535897932384626433832795028841971693993751")
 
 
 def ratio_of_double_factorials(k):
@@ -86,6 +88,45 @@ def test_criterion_08_exact_certificate():
         assert abs(b - float(qi) / pi) <= (2e-15 if i >= 3 else 2.5e-15)
     assert q[3] > q[4] > q[5] > q[6]
     assert max(range(7), key=q.__getitem__) == 3
+
+
+def eigenvalues_below(Q, t):
+    """How many eigenvalues of the rational symmetric Q lie below t: the negative pivots of
+    an exact LDL^T of Q - t I (Sylvester's law of inertia)."""
+    A = [[q - t if i == j else q for j, q in enumerate(row)] for i, row in enumerate(Q)]
+    below = 0
+    for j, row in enumerate(A):
+        assert row[j] != 0, "a zero pivot leaves the count undecided"
+        below += row[j] < 0
+        for lower in A[j + 1:]:
+            f = lower[j] / row[j]
+            for i in range(j + 1, len(A)):
+                lower[i] -= f * row[i]
+    return below
+
+
+def test_criterion_03_exact_bracket():
+    # At chi = pi/4, M = I/2 + Q / (sqrt2 pi) with Q_nm = pi G_nm^2 (3 sigma_d - sigma_3d)
+    # rational, so S* = 1/2 + lambda_max(Q) / (sqrt2 pi) and B* = (2 sqrt2 / pi) lambda_max(Q).
+    # The program reads 8.0e-16 above the bracket in B and 2.0e-16 in S
+    n_max = 10
+    Q = [[pi_overlap_squared(n, m) * (3 * sigma(n - m) - sigma(3 * (n - m))) if (n - m) % 2
+          else Fraction(0) for m in range(n_max + 1)] for n in range(n_max + 1)]
+    lo, hi = Fraction(1), max(sum(abs(q) for q in row) for row in Q)     # hi: Gershgorin
+    assert eigenvalues_below(Q, lo) < n_max + 1 == eigenvalues_below(Q, hi)
+    while hi - lo > Fraction(1, 10 ** 18):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if eigenvalues_below(Q, mid) == n_max + 1 else (mid, hi)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        unit = 1 / (Decimal(2).sqrt() * PI_50)
+        lam = [Decimal(x.numerator) / Decimal(x.denominator) for x in (lo, hi)]
+        b_star, s_star = [4 * unit * x for x in lam], [Decimal("0.5") + unit * x for x in lam]
+        b = optimize_coefficients(n_max, CHI)[1]
+        s = optimize_coefficients(n_max, CHI, objective="ch")[1]
+        assert max(b_star[0] - Decimal(b), Decimal(b) - b_star[1], 0) <= Decimal("1e-15")
+        assert max(s_star[0] - Decimal(s), Decimal(s) - s_star[1], 0) <= Decimal("5e-16")
+    assert f"{float(b_star[0]):.12g}" == "2.09195442894"      # as `bell` prints the optimum
 
 
 def bell_matrix(n_max, chi):

@@ -17,6 +17,7 @@ from homodyne_bell import (
     optimizer,
     seed,
 )
+from test_certificates import bell_matrix
 
 CHI = np.pi / 4
 # The N = 10 ceiling at chi = pi/4, from an independent eigen solve of the kernel
@@ -26,6 +27,20 @@ B_STAR_10, S_STAR_10 = 2.0919544289398, 1.0229886072350
 # face solve must not fall below them.
 NONNEG_B = {4: 2.0782271340989933, 8: 2.0782271340989915, 10: 2.081083633425389,
             12: 2.083191772455937, 16: 2.0831917724419036}
+
+
+def reference_matrix(n_max, chi):
+    """M = 3 K(chi) - K(3 chi), never from the program's table: test_certificates.bell_matrix
+    (rational pi G_nm^2) up to N = 32; above it the same closed form in floats,
+    pi G_nm^2 = o r_(n - n % 2) r_(m - m % 2) / (2 (n - m)^2) with o the odd one of n, m."""
+    if n_max <= 32:
+        return bell_matrix(n_max, chi)
+    n = np.arange(n_max + 1)
+    r = np.cumprod(np.r_[1.0, 1.0 - 0.5 / np.arange(1, n_max // 2 + 1)])[n // 2]
+    d = np.subtract.outer(n, n)
+    g2 = np.where(d % 2, np.maximum.outer(n % 2 * n, n % 2 * n) * np.outer(r, r), 0.0)
+    g2 = g2 / (2.0 * np.pi * np.maximum(d * d, 1)) + np.eye(n_max + 1) / 4.0
+    return (3.0 * np.cos(d * chi) - np.cos(3.0 * d * chi)) * g2
 
 
 def test_vacuum_only_problem():
@@ -50,9 +65,18 @@ def test_exact_optimum_grows_with_cutoff_and_is_stationary_at_pi_over_4():
     h = 1e-5
     for n in cutoffs:
         def top(chi):
-            M = 3.0 * bell.kernel(n + 1, chi) - bell.kernel(n + 1, 3.0 * chi)
+            M = reference_matrix(n, chi)
             return np.linalg.eigvalsh(M)[-1]
         assert abs(top(CHI + h) - top(CHI - h)) / (2 * h) <= 1e-7
+
+
+@pytest.mark.parametrize("n_max", [10, 32, 64])
+def test_ch_matrix_matches_the_reference_matrix(n_max):
+    # the program's G^2 sits up to 1.1e-16 from the rational pi G_nm^2 / pi at N = 32, and
+    # |3 cos(d chi) - cos(3 d chi)| <= 2 sqrt2 scales it: 3.3e-16 at most, as for 3 K - K3
+    for chi in (CHI, 0.3, 1.1):
+        M = bell.ch_matrix(n_max + 1, chi)
+        assert np.max(np.abs(M - reference_matrix(n_max, chi))) <= 4e-16
 
 
 def test_ch_optimum_at_n10():
@@ -135,8 +159,7 @@ def _lbfgs_face_oracle(M):
 def test_nonnegative_optimum_is_a_certified_kkt_point(n_max):
     # angles in the domain optimize_angle searches, (0, pi/2]
     for chi in [CHI, *np.random.default_rng(n_max).uniform(0.05, np.pi / 2, 3)]:
-        k = n_max + 1
-        M = 3.0 * bell.kernel(k, chi) - bell.kernel(k, 3.0 * chi)
+        M = reference_matrix(n_max, chi)
         vec, s, _ = optimize_coefficients(n_max, chi, objective="ch", nonnegative=True)
         c = vec.coeffs
         face = c > 0.0
@@ -339,7 +362,7 @@ def _certified_family_optimum(family, chi):
         return lo + 0.5 * (hi - lo) * (x + 1.0)
 
     k = state(hi).size
-    M, n = 3.0 * bell.kernel(k, chi) - bell.kernel(k, 3.0 * chi), np.arange(k)
+    M, n = reference_matrix(k - 1, chi), np.arange(k)
 
     def residual(xs):
         cs = [state(at(x)) for x in xs]
