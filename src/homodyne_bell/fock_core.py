@@ -191,8 +191,20 @@ def read_state_file(path) -> CoefficientVector:
         doc = doc["state"]
     if not isinstance(doc, dict) or not {"coefficients", "cutoff", "normalized"} <= doc.keys():
         raise ValueError(f"state file {path}: needs coefficients, cutoff and normalized fields")
-    coeffs = np.asarray(doc["coefficients"], dtype=float)
-    if int(doc["cutoff"]) != coeffs.size - 1:
+    coeffs, cutoff, normalized = doc["coefficients"], doc["cutoff"], doc["normalized"]
+    for field, ok, kind in (   # JSON types exactly: a bool is neither a number nor an integer
+            ("coefficients", isinstance(coeffs, list)
+             and all(type(x) in (int, float) for x in coeffs), "a list of numbers"),
+            ("cutoff", type(cutoff) is int, "an integer"),
+            ("normalized", type(normalized) is bool, "true or false")):
+        if not ok:
+            raise ValueError(f"state file {path}: {field} field must be {kind}")
+    try:
+        coeffs = np.asarray(coeffs, dtype=float)
+    except OverflowError:
+        raise ValueError(f"state file {path}: coefficients field holds an integer "
+                         "beyond the float range") from None
+    if cutoff != coeffs.size - 1:
         raise ValueError(f"state file {path}: cutoff field does not match coefficients")
-    return CoefficientVector(coeffs, normalized=bool(doc["normalized"]),
+    return CoefficientVector(coeffs, normalized=normalized,
                              provenance=str(doc.get("provenance", "")))

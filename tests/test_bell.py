@@ -1,11 +1,14 @@
 import dataclasses
+import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 
+from exact import PI_50, overlap_squared, pi_overlap_squared
 from homodyne_bell import (
     BellReport,
     CoefficientVector,
@@ -79,7 +82,20 @@ def test_overlap_table_matches_half_line_quadrature(n_max):
     xs = (left[:, None] + 0.25 * (x + 1.0)).ravel()
     ws = np.tile(0.25 * w, left.size)
     V = hermite_basis(n_max, xs)
-    assert np.max(np.abs(overlap_table(n_max) - (V * ws) @ V.T)) < 1e-14
+    W = (V * ws) @ V.T
+    assert np.max(np.abs(overlap_table(n_max) - W)) < 1e-14
+    assert np.max(np.abs(overlap_squared(n_max + 1) - W * W)) < 1e-14     # the tests' G o G
+
+
+@pytest.mark.parametrize("n_max, ulps", [(10, 7), (32, 9), (64, 9), (128, 18)])
+def test_overlap_table_squares_within_ulps_of_exact(n_max, ulps):
+    # G * G in floats against pi G_nm^2 / pi to 50 digits, in ulps of the exact value:
+    # 6.38, 8.33, 8.79 and 17.03 at these N
+    G = overlap_table(n_max)
+    worst = max(abs(Fraction(G[n, m] * G[n, m]) - g2) / Fraction(math.ulp(float(g2)))
+                for n in range(n_max + 1) for m in range(n % 2 == 0, n, 2)
+                for g2 in [pi_overlap_squared(n, m) / PI_50])
+    assert worst <= ulps
 
 
 def test_p_plus_plus_vacuum_is_quarter():
@@ -108,9 +124,8 @@ def test_p_plus_plus_is_even_in_chi(chi, seed_int):
 
 
 def dense_kernel(k, chi):
-    """K(chi) = cos((n - m) chi) o G o G on levels 0..k-1, formed densely: P++ = c^T K c."""
-    G = overlap_table(k - 1)
-    return np.cos(np.subtract.outer(np.arange(k), np.arange(k)) * chi) * G * G
+    """K(chi) = cos((n - m) chi) o G o G on levels 0..k-1, from the exact G o G: P++ = c^T K c."""
+    return np.cos(np.subtract.outer(np.arange(k), np.arange(k)) * chi) * overlap_squared(k)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,11 +1,10 @@
 import math
 import warnings
-from decimal import Decimal, localcontext
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from exact import distilled_weights, subtract_photon, unit_row
 from homodyne_bell import (
     catalog,
     circle,
@@ -228,27 +227,14 @@ def test_family_table_names_every_family():
             assert catalog.build(family, bounds[1], cutoff=16).normalized
 
 
-def _distilled_exactly(xi: float, cutoff: int, k: int) -> np.ndarray:
-    """The pipelined row in exact rational arithmetic, normalized at 50 digits:
-    c_n ~ (n + 1) 2^k! / (2^k - n - 1)! (xi / 2^k)^n on levels 0..cutoff-1."""
-    m, x = 2 ** k, Fraction(xi)
-    u = [(n + 1) * Fraction(math.factorial(m), math.factorial(m - n - 1)) * (x / m) ** n
-         if n < m else Fraction(0) for n in range(cutoff)]
-    with localcontext() as ctx:
-        ctx.prec = 50
-        norm2 = sum(a * a for a in u)
-        norm = (Decimal(norm2.numerator) / Decimal(norm2.denominator)).sqrt()
-        return np.array([float(Decimal(a.numerator) / Decimal(a.denominator) / norm)
-                         for a in u])
-
-
 @pytest.mark.parametrize("k", range(9))
 def test_pipelined_row_is_exact_to_rounding(k):
     for xi in (0.2, 0.5, 1 / np.sqrt(2), 1.0, 1.5):
         for cutoff in (3, 8, 32):
             v = catalog.pipelined(xi, cutoff, k)
             assert v.cutoff == cutoff - 1 and v.provenance == f"pipeline(xi={xi:g}, iters={k})"
-            assert np.max(np.abs(v.coeffs - _distilled_exactly(xi, cutoff, k))) <= 4e-16
+            exact = unit_row(subtract_photon(distilled_weights(k, cutoff + 1, xi)))
+            assert np.max(np.abs(v.coeffs - exact)) <= 4e-16
 
 
 def test_pipelined_row_tends_to_the_gaussification_limit():

@@ -146,6 +146,15 @@ def test_state_file_without_coefficients_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_state_file_with_a_field_of_the_wrong_type_is_an_error(tmp_path, capsys):
+    # "false" is a string, which bool() reads as True
+    state = tmp_path / "typed.json"
+    state.write_text('{"coefficients": [1.0, 0.0], "cutoff": 1, "normalized": "false"}\n')
+    assert run_cli("bell", "--state", str(state)) == 1
+    assert capsys.readouterr().err == (
+        f"error: state file {state}: normalized field must be true or false\n")
+
+
 def test_bell_csv_field_names(tmp_path):
     state = tmp_path / "seed.json"
     write_state_file(seed(1.0, cutoff=8), state)

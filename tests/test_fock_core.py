@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -210,8 +213,16 @@ def test_state_file_17_digit_floats():
 
 
 def test_state_file_cutoff_consistency(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"cutoff": 5, "coefficients": [1.0, 0.0], '
-                    '"normalized": true, "provenance": ""}')
-    with pytest.raises(ValueError):
-        read_state_file(path)
+    # a cutoff that does not match the coefficients, fields of the wrong JSON type, which
+    # int(), bool() and a float array would read as a valid state, and an integer
+    # coefficient no float holds
+    good = {"coefficients": [0.6, 0.8], "cutoff": 1, "normalized": True, "provenance": ""}
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(good))
+    assert read_state_file(path).normalized
+    for field, value in [("cutoff", 5), ("cutoff", 1.9), ("cutoff", "1"), ("cutoff", True),
+                         ("normalized", "false"), ("coefficients", ["0.6", "0.8"]),
+                         ("coefficients", [True, False]), ("coefficients", [10 ** 400, 0])]:
+        path.write_text(json.dumps({**good, field: value}))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {field} field"):
+            read_state_file(path)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.chebyshev import chebinterpolate, chebroots
 
+from exact import bell_matrix
 from homodyne_bell import (
     CoefficientVector,
     bell,
@@ -17,7 +18,6 @@ from homodyne_bell import (
     optimizer,
     seed,
 )
-from test_certificates import bell_matrix
 
 CHI = np.pi / 4
 # The N = 10 ceiling at chi = pi/4, from an independent eigen solve of the kernel
@@ -27,20 +27,6 @@ B_STAR_10, S_STAR_10 = 2.0919544289398, 1.0229886072350
 # face solve must not fall below them.
 NONNEG_B = {4: 2.0782271340989933, 8: 2.0782271340989915, 10: 2.081083633425389,
             12: 2.083191772455937, 16: 2.0831917724419036}
-
-
-def reference_matrix(n_max, chi):
-    """M = 3 K(chi) - K(3 chi), never from the program's table: test_certificates.bell_matrix
-    (rational pi G_nm^2) up to N = 32; above it the same closed form in floats,
-    pi G_nm^2 = o r_(n - n % 2) r_(m - m % 2) / (2 (n - m)^2) with o the odd one of n, m."""
-    if n_max <= 32:
-        return bell_matrix(n_max, chi)
-    n = np.arange(n_max + 1)
-    r = np.cumprod(np.r_[1.0, 1.0 - 0.5 / np.arange(1, n_max // 2 + 1)])[n // 2]
-    d = np.subtract.outer(n, n)
-    g2 = np.where(d % 2, np.maximum.outer(n % 2 * n, n % 2 * n) * np.outer(r, r), 0.0)
-    g2 = g2 / (2.0 * np.pi * np.maximum(d * d, 1)) + np.eye(n_max + 1) / 4.0
-    return (3.0 * np.cos(d * chi) - np.cos(3.0 * d * chi)) * g2
 
 
 def test_vacuum_only_problem():
@@ -65,7 +51,7 @@ def test_exact_optimum_grows_with_cutoff_and_is_stationary_at_pi_over_4():
     h = 1e-5
     for n in cutoffs:
         def top(chi):
-            M = reference_matrix(n, chi)
+            M = bell_matrix(n, chi)
             return np.linalg.eigvalsh(M)[-1]
         assert abs(top(CHI + h) - top(CHI - h)) / (2 * h) <= 1e-7
 
@@ -73,10 +59,10 @@ def test_exact_optimum_grows_with_cutoff_and_is_stationary_at_pi_over_4():
 @pytest.mark.parametrize("n_max", [10, 32, 64])
 def test_ch_matrix_matches_the_reference_matrix(n_max):
     # the program's G^2 sits up to 1.1e-16 from the rational pi G_nm^2 / pi at N = 32, and
-    # |3 cos(d chi) - cos(3 d chi)| <= 2 sqrt2 scales it: 3.3e-16 at most, as for 3 K - K3
+    # |3 cos(d chi) - cos(3 d chi)| <= 2 sqrt2 scales it: 3.3e-16 at most, at N = 64 too
     for chi in (CHI, 0.3, 1.1):
         M = bell.ch_matrix(n_max + 1, chi)
-        assert np.max(np.abs(M - reference_matrix(n_max, chi))) <= 4e-16
+        assert np.max(np.abs(M - bell_matrix(n_max, chi))) <= 4e-16
 
 
 def test_ch_optimum_at_n10():
@@ -159,7 +145,7 @@ def _lbfgs_face_oracle(M):
 def test_nonnegative_optimum_is_a_certified_kkt_point(n_max):
     # angles in the domain optimize_angle searches, (0, pi/2]
     for chi in [CHI, *np.random.default_rng(n_max).uniform(0.05, np.pi / 2, 3)]:
-        M = reference_matrix(n_max, chi)
+        M = bell_matrix(n_max, chi)
         vec, s, _ = optimize_coefficients(n_max, chi, objective="ch", nonnegative=True)
         c = vec.coeffs
         face = c > 0.0
@@ -172,12 +158,21 @@ def test_nonnegative_optimum_is_a_certified_kkt_point(n_max):
 
 def test_nonnegative_ascent_certifies_integer_matrices():
     # small integer matrices have the ties, exact zeros and saddles the Bell
-    # kernel avoids: a face eigenvector with a zero entry, |v_top| a minimizer
-    rng = np.random.default_rng(5)
-    for _ in range(400):
-        k = int(rng.integers(2, 8))
-        R = rng.integers(-3, 4, (k, k)).astype(float)
-        M = (R + R.T) / 2.0
+    # kernel avoids: a face eigenvector with a zero entry, |v_top| a minimizer.
+    # The last matrix's ascent ends at (0, 1, 2.47e-9) with (Mc)_0 = -1.6e-9; a KKT
+    # tolerance of 1e-7 would stop it at (0, 1, 0), where (Mc)_2 = +3.6e-10
+    def matrices():
+        rng = np.random.default_rng(5)
+        for _ in range(400):
+            k = int(rng.integers(2, 8))
+            R = rng.integers(-3, 4, (k, k)).astype(float)
+            yield (R + R.T) / 2.0
+        yield np.array([
+            [-9.8269967852217269e-02, -2.0540431542243020e-09, 1.7821727081102470e-01],
+            [-2.0540431542243020e-09, 8.7916061828798531e-01, 3.6468363446010675e-10],
+            [1.7821727081102470e-01, 3.6468363446010675e-10, 7.3165228378544078e-01]])
+
+    for M in matrices():
         w, V = np.linalg.eigh(M)
         c = optimizer._nonnegative_top(M, w[0], V[:, -1], 0.0)
         face, s = c > 0.0, float(c @ M @ c)
@@ -362,7 +357,7 @@ def _certified_family_optimum(family, chi):
         return lo + 0.5 * (hi - lo) * (x + 1.0)
 
     k = state(hi).size
-    M, n = reference_matrix(k - 1, chi), np.arange(k)
+    M, n = bell_matrix(k - 1, chi), np.arange(k)
 
     def residual(xs):
         cs = [state(at(x)) for x in xs]

@@ -1,9 +1,10 @@
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exact import distilled_weights, unit_row
 from homodyne_bell import (
     BeamSplitter,
     CoefficientVector,
@@ -94,21 +95,16 @@ def test_gaussify_matches_exact_binomial_recursion_on_pipeline_states():
             assert not any(a.flags.writeable for a in pipeline._gaussify_scales(wide.size))
 
 
-def binomial_stage(xi, k, size):
-    """u_k[n] = n! C(2^k, n) (xi / 2^k)^n, n < size: the coefficients of (1 + xi z / 2^k)^(2^k)
-    in z^n / n!, the seed 1 + xi z after k steps F(z) -> F(z/2)^2 (Browne et al. 2003)."""
-    m = 2 ** k
-    return np.array([factorial(n) * comb(m, n) * (xi / m) ** n for n in range(size)])
-
-
 @pytest.mark.parametrize("xi", [0.3, 1 / np.sqrt(2), 1.2])
 def test_gaussify_steps_match_the_binomial_closed_form(xi):
+    # stage k holds the rational row (1 + xi z / 2^k)^(2^k) of `exact.distilled_weights`
     rep = run_pipeline(PipelineConfig(xi=xi, iterations=4, cutoff=32))
+    norm2 = [sum(a * a for a in distilled_weights(k, 33, xi)) for k in range(5)]
     for k in range(1, 5):
-        u, prev = binomial_stage(xi, k, 33), binomial_stage(xi, k - 1, 33)
-        p = (u @ u) / (prev @ prev) ** 2       # herald probability of the normalized input
-        assert abs(rep.gaussify_probabilities[k - 1] / p - 1.0) <= 1e-14
-        assert np.max(np.abs(rep.stage_states[k - 1].coeffs - u / np.linalg.norm(u))) <= 1e-15
+        p = norm2[k] / norm2[k - 1] ** 2       # herald probability of the normalized input
+        assert abs(rep.gaussify_probabilities[k - 1] / float(p) - 1.0) <= 1e-14
+        exact = unit_row(distilled_weights(k, 33, xi))
+        assert np.max(np.abs(rep.stage_states[k - 1].coeffs - exact)) <= 1e-15
 
 
 def test_seed_expansion_by_hand():

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exact import odd_pair_sum
 from homodyne_bell import (CoefficientVector, PipelineConfig, bell, bell_report, chsh_B, circle,
                            estimate_B, normalize, p_plus_plus, run_pipeline, sample_joint,
                            sampler, seed, tmss)
-from test_certificates import pi_overlap_squared, sigma
 
 CHI = np.pi / 4
 PINNED = [[38012, 12092], [11960, 37936]]   # pipelined state, chi = pi/4, 10^5 pairs, seed 7
@@ -509,12 +509,9 @@ def _gram_case(family, pipeline_state):
 
 def _exact_p_plus_plus(coeffs, j):
     """P++ at chi = j pi/4, j odd, from the float coefficients taken as exact rationals:
-    |c|^2/4 + 2 sum_(n>m, n-m odd) c_n c_m cos((n-m) chi) G_nm^2 over |c|^2, with
-    pi G_nm^2 rational and cos(d chi) = sigma(j d)/sqrt2 (tests/test_certificates.py)."""
+    |c|^2/4 plus the odd pairs of `exact.odd_pair_sum`, over |c|^2."""
     c = [Fraction(float(x)) for x in coeffs]
-    odd = sum(c[n] * c[m] * sigma(j * (n - m)) * pi_overlap_squared(n, m)
-              for n in range(len(c)) for m in range(n) if (n - m) % 2)
-    return 0.25 + float(2 * odd / sum(x * x for x in c)) / (np.sqrt(2.0) * np.pi)
+    return 0.25 + float(2 * odd_pair_sum(c, j) / sum(x * x for x in c)) / (np.sqrt(2.0) * np.pi)
 
 
 @pytest.mark.parametrize("j", [1, 3])
