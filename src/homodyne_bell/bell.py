@@ -205,11 +205,11 @@ class BellReport:
 
 
 def bell_report(v: CoefficientVector, chi: float) -> BellReport:
-    """Evaluate P++, E, B and S for one state from P++ at chi and 3 chi."""
+    """Evaluate P++ and E at chi and 3 chi, and S and B = 4 S - 2 from the S series, so
+    they equal ch_S and chsh_B bit for bit."""
     check_phase(chi, v.cutoff, 3)
-    p = _p_plus_plus_of(v.coeffs.tobytes())[0]
-    p1, p3 = p(chi), p(3.0 * chi)
-    s = 3.0 * p1 - p3
+    p, series = _p_plus_plus_of(v.coeffs.tobytes())
+    p1, p3, s = p(chi), p(3.0 * chi), series(chi)
     return BellReport(chi=chi, p_pp_chi=p1, p_pp_3chi=p3, E_chi=4.0 * p1 - 1.0,
                       E_3chi=4.0 * p3 - 1.0, B=4.0 * s - 2.0, S=s, cutoff=v.cutoff,
                       provenance=v.provenance)

@@ -1,10 +1,10 @@
 """Command-line front end: reproducible experiments, plot-ready CSV/JSON.
 
 Subcommands: state, pipeline, bell, scan, sample, optimize.  Identical flags
-and seeds produce byte-identical primary outputs.  CSV fields and the `bell` JSON
-print floats by `%.12g` (_FMT), so an integral float prints `2`; the `pipeline` and
-`sample` JSON round to 12 digits and print through `json`, so `2.0`; the `stage1`
-block, `subtraction_probability` and state files carry 17 digits.  A CSV text
+and seeds produce byte-identical primary outputs.  CSV fields print floats by `%.12g`
+(_FMT), so an integral float prints `2`; every JSON document goes through
+`fock_core.json_text`, so `2.0`, its Bell and sample statistics rounded to 12 digits
+first and its state, `stage1` and subtraction values printed in full.  A CSV text
 field holding `,`, `"`, a newline or a carriage return is quoted, quotes doubled.
 
 Each mode of `state`, `pipeline`, `scan` and `optimize` rejects a flag it does not
@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
 
 from . import bell, catalog, optimizer, sampler
-from .fock_core import read_state_file, state_file_text
+from .fock_core import json_text, read_state_file, state_document
 from .pipeline import PipelineConfig, overgaussification_scan, run_pipeline
 
 _FMT = "%.12g"
@@ -95,7 +94,7 @@ def cmd_state(args) -> None:
         {own: None, "cutoff": None} if own else {"file": None})})
     v = catalog.build(family, own and getattr(args, own), args.cutoff, args.file)
     _emit(_csv(["n", "c_n"], [(n, float(c)) for n, c in enumerate(v.coeffs)])
-          if args.format == "csv" else state_file_text(v), args.out)
+          if args.format == "csv" else json_text(state_document(v)), args.out)
 
 
 def cmd_pipeline(args) -> None:
@@ -112,18 +111,18 @@ def cmd_pipeline(args) -> None:
         subtraction_reflectivity=(args.bs_r if mode == "beamsplitter"
                                   else PipelineConfig.subtraction_reflectivity)))
     report = bell.bell_report(rep.final_state, args.chi)
-    doc = {
-        "state": json.loads(state_file_text(rep.final_state)),
+    stage1 = {} if rep.stage1 is None else {"stage1": {k: getattr(rep.stage1, k) for k in (
+        "input_dropped_mass", "printed_transmissivity", "success_probability",
+        "trace_distance", "transmissivity", "truncated_mass")}}
+    doc = {      # keys in sorted order, but the state's, which keep a state file's order
+        "bell": {k: float(_FMT % getattr(report, k)) for k in ("B", "S", "chi")},
         "gaussify_success_probabilities": [float(_FMT % p) for p in rep.gaussify_probabilities],
+        **stage1,
+        "state": state_document(rep.final_state),
         "subtraction_probability": rep.subtraction_probability,
         "truncation_warnings": list(rep.truncation_warnings),
-        "bell": {k: float(_FMT % getattr(report, k)) for k in ("chi", "B", "S")},
     }
-    if rep.stage1 is not None:
-        doc["stage1"] = {k: getattr(rep.stage1, k) for k in (
-            "trace_distance", "success_probability", "transmissivity", "printed_transmissivity",
-            "truncated_mass", "input_dropped_mass")}
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(json_text(doc), args.out)
 
 
 def cmd_bell(args) -> None:
@@ -131,9 +130,8 @@ def cmd_bell(args) -> None:
     if args.format == "csv":
         _emit(_csv(list(fields), [fields.values()]), args.out)
         return
-    pairs = (f'  "{k}": {_FMT % v if isinstance(v, float) else json.dumps(v)}'
-             for k, v in fields.items())
-    _emit("{\n" + ",\n".join(pairs) + "\n}\n", args.out)
+    _emit(json_text({k: float(_FMT % v) if isinstance(v, float) else v
+                     for k, v in fields.items()}), args.out)
 
 
 def cmd_scan(args) -> None:
@@ -177,18 +175,18 @@ def cmd_scan(args) -> None:
 def cmd_sample(args) -> None:
     v = read_state_file(args.state)
     est = sampler.estimate_B(v, args.chi, args.n, args.seed)
-    doc = {
+    doc = {      # keys in sorted order
+        "analytic_B": float(_FMT % bell.chsh_B(v, args.chi)),
+        "b_hat": float(_FMT % est.b),
+        "chi": float(_FMT % args.chi),
+        "counts_3chi": est.batch_3chi.counts.tolist(),
+        "counts_chi": est.batch_chi.counts.tolist(),
+        "generator": sampler.GENERATOR_NAME,
         "n_samples": args.n,
         "seed": args.seed,
-        "generator": sampler.GENERATOR_NAME,
-        "chi": float(_FMT % args.chi),
-        "b_hat": float(_FMT % est.b),
         "stderr": float(_FMT % est.stderr),
-        "analytic_B": float(_FMT % bell.chsh_B(v, args.chi)),
-        "counts_chi": est.batch_chi.counts.tolist(),
-        "counts_3chi": est.batch_3chi.counts.tolist(),
     }
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(json_text(doc), args.out)
     if args.dump_xy:
         # the batch counted in counts_chi, drawn again from its own (child) seed
         batch = sampler.sample_joint(v, args.chi, args.n, est.batch_chi.seed, keep_samples=True)
@@ -220,7 +218,7 @@ def cmd_optimize(args) -> None:
         _read_flags(args, "the coefficient search", {**reads, "n": 10, "chi": np.pi / 4})
         vec, val, _ = optimizer.optimize_coefficients(args.n, args.chi, objective=args.objective)
         sys.stderr.write(f"best {args.objective.upper()} = {val:.9f}\n")
-        _emit(state_file_text(vec), args.out)
+        _emit(json_text(state_document(vec)), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

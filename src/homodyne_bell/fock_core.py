@@ -12,7 +12,9 @@ probability.
 
 All containers are immutable after construction; arrays are stored with the
 write flag cleared so values can be shared freely between workers.  One
-overflow-safe norm (math.hypot) checks a CoefficientVector's entries and norm.
+overflow-safe norm (math.hypot) checks a CoefficientVector's entries and norm;
+`normalize` is the one normalizer.  `json_text` writes state files (`state_document`)
+and every JSON document of the CLI, each float as its shortest exact repr.
 """
 
 from __future__ import annotations
@@ -123,16 +125,13 @@ class ConditionalEnsemble:
         return (V.T * self.weights) @ V.conj()
 
 
-def normalize(v: CoefficientVector) -> CoefficientVector:
-    """Rescale to unit norm, making the first nonzero coefficient nonnegative.
+def normalize(c, provenance: str = "") -> CoefficientVector:
+    """The raw coefficients `c` rescaled to unit norm, the first nonzero one made
+    nonnegative; `c` is copied, never written.
 
     Raises ValueError on a zero vector (an impossible conditioning branch).
     """
-    return _normalized(np.array(v.coeffs), v.provenance)
-
-
-def _normalized(c: np.ndarray, provenance: str) -> CoefficientVector:
-    """`normalize` of the raw coefficients `c`, which it may overwrite."""
+    c = np.array(c, dtype=float)
     n2 = float(np.dot(c, c))
     if n2 <= 0.0:
         raise ValueError("cannot normalize a zero coefficient vector")
@@ -163,24 +162,22 @@ def trace_distance_pure_vs_ensemble(target: CoefficientVector,
     return float(0.5 * np.sum(np.abs(eigs)))
 
 
-# --- state file format (shared with the CLI) ---------------------------------
+# --- JSON documents (shared with the CLI) ------------------------------------
 
-def state_file_text(v: CoefficientVector) -> str:
-    """Serialize to the JSON state document with 17-significant-digit floats."""
-    coeffs = ", ".join(f"{x:.17g}" for x in v.coeffs)
-    return (
-        "{\n"
-        f'  "cutoff": {v.cutoff},\n'
-        f'  "coefficients": [{coeffs}],\n'
-        f'  "normalized": {"true" if v.normalized else "false"},\n'
-        f'  "provenance": {json.dumps(v.provenance)}\n'
-        "}\n"
-    )
+def json_text(doc) -> str:
+    """The one JSON writer: indent 2, keys in insertion order, floats as shortest repr."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def state_document(v: CoefficientVector) -> dict:
+    """The state file's fields, in the order a state file lists them."""
+    return {"cutoff": v.cutoff, "coefficients": v.coeffs.tolist(),
+            "normalized": v.normalized, "provenance": v.provenance}
 
 
 def write_state_file(v: CoefficientVector, path) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write(state_file_text(v))
+        fh.write(json_text(state_document(v)))
 
 
 def read_state_file(path) -> CoefficientVector:
@@ -192,11 +189,13 @@ def read_state_file(path) -> CoefficientVector:
     if not isinstance(doc, dict) or not {"coefficients", "cutoff", "normalized"} <= doc.keys():
         raise ValueError(f"state file {path}: needs coefficients, cutoff and normalized fields")
     coeffs, cutoff, normalized = doc["coefficients"], doc["cutoff"], doc["normalized"]
+    provenance = doc.get("provenance", "")
     for field, ok, kind in (   # JSON types exactly: a bool is neither a number nor an integer
             ("coefficients", isinstance(coeffs, list)
              and all(type(x) in (int, float) for x in coeffs), "a list of numbers"),
             ("cutoff", type(cutoff) is int, "an integer"),
-            ("normalized", type(normalized) is bool, "true or false")):
+            ("normalized", type(normalized) is bool, "true or false"),
+            ("provenance", type(provenance) is str, "a string")):
         if not ok:
             raise ValueError(f"state file {path}: {field} field must be {kind}")
     try:
@@ -206,5 +205,4 @@ def read_state_file(path) -> CoefficientVector:
                          "beyond the float range") from None
     if cutoff != coeffs.size - 1:
         raise ValueError(f"state file {path}: cutoff field does not match coefficients")
-    return CoefficientVector(coeffs, normalized=normalized,
-                             provenance=str(doc.get("provenance", "")))
+    return CoefficientVector(coeffs, normalized=normalized, provenance=provenance)

@@ -27,7 +27,7 @@ from .fock_core import (
     CoefficientVector,
     ConditionalEnsemble,
     FourModeTensor,
-    _normalized,
+    normalize,
 )
 
 _UNITARITY_TOL = 1e-12
@@ -138,7 +138,7 @@ def photon_subtract_exact(v: CoefficientVector) -> CoefficientVector:
     c = v.coeffs
     if c.size < 2 or not c[1:].any():
         raise ValueError("photon subtraction needs support above n = 0")
-    return _normalized(np.arange(1.0, c.size) * c[1:], v.provenance)
+    return normalize(np.arange(1.0, c.size) * c[1:], v.provenance)
 
 
 def photon_subtract_beamsplitter(v: CoefficientVector, r: float):
@@ -162,4 +162,4 @@ def photon_subtract_beamsplitter(v: CoefficientVector, r: float):
     success = float(np.sum(amp ** 2))
     if success <= 0.0:
         raise ValueError("subtraction conditioning has zero probability")
-    return _normalized(amp, v.provenance), success
+    return normalize(amp, v.provenance), success

@@ -32,7 +32,7 @@ from .fock_core import (
     CoefficientVector,
     ConditionalEnsemble,
     FourModeTensor,
-    _normalized,
+    normalize,
     trace_distance_pure_vs_ensemble,
 )
 from .linear_optics import (
@@ -90,7 +90,7 @@ def gaussify_step(v: CoefficientVector):
         raise ValueError("gaussify_step expects a normalized input state")
     out = _gaussified(v.coeffs)
     success = float(np.dot(out, out))
-    return _normalized(out[:v.coeffs.size], v.provenance), success
+    return normalize(out[:v.coeffs.size], v.provenance), success
 
 
 def stage1_transmissivity(xi: float, lam: float) -> float:

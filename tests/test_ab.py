@@ -1,5 +1,6 @@
 """tools/ab.py's summary of A/B run documents, on synthetic documents, and its name for
-the measured tree, in a scratch git repository: no test runs the benchmark."""
+the measured tree and the two trees it measures, in a scratch git repository: no test
+runs the benchmark."""
 
 import importlib.util
 import json
@@ -124,3 +125,28 @@ def test_working_tree_names_what_the_head_commit_lacks(tmp_path, monkeypatch):
     assert git("diff", "--name-only", "HEAD", tree).split() == ["a.txt", "b.txt"]
     # the index is untouched: nothing staged, b.txt still untracked
     assert git("diff", "--cached", "--name-only") == "" and git("ls-files", "-o") == "b.txt"
+
+
+def test_both_sides_run_from_extracted_trees(tmp_path, monkeypatch):
+    # the base commit and the working tree, an uncommitted edit and an untracked file
+    # included, each run from a `git archive` of its own, never from the repository itself
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    scratch_repo(repo)
+    (repo / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 20, "workloads": [{"name": "mc_warm"}], "end_to_end": METRICS}))
+    (repo / "a.txt").write_text("two\n")
+    (repo / "b.txt").write_text("new\n")
+    seen = []
+
+    def run_once(tree, workload, seed, seconds, trace):
+        seen.append((tree, {p.name: p.read_text() for p in tree.glob("*.txt")}))
+        return doc(1.0, 1)
+
+    monkeypatch.setattr(ab, "ROOT", repo)
+    monkeypatch.setattr(ab, "run_once", run_once)
+    ab.main(["--base", "HEAD", "--out", str(tmp_path / "ab.json"), "--pairs", "1"])
+    (base, base_files), (change, change_files) = seen      # pair 1 runs the base first
+    assert repo not in (base, change) and base != change
+    assert base_files == {"a.txt": "one\n"}
+    assert change_files == {"a.txt": "two\n", "b.txt": "new\n"}

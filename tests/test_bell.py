@@ -119,7 +119,7 @@ def test_p_plus_plus_rejects_unnormalized():
 @given(st.floats(-6.0, 6.0), st.integers(0, 2 ** 31))
 def test_p_plus_plus_is_even_in_chi(chi, seed_int):
     rng = np.random.default_rng(seed_int)
-    v = normalize(CoefficientVector(rng.standard_normal(6)))
+    v = normalize(rng.standard_normal(6))
     assert abs(p_plus_plus(v, chi) - p_plus_plus(v, -chi)) < 1e-12
 
 
@@ -132,7 +132,7 @@ def dense_kernel(k, chi):
 @given(st.floats(-2 * np.pi, 2 * np.pi), st.integers(0, 128), st.integers(0, 2 ** 31))
 def test_kernel_invariants_on_random_states(chi, n_max, seed_int):
     rng = np.random.default_rng(seed_int)
-    v = normalize(CoefficientVector(rng.standard_normal(n_max + 1)))
+    v = normalize(rng.standard_normal(n_max + 1))
     k = n_max + 1
     K, K3, M = dense_kernel(k, chi), dense_kernel(k, 3.0 * chi), ch_matrix(k, chi)
     assert np.array_equal(M, M.T) and np.all(np.diag(M) == 0.5)
@@ -182,7 +182,7 @@ def test_correlation_examples():
 def test_correlation_reduces_to_quadrant_form():
     rng = np.random.default_rng(19)
     for _ in range(10):
-        v = normalize(CoefficientVector(rng.standard_normal(7)))
+        v = normalize(rng.standard_normal(7))
         chi = rng.uniform(-3, 3)
         # literal quadrant form: P-- = P++ and P-+ = P+- = P++(chi + pi)
         quadrant = 2.0 * (p_plus_plus(v, chi) - p_plus_plus(v, chi + np.pi))
@@ -319,6 +319,17 @@ def test_bell_report_fields_and_identity(pipeline_state):
         "chi", "p_pp_chi", "p_pp_3chi", "E_chi", "E_3chi", "B", "S", "cutoff", "provenance"]
     rep = bell_report(pipeline_state, CHI)
     assert abs(rep.S - (rep.B / 4.0 + 0.5)) < 1e-10
+
+
+def test_bell_report_agrees_with_ch_S_and_chsh_B_bit_for_bit():
+    # one S per state and angle: `pipeline` and `bell` print the B that `scan` and `sample`
+    # print; 3 P++(chi) - P++(3 chi) differed from the S series in the last bits
+    states = ([pipelined(xi) for xi in np.linspace(0.55, 0.95, 40)]
+              + [circle(r) for r in np.linspace(0.5, 2.0, 40)])
+    for v in states:
+        for chi in np.linspace(0.1, 1.0, 10):
+            rep = bell_report(v, chi)
+            assert (rep.S, rep.B) == (ch_S(v, chi), chsh_B(v, chi)), (v.provenance, chi)
 
 
 def _report(**edge) -> BellReport:

@@ -11,6 +11,7 @@ from homodyne_bell import (BellReport, CoefficientVector, chsh_B, circle, estima
                            read_state_file, sample_joint, seed, write_state_file)
 from homodyne_bell import cli
 from homodyne_bell.cli import main
+from homodyne_bell.fock_core import json_text
 
 
 def run_cli(*argv):
@@ -174,10 +175,12 @@ def _bell(tmp_path, provenance, fmt):
     return out
 
 
-def test_bell_prints_integral_floats_without_a_point(tmp_path):
-    # %.12g in both formats: the vacuum at chi = 1 prints 1, 0 and 0.5, never 1.0 or 0.0
+def test_bell_prints_floats_by_the_csv_and_json_rules(tmp_path):
+    # CSV prints a float by %.12g, so the vacuum at chi = 1 gives 1 and 0; the JSON is
+    # json_text's own, so a float reads back a float: 1.0 and 0.0, and only cutoff is 1
     text = _bell(tmp_path, "vacuum", "json").read_text()
-    for line in ('"chi": 1,', '"E_chi": 0,', '"B": 0,', '"S": 0.5,', '"cutoff": 1,'):
+    assert text == json_text(json.loads(text))
+    for line in ('"chi": 1.0,', '"E_chi": 0.0,', '"B": 0.0,', '"S": 0.5,', '"cutoff": 1,'):
         assert "\n  " + line + "\n" in text
     assert _bell(tmp_path, "vacuum", "csv").read_text().split("\n")[1] == (
         "1,0.25,0.25,0,0,0,0.5,1,vacuum")

@@ -10,12 +10,13 @@ from homodyne_bell import (
     ConditionalEnsemble,
     FourModeTensor,
     normalize,
+    pipelined,
     read_state_file,
     tmss,
     trace_distance_pure_vs_ensemble,
     write_state_file,
 )
-from homodyne_bell.fock_core import NORM_TOL, state_file_text
+from homodyne_bell.fock_core import NORM_TOL, json_text
 
 
 def vec(*coeffs):
@@ -38,23 +39,23 @@ def test_norm_squared_tmss_geometric_series():
 
 
 def test_normalize_scaling():
-    out = normalize(vec(2.0, 0.0))
+    out = normalize([2.0, 0.0])
     assert np.allclose(out.coeffs, [1.0, 0.0])
     assert out.normalized
 
 
 def test_normalize_equal_weights():
-    out = normalize(vec(1.0, 1.0))
+    out = normalize([1.0, 1.0])
     assert np.allclose(out.coeffs, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-15)
 
 
 def test_normalize_zero_vector_rejected():
     with pytest.raises(ValueError):
-        normalize(vec(0.0, 0.0))
+        normalize([0.0, 0.0])
 
 
 def test_normalize_sign_convention():
-    out = normalize(vec(0.0, -3.0, 4.0))
+    out = normalize([0.0, -3.0, 4.0])
     assert out.coeffs[1] > 0 and out.coeffs[2] < 0
 
 
@@ -62,8 +63,8 @@ def test_normalize_sign_convention():
 def test_normalize_idempotent(raw):
     if not any(abs(x) > 1e-6 for x in raw):
         return
-    once = normalize(CoefficientVector(np.array(raw)))
-    twice = normalize(once)
+    once = normalize(raw)
+    twice = normalize(once.coeffs)
     assert np.max(np.abs(once.coeffs - twice.coeffs)) <= 1e-14
 
 
@@ -155,7 +156,7 @@ def single_branch_ensemble(matrix, p=0.5):
 
 def test_embed_diagonal_roundtrip():
     # the embedding psi[n, n] = c_n that the trace distance gives its target, kept exactly
-    v = normalize(vec(1.0, 0.5, 0.25))
+    v = normalize([1.0, 0.5, 0.25])
     branch = single_branch_ensemble(np.diag(v.coeffs)).states[0]
     assert np.array_equal(np.diagonal(branch), v.coeffs)
     off = np.array(branch)
@@ -164,21 +165,21 @@ def test_embed_diagonal_roundtrip():
 
 
 def test_trace_distance_identical_state():
-    v = normalize(vec(1.0, 0.7, 0.2))
+    v = normalize([1.0, 0.7, 0.2])
     e = single_branch_ensemble(np.diag(v.coeffs))
     assert abs(trace_distance_pure_vs_ensemble(v, e)) < 1e-12
 
 
 def test_trace_distance_orthogonal_state():
-    target = normalize(vec(1.0, 0.0))
-    other = np.diag(normalize(vec(0.0, 1.0)).coeffs)
+    target = normalize([1.0, 0.0])
+    other = np.diag(normalize([0.0, 1.0]).coeffs)
     d = trace_distance_pure_vs_ensemble(target, single_branch_ensemble(other))
     assert abs(d - 1.0) < 1e-12
 
 
 def test_trace_distance_cutoff_mismatch():
-    target = normalize(vec(1.0, 0.0, 0.0))
-    other = np.diag(normalize(vec(1.0, 0.0)).coeffs)
+    target = normalize([1.0, 0.0, 0.0])
+    other = np.diag(normalize([1.0, 0.0]).coeffs)
     with pytest.raises(ValueError):
         trace_distance_pure_vs_ensemble(target, single_branch_ensemble(other))
 
@@ -186,7 +187,7 @@ def test_trace_distance_cutoff_mismatch():
 def test_trace_distance_bounds_on_random_ensembles():
     rng = np.random.default_rng(11)
     for _ in range(10):
-        target = normalize(CoefficientVector(rng.standard_normal(4)))
+        target = normalize(rng.standard_normal(4))
         weights = rng.random(3)
         weights /= weights.sum()
         amps = rng.standard_normal((3, 4, 4))
@@ -206,10 +207,32 @@ def test_state_file_roundtrip(tmp_path):
     assert back.provenance == v.provenance
 
 
-def test_state_file_17_digit_floats():
-    v = normalize(vec(1.0, 1.0, 1.0))
-    text = state_file_text(v)
-    assert "0.57735026918962584" in text  # 17 significant digits of 1/sqrt(3)
+def test_state_file_prints_each_float_as_its_shortest_exact_repr(tmp_path):
+    # json's rule: 1/sqrt(3) in 16 digits, not %.17g's 0.57735026918962584, and a zero
+    # as 0.0; the text is json_text's own, and reads back bit for bit
+    v = normalize([1.0, 1.0, 1.0, 0.0])
+    path = tmp_path / "state.json"
+    write_state_file(v, path)
+    text = path.read_text()
+    assert text == json_text(json.loads(text)) == (
+        '{\n  "cutoff": 3,\n  "coefficients": [\n    0.5773502691896258,\n'
+        '    0.5773502691896258,\n    0.5773502691896258,\n    0.0\n  ],\n'
+        '  "normalized": true,\n  "provenance": ""\n}\n')
+    assert np.array_equal(read_state_file(path).coeffs, v.coeffs)
+
+
+@pytest.mark.parametrize("family", ["tmss", "pipeline"])
+def test_state_file_in_the_one_line_17_digit_layout_reads_bit_identical(tmp_path, family):
+    # the layout state files had before they went through json, which the benchmark's
+    # cli_cold workload still writes by hand as its source.json: one line of %.17g
+    v = tmss(0.6) if family == "tmss" else pipelined(1 / np.sqrt(2.0))
+    path = tmp_path / "source.json"
+    path.write_text('{\n  "cutoff": %d,\n  "coefficients": [%s],\n  "normalized": true,\n'
+                    '  "provenance": "%s"\n}\n'
+                    % (v.cutoff, ", ".join(f"{x:.17g}" for x in v.coeffs), v.provenance))
+    back = read_state_file(path)
+    assert back.coeffs.tobytes() == v.coeffs.tobytes()
+    assert back.provenance == v.provenance
 
 
 def test_state_file_cutoff_consistency(tmp_path):
@@ -220,9 +243,12 @@ def test_state_file_cutoff_consistency(tmp_path):
     path = tmp_path / "state.json"
     path.write_text(json.dumps(good))
     assert read_state_file(path).normalized
+    path.write_text(json.dumps({k: v for k, v in good.items() if k != "provenance"}))
+    assert read_state_file(path).provenance == ""          # a missing provenance reads as ""
     for field, value in [("cutoff", 5), ("cutoff", 1.9), ("cutoff", "1"), ("cutoff", True),
                          ("normalized", "false"), ("coefficients", ["0.6", "0.8"]),
-                         ("coefficients", [True, False]), ("coefficients", [10 ** 400, 0])]:
+                         ("coefficients", [True, False]), ("coefficients", [10 ** 400, 0]),
+                         ("provenance", ["a", 1]), ("provenance", None), ("provenance", 3)]:
         path.write_text(json.dumps({**good, field: value}))
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {field} field"):
             read_state_file(path)

@@ -5,9 +5,9 @@ The comparison splits each file into numbers and the text between them.  The
 text must match exactly, and so must every number printed as an integer
 (counts, cutoffs, sample sizes).  Any other number may move by one unit of its
 last printed digit, or by 1e-15 absolute where that is larger: a reordered
-matmul moves a 17-digit trace distance in its last digit, and the stage-1 trace
-distance carries about 1e-16 of absolute rounding.  Of two printings of one
-number the finer sets the unit.
+matmul moves a trace distance printed in full in its last digit, and the
+stage-1 trace distance carries about 1e-16 of absolute rounding.  Of two
+printings of one number the finer sets the unit.
 
 numpy does not promise `Generator.multinomial` streams across versions (NEP 19),
 so `sample` counts can move on a numpy upgrade; a `sample` mismatch names the
@@ -20,6 +20,7 @@ that moves one names it, and why, in CHANGES.md.
 
 from __future__ import annotations
 
+import json
 import re
 import shutil
 from decimal import Decimal
@@ -29,6 +30,7 @@ import numpy as np
 import pytest
 
 from homodyne_bell.cli import main
+from homodyne_bell.fock_core import json_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SOURCE = "source.json"      # a copy of the golden pipeline.json
@@ -70,6 +72,7 @@ CASES = {
                        "--out", "sample_200.json", "--dump-xy", "sample_200_xy.csv"],
 }
 
+INTEGER_FIELDS = {"cutoff", "n_samples", "seed", "counts_chi", "counts_3chi"}
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 _FLOOR = Decimal("1e-15")
 
@@ -120,3 +123,22 @@ def test_cli_output_matches_golden(tmp_path, monkeypatch, capsys, argv):
                           f"numpy {np.__version__}; numpy does not promise multinomial "
                           f"streams across versions")
         assert not bad, f"{name}: " + "; ".join(bad[:6])
+
+
+def integer_fields(doc, key=None) -> set:
+    """The keys under which `doc` holds an integer, a list inheriting its key."""
+    if isinstance(doc, dict):
+        return set().union(*(integer_fields(v, k) for k, v in doc.items()))
+    if isinstance(doc, list):
+        return set().union(*(integer_fields(v, key) for v in doc))
+    return {key} if type(doc) is int else set()
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.json")))
+def test_golden_json_is_json_text_of_itself_with_every_float_a_float(name):
+    # one writer: each JSON output is json_text of what it parses to, and a float prints as
+    # one (0.0, never 0), so only the integer fields hold integers
+    text = (GOLDEN / name).read_text()
+    doc = json.loads(text)
+    assert text == json_text(doc)
+    assert integer_fields(doc) <= INTEGER_FIELDS

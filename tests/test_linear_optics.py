@@ -252,7 +252,7 @@ def test_subtract_exact_single_pair():
 
 def test_subtract_exact_on_seed_leaves_vacuum():
     for xi in (0.3, 1.0, 2.5):
-        out = photon_subtract_exact(normalize(CoefficientVector(np.array([1.0, xi, 0.0]))))
+        out = photon_subtract_exact(normalize([1.0, xi, 0.0]))
         assert np.allclose(out.coeffs, [1.0, 0.0])
 
 

@@ -40,7 +40,7 @@ def test_geometric_fixed_points_hold_past_the_factorials_float_range(size):
     # n! / 2^n overflows a float from n = 197: the scales run at t^r / r! and n! / (2t)^n
     g = 0.9 ** np.arange(size)
     assert np.max(np.abs(gaussify_coefficients(g) - g)) < 1e-12
-    out, p = gaussify_step(normalize(CoefficientVector(g)))
+    out, p = gaussify_step(normalize(g))
     assert np.max(np.abs(out.coeffs - g / np.linalg.norm(g))) < 1e-12 and 0.0 < p <= 1.0
 
 
@@ -59,7 +59,7 @@ def test_unnormalized_leading_coefficient_squares():
 @settings(max_examples=20, deadline=None)
 @given(st.floats(0.05, 0.95), st.integers(2, 16))
 def test_gaussify_step_fixes_truncated_geometric_states(lam, size):
-    v = normalize(CoefficientVector(lam ** np.arange(size)))
+    v = normalize(lam ** np.arange(size))
     out, p = gaussify_step(v)
     assert np.max(np.abs(out.coeffs - v.coeffs)) < 1e-12
     assert 0.0 < p <= 1.0
@@ -69,7 +69,7 @@ def test_gaussify_step_fixes_truncated_geometric_states(lam, size):
 @given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8).filter(
     lambda c: abs(c[0]) > 0.1 * np.linalg.norm(c) > 1e-4))
 def test_gaussify_success_is_squared_norm_of_unnormalized_output(raw):
-    v = normalize(CoefficientVector(np.array(raw)))
+    v = normalize(raw)
     c, k = v.coeffs, len(raw)
     # c'_n = 2^-n sum_r C(n, r) c_r c_(n-r), summed term by term over the doubled support
     wide = np.array([sum(comb(n, r) * c[r] * c[n - r] for r in range(n + 1)
@@ -149,7 +149,7 @@ def test_recursion_matches_operator_oracle_cutoff_6():
     rng = np.random.default_rng(42)
     for _ in range(3):
         raw = rng.random(7) * np.array([1.0, 0.8, 0.5, 0.3, 0.1, 0.05, 0.01])
-        v = normalize(CoefficientVector(raw))
+        v = normalize(raw)
         # intermediate occupation reaches twice the support, so simulate wide
         diag, p_op = operator_gaussify(v.coeffs, cutoff=12)
         wide = np.zeros(13)
@@ -158,7 +158,7 @@ def test_recursion_matches_operator_oracle_cutoff_6():
         assert np.max(np.abs(diag - expected)) < 1e-10
         out, p_step = gaussify_step(v)
         assert abs(p_step - p_op) < 1e-10
-        assert np.max(np.abs(out.coeffs - normalize(CoefficientVector(expected[:7])).coeffs)) < 1e-10
+        assert np.max(np.abs(out.coeffs - normalize(expected[:7]).coeffs)) < 1e-10
 
 
 def test_stage1_transmissivity_is_half_printed_for_small_lambda():

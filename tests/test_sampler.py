@@ -232,7 +232,7 @@ def test_sampler_never_reads_the_overlap_table(pipeline_state, monkeypatch):
 def test_sign_table_reproduces_closed_form(n_max, chi, seed_int):
     # the grid's own two-node cell integrals against the overlap table's closed form: two
     # independent routes, which the midpoint rule parted by about 2e-8
-    v = normalize(CoefficientVector(np.random.default_rng(seed_int).standard_normal(n_max + 1)))
+    v = normalize(np.random.default_rng(seed_int).standard_normal(n_max + 1))
     pp, pm, mp, mm = sampler._SamplerPlan(v.coeffs, chi).quadrants
     assert abs(pp - p_plus_plus(v, chi)) < 1e-13
     assert abs(mm - p_plus_plus(v, chi)) < 1e-13
@@ -374,7 +374,7 @@ def test_raw_pairs_match_full_row_oracle(pipeline_state, which, chi, seed_int):
         v = tmss(0.6)
     else:
         c = np.random.default_rng(seed_int).standard_normal(which + 1)
-        v = normalize(CoefficientVector(c))
+        v = normalize(c)
     n = 1_000
     new = sample_joint(v, chi, n, seed_int, keep_samples=True).samples
     # replay sample_joint's stream: the quadrant and cell counts, then what raw_pairs draws

@@ -4,20 +4,21 @@
     python3 tools/ab.py --base HEAD~1 --out ab.json --workloads mc_warm --pairs 5 --seconds 5
     python3 tools/ab.py --base HEAD --out ab.json --seconds analytic=200,mc_warm=20,cli_cold=20
 
-The base is extracted with `git archive` into a temporary directory and measured by
-its own `bench/run.py`, which finds the program at `<its root>/src`; the working
-tree's `bench/run.py` measures the change.  Nothing under `bench/` is touched.  Each
-pair runs both sides on one fresh seed, the base first in even pairs and the change
-first in odd ones, and reads each run's last JSON line.  `--seconds` is one run length
-for every workload, or `name=seconds` items, after an optional bare default.
+Each side is extracted with `git archive` into a temporary directory of its own, the
+base revision and the working tree as `change_tree` (below), so both start alike, with
+no compiled bytecode, and each is measured by its own `bench/run.py`, which finds the
+program at `<its root>/src`.  Nothing under `bench/` is touched.  Each pair runs both
+sides on one fresh seed, the base first in even pairs and the change first in odd
+ones, and reads each run's last JSON line.  `--seconds` is one run length for every
+workload, or `name=seconds` items, after an optional bare default.
 
 The output holds, per workload and metric (BENCHMARK.json's end-to-end metrics, or
 its per-layer ones with --trace 1), each side's median and quartiles, the median and
 quartiles of the per-pair ratio change/base (over the pairs whose base is not 0),
 every pair's two values, the pairs the change won and the metric's bound; then every run's
 `correct`, `failed` and `attempted`, and the environment.  The measured working
-tree is named by its git tree hash, `change_tree`, read before the first run with
-untracked files included, beside its HEAD commit `change_head`:
+tree is named by its git tree hash, `change_tree`, written before the first run with
+untracked files included (ignored ones left out), beside its HEAD commit `change_head`:
 `git diff change_head change_tree` shows what it held beyond that commit.  It judges
 nothing: a run that reads `correct: false` is listed, not dropped.
 """
@@ -104,6 +105,14 @@ def working_tree() -> str:
         return git("write-tree", env=env)
 
 
+def extract(rev: str, into: str) -> Path:
+    """The commit or tree `rev`, unpacked by `git archive` into the directory `into`."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", into], input=archive, check=True)
+    return Path(into)
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -122,11 +131,8 @@ def main(argv=None) -> int:
         ap.error(str(err))
     base_rev, change_tree = git("rev-parse", args.base), working_tree()
     pairs = {w: [] for w in args.workloads.split(",")}
-    with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", base_rev],
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        trees = {"base": Path(tmp), "change": ROOT}
+    with tempfile.TemporaryDirectory() as base, tempfile.TemporaryDirectory() as change:
+        trees = {"base": extract(base_rev, base), "change": extract(change_tree, change)}
         for i in range(args.pairs):
             for workload in pairs:
                 seed, doc = args.seed + i, {}
